@@ -1,6 +1,6 @@
 //! Round-synchronous vs. batched vs. event-driven (epoch-quiesced and
-//! fully-async, each on both the single-heap and sharded
-//! calendar-queue schedulers) runtime cost at fleet scale, plus a
+//! fully-async, on the sharded calendar-queue scheduler) runtime cost
+//! at fleet scale, plus a
 //! faithful reimplementation of the pre-refactor (allocating) round
 //! as the baseline the allocation-free path is measured against.
 //!
@@ -166,17 +166,8 @@ fn dist_runtime_benches(c: &mut Criterion) {
         );
         group.throughput(Throughput::Elements(n as u64));
 
-        group.bench_with_input(BenchmarkId::new("event_driven", n), &n, |b, &n| {
-            let mut net = EventRuntime::new(DistConfig::new(bench_params(M), n), 3);
-            let mut t = 0usize;
-            b.iter(|| {
-                net.tick(&rewards[t % rewards.len()]);
-                t += 1;
-            });
-        });
-
-        // The sharded calendar-queue scheduler on the same quiesced
-        // deployment: same law, O(1) scheduling instead of the heap.
+        // The epoch-quiesced event-driven deployment on the sharded
+        // calendar-queue scheduler.
         group.bench_with_input(
             BenchmarkId::new(format!("event_sharded{BENCH_SHARDS}"), n),
             &n,
@@ -272,19 +263,6 @@ fn dist_runtime_benches(c: &mut Criterion) {
         // epoch per node on this clean network — so ns/iteration is
         // comparable to the per-round numbers above to within the
         // fleet's epoch drift.
-        group.bench_with_input(BenchmarkId::new("event_async", n), &n, |b, &n| {
-            let mut net = EventRuntime::new(DistConfig::new(bench_params(M), n), 3)
-                .with_async_epochs(StalenessBound::Unbounded);
-            let mut t = 0usize;
-            b.iter(|| {
-                net.tick(&rewards[t % rewards.len()]);
-                t += 1;
-            });
-        });
-
-        // Fully-async on the sharded calendar scheduler — the
-        // headline row: the single `BinaryHeap` was the fully-async
-        // hot path's bottleneck, and this is the same tick without it.
         group.bench_with_input(
             BenchmarkId::new(format!("event_async_sharded{BENCH_SHARDS}"), n),
             &n,

@@ -1,18 +1,17 @@
-//! The sharded calendar-queue scheduler: the [`EventRuntime`]'s
-//! scalable execution engine, selected with
+//! The sharded calendar-queue scheduler: the [`EventRuntime`]'s one
+//! execution engine, one shard by default and more with
 //! [`SchedulerKind::ShardedCalendar`].
 //!
 //! [`EventRuntime`]: crate::EventRuntime
 //!
 //! # Why
 //!
-//! The default single-heap scheduler keys every pending event in one
-//! `BinaryHeap`, so each push/pop costs `O(log E)` comparisons over a
-//! heap that holds several events per node — at fleet scale the sift
-//! paths are cache-miss chains through tens of megabytes, and they
-//! dominate the tick. This module replaces the heap with a **calendar
-//! queue**: events are bucketed by virtual-time slot in a fixed ring
-//! ([`RING_SLOTS`] wide), so enqueue is an `O(1)` append and dequeue
+//! A priority heap keyed by virtual time costs `O(log E)` comparisons
+//! per push/pop over a heap that holds several events per node — at
+//! fleet scale the sift paths are cache-miss chains through tens of
+//! megabytes, and they dominate the tick. The engine instead keeps a
+//! **calendar queue**: events are bucketed by virtual-time slot in a
+//! fixed ring ([`RING_SLOTS`] wide), so enqueue is an `O(1)` append and dequeue
 //! is a linear walk of one bucket. On top of the calendar, the fleet
 //! is **sharded** by destination-node range: each shard owns the
 //! per-node state of a contiguous node block and advances its own
@@ -81,14 +80,13 @@
 //! Together these give the invariant the proptest suite pins down:
 //! for a fixed seed, ticks produce **byte-identical metrics and
 //! distributions for any shard count**, and the law of the process
-//! matches the single-heap scheduler (KS-tested in
+//! matches the finite-population dynamics (KS-tested in
 //! `tests/equivalence.rs`).
 //!
 //! # Membership churn and online rebalancing
 //!
 //! Scripted joins, leaves, and rejoins (the [`FaultPlan`] membership
-//! builders) land at tick boundaries, mirroring the single-heap
-//! scheduler decision for decision: a departing node's commitment
+//! builders) land at tick boundaries: a departing node's commitment
 //! leaves the lane's popularity counts and its pending attempt is
 //! wiped; a (re)joining node enters bootstrapping and re-learns a
 //! commitment through the ordinary query/reply protocol — no state
@@ -116,8 +114,8 @@ use sociolearn_sim::WorkerPool;
 
 use crate::cast::index_u32;
 use crate::event::{
-    Event, Mode, Msg, Pending, StalenessBound, ASYNC_EPOCH_PERIOD, ASYNC_WAKE_JITTER,
-    DELIVER_DELAY, MAX_MESSAGE_LATENCY, RETRY_TIMEOUT, WAKE_SPREAD,
+    Event, Mode, Msg, Pending, ASYNC_EPOCH_PERIOD, ASYNC_WAKE_JITTER, DELIVER_DELAY,
+    MAX_MESSAGE_LATENCY, RETRY_TIMEOUT, WAKE_SPREAD,
 };
 use crate::soa::{AlignedU32s, AlignedU64s};
 use crate::{
@@ -195,16 +193,14 @@ fn effective_threads(threads: usize) -> usize {
     }
 }
 
-/// Which scheduler drives the [`EventRuntime`](crate::EventRuntime).
+/// How the [`EventRuntime`](crate::EventRuntime)'s scheduler is split
+/// into shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchedulerKind {
-    /// The original scheduler: one global `BinaryHeap` keyed
-    /// `(time, seq)`, one global RNG stream. Exactly the pre-sharding
-    /// behavior, kept so every test can run both schedulers.
-    SingleHeap,
-    /// The sharded calendar-queue engine of this module. `shards` is
-    /// clamped to the fleet size; randomness is split into per-node
-    /// streams, so results are byte-identical across shard counts.
+    /// The sharded calendar-queue engine of this module (one shard by
+    /// default). `shards` is clamped to the fleet size; randomness is
+    /// split into per-node streams, so results are byte-identical
+    /// across shard counts.
     ShardedCalendar {
         /// Number of destination-node-range shards (at least 1).
         shards: usize,
@@ -213,12 +209,8 @@ pub enum SchedulerKind {
 
 impl std::fmt::Display for SchedulerKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SchedulerKind::SingleHeap => f.write_str("single-heap"),
-            SchedulerKind::ShardedCalendar { shards } => {
-                write!(f, "sharded-calendar({shards})")
-            }
-        }
+        let SchedulerKind::ShardedCalendar { shards } = self;
+        write!(f, "sharded-calendar({shards})")
     }
 }
 
@@ -432,12 +424,25 @@ struct ShardMap {
     bounds: Vec<u32>,
 }
 
-impl ShardMap {
-    /// The effective lane count for `shards` requested over `n` nodes.
-    fn lane_count(n: usize, shards: usize) -> usize {
-        shards.clamp(1, n)
-    }
+/// The effective lane count for `shards` requested over `n` nodes.
+pub(crate) fn lane_count(n: usize, shards: usize) -> usize {
+    shards.clamp(1, n)
+}
 
+/// Appends the present-node load of each lane an engine of `shards`
+/// shards over `n` nodes starts with — what
+/// [`ShardedEngine::write_shard_loads`] will report once the engine is
+/// built.
+pub(crate) fn write_initial_shard_loads(
+    n: usize,
+    shards: usize,
+    members: &MembershipTracker,
+    out: &mut Vec<usize>,
+) {
+    ShardMap::balanced(n, lane_count(n, shards), members).write_loads(members, out);
+}
+
+impl ShardMap {
     /// A partition of `n` nodes into `lanes` ranges balanced by
     /// *present* node count: lane `k` owns the present nodes with
     /// presence-rank in `[⌈alive·k/lanes⌉, ⌈alive·(k+1)/lanes⌉)`, so
@@ -486,6 +491,17 @@ impl ShardMap {
     /// One past the last node id of `lane`.
     fn end_of(&self, lane: usize) -> usize {
         self.bounds[lane + 1] as usize
+    }
+
+    /// Appends each lane's *present*-node count to `out`, in lane
+    /// order.
+    fn write_loads(&self, members: &MembershipTracker, out: &mut Vec<usize>) {
+        for lane in 0..self.lanes() {
+            let load = (self.base_of(lane)..self.end_of(lane))
+                .filter(|&i| members.is_present(i))
+                .count();
+            out.push(load);
+        }
     }
 }
 
@@ -542,20 +558,6 @@ struct Ctx {
     /// tracker itself.
     present: Arc<Vec<bool>>,
 }
-
-/// Per-node protocol state a [`ShardLane`] owns — the same inventory
-/// as the single-heap engine (commitment, one-slot history, local
-/// epoch) plus the per-source sequence counter and incarnation tag
-/// that give the sharded engine its intrinsic `(time, src, seq)`
-/// total order. Still a constant footprint: rebalancing hands these
-/// across lanes, it never grows them.
-pub(crate) const SHARD_LANE_NODE_STATE_BYTES: usize = 2 * std::mem::size_of::<NodeState>()
-    + std::mem::size_of::<u64>()
-    + 2 * std::mem::size_of::<u32>();
-
-// Compile-time bounded-memory budget for the sharded engine,
-// mirroring `EVENT_NODE_STATE_BYTES` in `event.rs`.
-const _: () = assert!(SHARD_LANE_NODE_STATE_BYTES <= 6 * crate::NODE_STATE_BYTES);
 
 /// One shard: the full per-node state of a contiguous node range, its
 /// calendar, and one outbound mailbox per peer shard.
@@ -637,7 +639,7 @@ impl ShardLane {
 
     /// Offers `msg` to a local node's bounded inbox; schedules the
     /// matching `Deliver` on success, counts a backpressure drop on
-    /// overflow. Mirrors the single-heap `enqueue`.
+    /// overflow.
     fn enqueue(&mut self, local: usize, msg: Msg, now: u64, ctx: &Ctx) {
         let inbox = &mut self.inboxes[local];
         if inbox.len() >= ctx.queue_bound {
@@ -663,227 +665,94 @@ impl ShardLane {
         self.choices[local] = new;
     }
 
-    // ---- epoch-quiesced protocol, mirrored stage for stage from the
-    // ---- single-heap scheduler (same decisions, same RNG *shape*,
-    // ---- but drawn from per-node streams). The mirroring is a hard
-    // ---- contract: any protocol change in event.rs (µ-branch, retry
-    // ---- budget, peer pick, staleness rule, crash handling) MUST be
-    // ---- replicated here and in the async methods below, or the two
-    // ---- schedulers silently drift apart in law — the KS tests in
-    // ---- tests/equivalence.rs are the tripwire, not the guarantee.
+    // ---- The protocol, one method per stage. Both epoch disciplines
+    // ---- run these same stages with the same RNG draws in the same
+    // ---- order; they differ only where a stage branches on
+    // ---- `ctx.mode`: which snapshot a responder serves (plus the
+    // ---- async staleness filter) and the async tail of a decision
+    // ---- (history slot, local epoch, next wake-up).
 
-    /// Quiesced stage 1 resolution + stage 2 adoption.
-    fn decide_q(&mut self, local: usize, considered: u32, ctx: &Ctx) {
+    /// Resolves stage 1 with `considered` and runs stage 2: adopt with
+    /// the quality-dependent probability, else sit out. In async mode
+    /// the decision also completes the node's local epoch and
+    /// schedules its next wake-up on its own cadence — the moment the
+    /// barrier-free design hinges on: nothing here waits for the rest
+    /// of the fleet.
+    fn decide(&mut self, local: usize, considered: u32, now: u64, ctx: &Ctx) {
         debug_assert!(!self.pending[local].resolved, "node resolved twice");
         self.pending[local].resolved = true;
         let adopt_p = ctx
             .params
             .adopt_probability(ctx.rewards[considered as usize]);
-        if self.rngs[local].gen_bool(adopt_p) {
-            self.choices[local] = considered;
-            self.counts[considered as usize] += 1;
-            self.rm.committed += 1;
-        }
-    }
-
-    /// Quiesced query attempt (or µ-exploration on attempt 1, or the
-    /// uniform fallback once the retry budget is spent).
-    fn start_attempt_q(&mut self, local: usize, attempt: u32, now: u64, ctx: &Ctx) {
-        let node = self.base + index_u32(local);
-        if attempt == 1 && self.rngs[local].gen_bool(ctx.mu) {
-            self.rm.explorations += 1;
-            let considered = index_u32(self.rngs[local].gen_range(0..ctx.m));
-            self.decide_q(local, considered, ctx);
-            return;
-        }
-        if attempt > MAX_QUERY_RETRIES || ctx.n == 1 {
-            self.rm.fallbacks += 1;
-            let considered = index_u32(self.rngs[local].gen_range(0..ctx.m));
-            self.decide_q(local, considered, ctx);
-            return;
-        }
-        self.pending[local].attempt = attempt;
-        self.rm.queries_sent += 1;
-        let g = node as usize;
-        let mut peer = self.rngs[local].gen_range(0..ctx.n - 1);
-        if peer >= g {
-            peer += 1;
-        }
-        self.push_from(
-            node,
-            now + RETRY_TIMEOUT,
-            Event::Timeout {
-                node,
-                attempt,
-                epoch: 0,
-            },
-            ctx,
-        );
-        if !self.link_drops(local, ctx) {
-            let at = msg_at(now, self.latency(local), ctx);
-            self.push_from(
-                node,
-                at,
-                Event::QueryArrive {
-                    from: node,
-                    to: index_u32(peer),
-                    epoch: 0,
-                },
-                ctx,
-            );
-        }
-    }
-
-    /// Quiesced inbox head processing.
-    fn deliver_q(&mut self, local: usize, now: u64, ctx: &Ctx) {
-        let Some(msg) = self.inboxes[local].pop_front() else {
-            return;
-        };
-        match msg {
-            Msg::Query { from, epoch: _ } => {
-                let option = self.back[local];
-                if option != NO_CHOICE && !self.link_drops(local, ctx) {
-                    let at = msg_at(now, self.latency(local), ctx);
-                    let node = self.base + index_u32(local);
-                    self.push_from(node, at, Event::ReplyArrive { node: from, option }, ctx);
-                }
-            }
-            Msg::Reply { option } => {
-                if self.pending[local].resolved {
-                    return;
-                }
-                self.rm.replies_received += 1;
-                self.decide_q(local, option, ctx);
-            }
-        }
-    }
-
-    /// Resets the lane for a fresh quiesced epoch and wakes its
-    /// present nodes at per-node jittered times. A node that just
-    /// (re)joined has `back == NO_CHOICE` (absent epochs write
-    /// NO_CHOICE) and bootstraps through the ordinary query path.
-    fn begin_epoch(&mut self, ctx: &Ctx) {
-        std::mem::swap(&mut self.choices, &mut self.back);
-        self.counts.fill(0);
-        self.rm = RoundMetrics::default();
-        debug_assert!(self.calendar.is_empty(), "previous epoch left events");
-        for local in 0..self.len() {
-            self.choices[local] = NO_CHOICE;
-            debug_assert!(self.inboxes[local].is_empty(), "previous epoch left mail");
-            let node = self.base + index_u32(local);
-            if ctx.present[node as usize] {
-                self.rm.alive += 1;
-                self.pending[local] = Pending::default();
-                let at = self.rngs[local].gen_range(0..WAKE_SPREAD);
-                self.push_from(node, at, Event::Wake { node, inc: 0 }, ctx);
-            } else {
-                // An absent node answers nothing: its snapshot slot is
-                // cleared so a query landing here finds no commitment.
-                self.back[local] = NO_CHOICE;
-                self.pending[local] = Pending {
-                    attempt: 0,
-                    resolved: true,
-                };
-            }
-        }
-    }
-
-    /// Handles one due quiesced-mode event.
-    fn handle_q(&mut self, entry: Entry<Event>, now: u64, ctx: &Ctx) {
-        match entry.payload {
-            Event::Wake { node, .. } => {
-                self.start_attempt_q((node - self.base) as usize, 1, now, ctx);
-            }
-            Event::QueryArrive { from, to, epoch } => {
-                if !ctx.has_faults || ctx.present[to as usize] {
-                    self.enqueue(
-                        (to - self.base) as usize,
-                        Msg::Query { from, epoch },
-                        now,
-                        ctx,
-                    );
-                }
-            }
-            Event::ReplyArrive { node, option } => {
-                self.enqueue((node - self.base) as usize, Msg::Reply { option }, now, ctx);
-            }
-            Event::Deliver { node } => self.deliver_q((node - self.base) as usize, now, ctx),
-            Event::Timeout {
-                node,
-                attempt,
-                epoch: _,
-            } => {
-                let local = (node - self.base) as usize;
-                let p = self.pending[local];
-                if !p.resolved && p.attempt == attempt {
-                    self.start_attempt_q(local, attempt + 1, now, ctx);
-                }
-            }
-        }
-    }
-
-    // ---- fully-async protocol, mirrored from the single-heap async
-    // ---- path: local epoch counters, epoch-tagged queries/timeouts,
-    // ---- staleness filtering, cadence-scheduled wake-ups.
-
-    /// Async stage 2 + local-epoch completion + next wake-up.
-    fn decide_async(&mut self, local: usize, considered: u32, now: u64, ctx: &Ctx) {
-        debug_assert!(!self.pending[local].resolved, "node resolved twice");
-        self.pending[local].resolved = true;
-        if self.boot[local] {
-            // First epoch decision after a (re)join: the bootstrap is
-            // over, whatever stage 1 produced.
-            self.boot[local] = false;
-            self.boot_count -= 1;
-        }
-        let adopt_p = ctx
-            .params
-            .adopt_probability(ctx.rewards[considered as usize]);
-        self.back[local] = self.choices[local];
+        // A quiesced epoch starts every node uncommitted, so this
+        // replaces `NO_CHOICE`; an async commitment is replaced in
+        // place.
+        let superseded = self.choices[local];
         if self.rngs[local].gen_bool(adopt_p) {
             self.set_commit(local, considered);
             self.rm.committed += 1;
         } else {
             self.set_commit(local, NO_CHOICE);
         }
+        if ctx.mode == Mode::Quiesced {
+            return;
+        }
+        if self.boot[local] {
+            // First epoch decision after a (re)join: the bootstrap is
+            // over, whatever stage 1 produced.
+            self.boot[local] = false;
+            self.boot_count -= 1;
+        }
+        // The superseded commitment becomes the one-slot history peers
+        // can still be served from.
+        self.back[local] = superseded;
         self.epochs[local] += 1;
+        // Next local epoch: one period after the last wake-up, or
+        // immediately (plus jitter) if this epoch overran the period —
+        // that overrun is how slow nodes drift behind their peers
+        // (they catch back up by running epochs back-to-back once the
+        // retry storm passes).
         let cadence = self.last_wake[local] + ASYNC_EPOCH_PERIOD;
         let at = cadence.max(now + 1) + self.rngs[local].gen_range(0..ASYNC_WAKE_JITTER);
         let node = self.base + index_u32(local);
-        self.push_from(
-            node,
-            at,
-            Event::Wake {
-                node,
-                inc: self.incs[local],
-            },
-            ctx,
-        );
+        let inc = self.incs[local];
+        self.push_from(node, at, Event::Wake { node, inc }, ctx);
     }
 
-    /// Async query attempt with epoch-tagged timeout/query events.
-    fn start_attempt_async(&mut self, local: usize, attempt: u32, now: u64, ctx: &Ctx) {
+    /// Issues query `attempt` for a node (or the uniform fallback once
+    /// the retry budget is spent). `attempt == 1` is the stage-1 entry
+    /// point and may take the µ-exploration branch instead.
+    fn start_attempt(&mut self, local: usize, attempt: u32, now: u64, ctx: &Ctx) {
         let node = self.base + index_u32(local);
         if attempt == 1 && self.rngs[local].gen_bool(ctx.mu) {
             self.rm.explorations += 1;
             let considered = index_u32(self.rngs[local].gen_range(0..ctx.m));
-            self.decide_async(local, considered, now, ctx);
+            self.decide(local, considered, now, ctx);
             return;
         }
         if attempt > MAX_QUERY_RETRIES || ctx.n == 1 {
+            // Retry budget spent (or no peers to ask at all): uniform
+            // fallback, exactly as in the round-synchronous runtime.
             self.rm.fallbacks += 1;
             let considered = index_u32(self.rngs[local].gen_range(0..ctx.m));
-            self.decide_async(local, considered, now, ctx);
+            self.decide(local, considered, now, ctx);
             return;
         }
         self.pending[local].attempt = attempt;
         self.rm.queries_sent += 1;
+        // Ask a uniformly random *other* node what it used last epoch.
         let g = node as usize;
         let mut peer = self.rngs[local].gen_range(0..ctx.n - 1);
         if peer >= g {
             peer += 1;
         }
+        // Query and timeout carry the local epoch that issues them: an
+        // async calendar is never cleared, so a timeout abandoned by an
+        // earlier epoch may surface later, and the responder measures
+        // staleness against the querier's epoch. Quiesced epochs never
+        // advance `epochs`, so there the tag is a constant.
         let epoch = self.epochs[local] + 1;
+        // The retry clock starts now, reply or no reply.
         self.push_from(
             node,
             now + RETRY_TIMEOUT,
@@ -894,6 +763,7 @@ impl ShardLane {
             },
             ctx,
         );
+        // The query must survive the link to be scheduled for arrival.
         if !self.link_drops(local, ctx) {
             let at = msg_at(now, self.latency(local), ctx);
             self.push_from(
@@ -909,29 +779,48 @@ impl ShardLane {
         }
     }
 
-    /// Async inbox head processing with responder-side staleness
-    /// filtering.
-    fn deliver_async(&mut self, local: usize, now: u64, ctx: &Ctx, bound: StalenessBound) {
+    /// Pops and handles the head of a node's inbox.
+    fn deliver(&mut self, local: usize, now: u64, ctx: &Ctx) {
         let Some(msg) = self.inboxes[local].pop_front() else {
             return;
         };
         match msg {
             Msg::Query { from, epoch } => {
-                let want = epoch.saturating_sub(1);
-                let r = self.epochs[local];
-                let (option, stale) = if want >= r {
-                    (self.choices[local], want - r)
-                } else {
-                    (self.back[local], 0)
+                let option = match ctx.mode {
+                    // Answer with the option committed last epoch.
+                    Mode::Quiesced => self.back[local],
+                    Mode::Async(bound) => {
+                        // The querier at local epoch `e` would, under
+                        // synchronized execution, copy information
+                        // committed at epoch `e - 1`. Serve the
+                        // snapshot nearest that epoch: the latest
+                        // commitment if the responder is at or behind
+                        // the requested epoch (staleness = the gap),
+                        // else the one-slot history (a responder that
+                        // already completed the requested epoch still
+                        // holds what it committed then; one that raced
+                        // further ahead serves the oldest it has —
+                        // fresher than asked, never stale). Withhold
+                        // the reply when the served information is
+                        // staler than the bound.
+                        let want = epoch.saturating_sub(1);
+                        let r = self.epochs[local];
+                        let (option, stale) = if want >= r {
+                            (self.choices[local], want - r)
+                        } else {
+                            (self.back[local], 0)
+                        };
+                        if option != NO_CHOICE && !bound.allows(stale) {
+                            self.rm.stale_replies += 1;
+                            return;
+                        }
+                        option
+                    }
                 };
-                if option == NO_CHOICE {
-                    return;
-                }
-                if !bound.allows(stale) {
-                    self.rm.stale_replies += 1;
-                    return;
-                }
-                if !self.link_drops(local, ctx) {
+                // A node that sat that epoch out has nothing to report
+                // and stays silent; the querier's timeout drives the
+                // retry.
+                if option != NO_CHOICE && !self.link_drops(local, ctx) {
                     let at = msg_at(now, self.latency(local), ctx);
                     let node = self.base + index_u32(local);
                     self.push_from(node, at, Event::ReplyArrive { node: from, option }, ctx);
@@ -939,30 +828,76 @@ impl ShardLane {
             }
             Msg::Reply { option } => {
                 if self.pending[local].resolved {
+                    // A late duplicate (cannot normally happen: the
+                    // timeout window exceeds the worst-case round
+                    // trip), ignored for safety.
                     return;
                 }
                 self.rm.replies_received += 1;
-                self.decide_async(local, option, now, ctx);
+                self.decide(local, option, now, ctx);
             }
         }
     }
 
-    /// Handles one due fully-async event.
-    fn handle_async(&mut self, entry: Entry<Event>, now: u64, ctx: &Ctx, bound: StalenessBound) {
+    /// Resets the lane for a fresh quiesced epoch and wakes its
+    /// present nodes at per-node jittered times. A node that just
+    /// (re)joined has `back == NO_CHOICE` (absent epochs write
+    /// NO_CHOICE) and bootstraps through the ordinary query path.
+    fn begin_epoch(&mut self, ctx: &Ctx) {
+        std::mem::swap(&mut self.choices, &mut self.back);
+        self.counts.fill(0);
+        debug_assert!(self.calendar.is_empty(), "previous epoch left events");
+        for local in 0..self.len() {
+            self.choices[local] = NO_CHOICE;
+            debug_assert!(self.inboxes[local].is_empty(), "previous epoch left mail");
+            if !ctx.present[self.base as usize + local] {
+                // An absent node answers nothing: its snapshot slot is
+                // cleared so a query landing here finds no commitment.
+                self.back[local] = NO_CHOICE;
+                self.pending[local] = Pending {
+                    attempt: 0,
+                    resolved: true,
+                };
+            }
+        }
+        self.wake_present(ctx);
+    }
+
+    /// Schedules a wake-up for every present node, in node order, at a
+    /// jittered time in `[0, WAKE_SPREAD)`.
+    fn wake_present(&mut self, ctx: &Ctx) {
+        for local in 0..self.len() {
+            let node = self.base + index_u32(local);
+            if ctx.present[node as usize] {
+                let at = self.rngs[local].gen_range(0..WAKE_SPREAD);
+                let inc = self.incs[local];
+                self.push_from(node, at, Event::Wake { node, inc }, ctx);
+            }
+        }
+    }
+
+    /// Handles one due event. An absent (crashed or departed) node
+    /// takes part in nothing: messages addressed to it are swallowed
+    /// — the querier's timeout drives the retry — and its own
+    /// wake-ups, deliveries, and timeouts lapse. Quiesced membership
+    /// changes only at epoch boundaries, so there the checks only
+    /// ever swallow queries to absent peers.
+    fn handle(&mut self, entry: Entry<Event>, now: u64, ctx: &Ctx) {
+        let present = |node: u32| !ctx.has_faults || ctx.present[node as usize];
         match entry.payload {
             Event::Wake { node, inc } => {
                 let local = (node - self.base) as usize;
                 // The incarnation tag kills wake-ups scheduled before
                 // a leave: they are the only events whose horizon
                 // outlives a one-round absence.
-                if ctx.present[node as usize] && inc == self.incs[local] {
+                if present(node) && inc == self.incs[local] {
                     self.pending[local] = Pending::default();
                     self.last_wake[local] = now;
-                    self.start_attempt_async(local, 1, now, ctx);
+                    self.start_attempt(local, 1, now, ctx);
                 }
             }
             Event::QueryArrive { from, to, epoch } => {
-                if ctx.present[to as usize] {
+                if present(to) {
                     self.enqueue(
                         (to - self.base) as usize,
                         Msg::Query { from, epoch },
@@ -972,14 +907,14 @@ impl ShardLane {
                 }
             }
             Event::ReplyArrive { node, option } => {
-                if ctx.present[node as usize] {
+                if present(node) {
                     self.enqueue((node - self.base) as usize, Msg::Reply { option }, now, ctx);
                 }
             }
             Event::Deliver { node } => {
                 let local = (node - self.base) as usize;
-                if ctx.present[node as usize] {
-                    self.deliver_async(local, now, ctx, bound);
+                if present(node) {
+                    self.deliver(local, now, ctx);
                 } else {
                     // Keep deliveries 1:1 with enqueues even for the
                     // dead.
@@ -992,11 +927,15 @@ impl ShardLane {
                 epoch,
             } => {
                 let local = (node - self.base) as usize;
-                if ctx.present[node as usize] {
-                    let p = self.pending[local];
-                    if !p.resolved && p.attempt == attempt && self.epochs[local] + 1 == epoch {
-                        self.start_attempt_async(local, attempt + 1, now, ctx);
-                    }
+                let p = self.pending[local];
+                // The epoch tag rejects timeouts abandoned by an
+                // earlier local epoch.
+                if present(node)
+                    && !p.resolved
+                    && p.attempt == attempt
+                    && self.epochs[local] + 1 == epoch
+                {
+                    self.start_attempt(local, attempt + 1, now, ctx);
                 }
             }
         }
@@ -1005,17 +944,8 @@ impl ShardLane {
     /// Processes every event due at `now`, in `(src, seq)` order.
     fn run_window(&mut self, now: u64, ctx: &Ctx) {
         let due = self.calendar.take_due(now);
-        match ctx.mode {
-            Mode::Quiesced => {
-                for &entry in &due {
-                    self.handle_q(entry, now, ctx);
-                }
-            }
-            Mode::Async(bound) => {
-                for &entry in &due {
-                    self.handle_async(entry, now, ctx, bound);
-                }
-            }
+        for &entry in &due {
+            self.handle(entry, now, ctx);
         }
         self.calendar.recycle(due);
     }
@@ -1045,8 +975,8 @@ impl ShardLane {
 
 /// The sharded calendar-queue engine behind
 /// [`SchedulerKind::ShardedCalendar`]. Owned by the
-/// [`EventRuntime`](crate::EventRuntime), which routes ticks here when
-/// the sharded scheduler is selected.
+/// [`EventRuntime`](crate::EventRuntime), which builds it on its first
+/// tick and routes every tick here.
 #[derive(Debug, Clone)]
 pub(crate) struct ShardedEngine {
     /// The balanced node→shard partition.
@@ -1082,7 +1012,7 @@ impl ShardedEngine {
     ) -> Self {
         let n = cfg.num_nodes();
         let m = cfg.params().num_options();
-        let lane_count = ShardMap::lane_count(n, shards);
+        let lane_count = lane_count(n, shards);
         let map = ShardMap::balanced(n, lane_count, members);
         debug_assert_eq!(map.lanes(), lane_count);
         let lanes = (0..lane_count)
@@ -1136,11 +1066,6 @@ impl ShardedEngine {
         }
     }
 
-    /// The effective shard count (after clamping to the fleet size).
-    pub(crate) fn num_shards(&self) -> usize {
-        self.lanes.len()
-    }
-
     /// `node`'s completed local epoch counter.
     pub(crate) fn epoch_of(&self, node: usize) -> u64 {
         let lane = &self.lanes[self.map.shard_of(node)];
@@ -1189,13 +1114,7 @@ impl ShardedEngine {
     /// — the per-shard load a telemetry sink charts to see whether
     /// the online rebalancer is keeping the partition even.
     pub(crate) fn write_shard_loads(&self, members: &MembershipTracker, out: &mut Vec<usize>) {
-        for lane in &self.lanes {
-            let base = lane.base as usize;
-            let load = (base..base + lane.choices.len())
-                .filter(|&i| members.is_present(i))
-                .count();
-            out.push(load);
-        }
+        self.map.write_loads(members, out);
     }
 
     /// The deepest any inbox has ever been.
@@ -1269,7 +1188,6 @@ impl ShardedEngine {
             ..RoundMetrics::default()
         };
         for lane in &self.lanes {
-            rm.alive += lane.rm.alive;
             rm.committed += lane.rm.committed;
             rm.queries_sent += lane.rm.queries_sent;
             rm.replies_received += lane.rm.replies_received;
@@ -1319,15 +1237,76 @@ impl ShardedEngine {
         });
         // Resolve the auto thread knob exactly once per tick:
         // `available_parallelism` is an OS query, far too expensive to
-        // repeat on the per-block path.
+        // repeat on the per-block path — and pointless for one lane,
+        // which never fans out.
         let tuning = ExecTuning {
-            threads: effective_threads(tuning.threads),
+            threads: if self.lanes.len() > 1 {
+                effective_threads(tuning.threads)
+            } else {
+                1
+            },
             ..*tuning
         };
-        match mode {
-            Mode::Quiesced => self.tick_quiesced(&ctx, members, &tuning),
-            Mode::Async(_) => self.tick_async(&ctx, members, &tuning),
+        for lane in &mut self.lanes {
+            lane.rm = RoundMetrics::default();
         }
+        // The virtual-time span this tick drains: a quiesced epoch owns
+        // the clock from 0 until no event is left; an async tick is one
+        // epoch-period window past the time already consumed, and
+        // in-flight events survive into the next tick.
+        let (start, end) = match mode {
+            Mode::Quiesced => {
+                for lane in &mut self.lanes {
+                    lane.begin_epoch(&ctx);
+                }
+                (0, u64::MAX)
+            }
+            Mode::Async(_) => {
+                self.begin_async_tick(&ctx, members);
+                (self.async_clock, self.async_clock + ASYNC_EPOCH_PERIOD)
+            }
+        };
+        let mut cursor = start;
+        while let Some(w) = self.next_window(cursor) {
+            if w >= end {
+                break;
+            }
+            // A lookahead block never reaches past the tick boundary:
+            // events due in the next epoch period belong to the next
+            // tick's metrics window.
+            let block_end = block_end_of(w, tuning.lookahead).min(end);
+            self.run_block(w, block_end, &ctx, &tuning);
+            cursor = block_end;
+        }
+        let mut rm = self.collect_rm(t);
+        rm.alive = members.alive();
+        for &(_, kind) in members.recent() {
+            match kind {
+                Transition::Join => rm.joins += 1,
+                Transition::Leave => rm.leaves += 1,
+                Transition::Rejoin => rm.rejoins += 1,
+                Transition::Crash => {}
+            }
+        }
+        match mode {
+            Mode::Quiesced => {
+                debug_assert!(
+                    self.lanes
+                        .iter()
+                        .all(|lane| lane.pending.iter().all(|p| p.resolved)),
+                    "epoch ended with unresolved nodes"
+                );
+                // With the quiescence barrier, every (re)join
+                // bootstraps and resolves within this very epoch: the
+                // gauge is the inflow.
+                rm.bootstrapping = rm.joins + rm.rejoins;
+            }
+            Mode::Async(_) => {
+                self.async_clock = end;
+                rm.bootstrapping = self.lanes.iter().map(|l| l.boot_count).sum();
+            }
+        }
+        rm
     }
 
     /// Applies this tick's membership transitions to the engine's
@@ -1448,71 +1427,18 @@ impl ShardedEngine {
         }
     }
 
-    /// Folds the tick's membership transitions into `rm`'s churn
-    /// counters.
-    fn count_churn(members: &MembershipTracker, rm: &mut RoundMetrics) {
-        for &(_, kind) in members.recent() {
-            match kind {
-                Transition::Join => rm.joins += 1,
-                Transition::Leave => rm.leaves += 1,
-                Transition::Rejoin => rm.rejoins += 1,
-                Transition::Crash => {}
-            }
-        }
-    }
-
-    /// One epoch run to quiescence: reset, wake, then drain the
-    /// calendar in lookahead-K blocks until no lane holds a pending
-    /// event.
-    fn tick_quiesced(
-        &mut self,
-        ctx: &Arc<Ctx>,
-        members: &MembershipTracker,
-        tuning: &ExecTuning,
-    ) -> RoundMetrics {
-        for lane in &mut self.lanes {
-            lane.begin_epoch(ctx);
-        }
-        let mut cursor = 0u64;
-        while let Some(w) = self.next_window(cursor) {
-            let block_end = block_end_of(w, tuning.lookahead);
-            self.run_block(w, block_end, ctx, tuning);
-            cursor = block_end;
-        }
-        debug_assert!(
-            self.lanes
-                .iter()
-                .all(|lane| lane.pending.iter().all(|p| p.resolved)),
-            "epoch ended with unresolved nodes"
-        );
-        let mut rm = self.collect_rm(ctx.t);
-        // With the quiescence barrier, every (re)join bootstraps and
-        // resolves within this very epoch: the gauge is the inflow.
-        Self::count_churn(members, &mut rm);
-        rm.bootstrapping = rm.joins + rm.rejoins;
-        debug_assert_eq!(rm.alive, members.alive(), "alive counter drifted");
-        rm
-    }
-
-    /// One async tick: advance through one epoch-period window of
-    /// virtual time in lookahead-K blocks; in-flight events survive
-    /// into the next tick.
-    fn tick_async(
-        &mut self,
-        ctx: &Arc<Ctx>,
-        members: &MembershipTracker,
-        tuning: &ExecTuning,
-    ) -> RoundMetrics {
-        for lane in &mut self.lanes {
-            lane.rm = RoundMetrics::default();
-        }
-        // Membership transitions land at the tick boundary, processed
-        // in node order — mirroring the single-heap async path, with
-        // the join wake jitter drawn from the joining node's own
-        // stream so the draw is shard-count invariant. A departing
-        // node's commitment leaves the popularity counts, its history
-        // and pending attempt are wiped, and a leave bumps its
-        // incarnation; a (re)joining node enters bootstrapping.
+    /// Opens an async tick: lands the tick boundary's membership
+    /// transitions, in node order, with the join wake jitter drawn
+    /// from the joining node's own stream so the draw is shard-count
+    /// invariant. A departing node's commitment leaves the popularity
+    /// counts, its history and pending attempt are wiped (a rejoiner
+    /// remembers nothing), and a leave bumps its incarnation so
+    /// wake-ups scheduled in its old life die on arrival. A
+    /// (re)joining node enters bootstrapping and gets a jittered boot
+    /// wake-up; everything after that is the ordinary protocol. The
+    /// very first tick seeds every present node's epoch loop; from
+    /// then on each node perpetually re-schedules its own wake-ups.
+    fn begin_async_tick(&mut self, ctx: &Ctx, members: &MembershipTracker) {
         for &(node, kind) in members.recent() {
             let lane = &mut self.lanes[self.map.shard_of(node as usize)];
             let local = (node - lane.base) as usize;
@@ -1539,63 +1465,22 @@ impl ShardedEngine {
                         lane.boot[local] = true;
                         lane.boot_count += 1;
                     }
-                    // The t == 1 seeding loop below covers nodes
-                    // present from the start; later (re)joins schedule
-                    // their own boot wake here.
+                    // The seeding loop below covers nodes present from
+                    // the start; later (re)joins schedule their own
+                    // boot wake here.
                     if ctx.t > 1 {
                         let at = self.async_clock + lane.rngs[local].gen_range(0..WAKE_SPREAD);
-                        lane.push_from(
-                            node,
-                            at,
-                            Event::Wake {
-                                node,
-                                inc: lane.incs[local],
-                            },
-                            ctx,
-                        );
+                        let inc = lane.incs[local];
+                        lane.push_from(node, at, Event::Wake { node, inc }, ctx);
                     }
                 }
             }
         }
-        // The very first tick seeds every node's epoch loop.
         if ctx.t == 1 {
             for lane in &mut self.lanes {
-                for local in 0..lane.len() {
-                    let node = lane.base + index_u32(local);
-                    if ctx.present[node as usize] {
-                        let at = lane.rngs[local].gen_range(0..WAKE_SPREAD);
-                        lane.push_from(
-                            node,
-                            at,
-                            Event::Wake {
-                                node,
-                                inc: lane.incs[local],
-                            },
-                            ctx,
-                        );
-                    }
-                }
+                lane.wake_present(ctx);
             }
         }
-        let window_end = self.async_clock + ASYNC_EPOCH_PERIOD;
-        let mut cursor = self.async_clock;
-        while let Some(w) = self.next_window(cursor) {
-            if w >= window_end {
-                break;
-            }
-            // A lookahead block never reaches past the tick boundary:
-            // events due in the next epoch period belong to the next
-            // tick's metrics window.
-            let block_end = block_end_of(w, tuning.lookahead).min(window_end);
-            self.run_block(w, block_end, ctx, tuning);
-            cursor = block_end;
-        }
-        self.async_clock = window_end;
-        let mut rm = self.collect_rm(ctx.t);
-        rm.alive = members.alive();
-        Self::count_churn(members, &mut rm);
-        rm.bootstrapping = self.lanes.iter().map(|l| l.boot_count).sum();
-        rm
     }
 }
 
@@ -1665,7 +1550,6 @@ mod tests {
 
     #[test]
     fn scheduler_kind_displays() {
-        assert_eq!(SchedulerKind::SingleHeap.to_string(), "single-heap");
         assert_eq!(
             SchedulerKind::ShardedCalendar { shards: 4 }.to_string(),
             "sharded-calendar(4)"

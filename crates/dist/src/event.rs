@@ -61,17 +61,15 @@
 //! previous commitment), kept so a node can answer queries about the
 //! epoch a slower or faster peer is still working on.
 
-use std::collections::{BinaryHeap, VecDeque};
-
-use rand::rngs::SmallRng;
-use rand::{Rng, RngCore, SeedableRng};
+use rand::RngCore;
 use sociolearn_core::GroupDynamics;
 
-use crate::calendar::{ExecTuning, SchedulerKind, ShardedEngine, MAX_LOOKAHEAD};
-use crate::cast::index_u32;
+use crate::calendar::{
+    lane_count, write_initial_shard_loads, ExecTuning, SchedulerKind, ShardedEngine, MAX_LOOKAHEAD,
+};
 use crate::{
     DistConfig, ExecutionModel, MembershipTracker, Metrics, NodeState, ProtocolRuntime,
-    RoundMetrics, Transition, MAX_QUERY_RETRIES, NO_CHOICE,
+    RoundMetrics,
 };
 
 /// Default capacity of each node's FIFO inbox. Messages arriving at a
@@ -161,10 +159,9 @@ pub(crate) enum Mode {
     Async(StalenessBound),
 }
 
-/// A scheduler event, shared by the single-heap scheduler and the
-/// sharded calendar engine. Node ids are `u32` to keep the heap
-/// entries small (the fleet bound of `u32::MAX` nodes is far beyond
-/// anything the simulations run).
+/// A scheduler event. Node ids are `u32` to keep calendar entries
+/// small (the fleet bound of `u32::MAX` nodes is far beyond anything
+/// the simulations run).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Event {
     /// An alive node starts stage 1 of the protocol. `inc` is the
@@ -188,30 +185,8 @@ pub(crate) enum Event {
     /// back unless a reply already resolved it. `epoch` pins the
     /// timeout to the local epoch that issued the attempt, so a stale
     /// timeout surviving into a later epoch (possible in async mode,
-    /// where the heap is never cleared) cannot fire spuriously.
+    /// where the schedule is never cleared) cannot fire spuriously.
     Timeout { node: u32, attempt: u32, epoch: u64 },
-}
-
-/// A heap entry: events fire in `(at, seq)` order, so simultaneous
-/// events resolve in the deterministic order they were scheduled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Scheduled {
-    at: u64,
-    seq: u64,
-    ev: Event,
-}
-
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: `BinaryHeap` is a max-heap, we pop earliest first.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
 }
 
 /// A message sitting in a node's inbox.
@@ -237,22 +212,25 @@ pub(crate) struct Pending {
     pub(crate) resolved: bool,
 }
 
-/// Per-node protocol state the event-driven runtime keeps: the
-/// current commitment, the one-slot history `back` that answers
-/// epoch-nearest queries, and the local epoch counter that tags
-/// outgoing queries in async mode. Everything else per node — the
-/// pending-query slot, the bounded inbox, the wake anchor, the
-/// incarnation tag — is scheduler/transport bookkeeping with its own
-/// constant bounds, not protocol state.
-pub const EVENT_NODE_STATE_BYTES: usize =
-    2 * std::mem::size_of::<NodeState>() + std::mem::size_of::<u64>();
+/// Per-node state the event-driven runtime keeps: the current
+/// commitment, the one-slot history `back` that answers epoch-nearest
+/// queries, and the local epoch counter that tags outgoing queries in
+/// async mode — the protocol state — plus the per-source sequence
+/// counter and incarnation tag that give the scheduler its intrinsic
+/// `(time, src, seq)` event order and its leave/rejoin fencing. The
+/// pending-query slot, the bounded inbox, and the wake anchor are
+/// transport bookkeeping with their own constant bounds. Rebalancing
+/// hands this state across shards; nothing grows it.
+pub const EVENT_NODE_STATE_BYTES: usize = 2 * std::mem::size_of::<NodeState>()
+    + std::mem::size_of::<u64>()
+    + 2 * std::mem::size_of::<u32>();
 
 // Compile-time bounded-memory budget: the event runtime's per-node
-// protocol state stays within 4× the advertised NODE_STATE_BYTES, a
-// message never carries more than one commitment plus its epoch tag,
-// and the transport bookkeeping stays flat. Renegotiate here, not by
-// silently growing a struct.
-const _: () = assert!(EVENT_NODE_STATE_BYTES <= 4 * crate::NODE_STATE_BYTES);
+// state stays within 6× the advertised NODE_STATE_BYTES, a message
+// never carries more than one commitment plus its epoch tag, and the
+// transport bookkeeping stays flat. Renegotiate here, not by silently
+// growing a struct.
+const _: () = assert!(EVENT_NODE_STATE_BYTES <= 6 * crate::NODE_STATE_BYTES);
 const _: () = assert!(std::mem::size_of::<Msg>() <= 4 * crate::NODE_STATE_BYTES);
 const _: () = assert!(std::mem::size_of::<Pending>() <= 2 * crate::NODE_STATE_BYTES);
 
@@ -263,13 +241,17 @@ const _: () = assert!(std::mem::size_of::<Pending>() <= 2 * crate::NODE_STATE_BY
 /// timeout-driven retries, with faults injected per the configured
 /// [`crate::FaultPlan`].
 ///
+/// The scheduler is the sharded calendar-queue engine (one shard
+/// unless [`with_scheduler`](EventRuntime::with_scheduler) asks for
+/// more), built on the first [`tick`](EventRuntime::tick) from the
+/// knobs set by then — the `with_*` builders only record settings.
 /// All randomness — wake jitter, message latencies, protocol choices,
 /// and fault realizations — derives from the seed passed to
-/// [`EventRuntime::new`], so runs are exactly reproducible. Like
-/// [`Runtime`](crate::Runtime) it implements
-/// [`GroupDynamics`] and
-/// [`ProtocolRuntime`], so every harness drives the two runtimes
-/// interchangeably.
+/// [`EventRuntime::new`], split into one stream per node, so runs are
+/// exactly reproducible and byte-identical across shard and thread
+/// counts. Like [`Runtime`](crate::Runtime) it implements
+/// [`GroupDynamics`] and [`ProtocolRuntime`], so every harness drives
+/// the two runtimes interchangeably.
 ///
 /// # Example
 ///
@@ -292,66 +274,23 @@ pub struct EventRuntime {
     cfg: DistConfig,
     queue_bound: usize,
     mode: Mode,
-    /// The root seed, kept so [`with_scheduler`](EventRuntime::with_scheduler)
-    /// can split per-node streams for the sharded engine.
+    /// The root seed the engine splits its per-node streams from.
     seed: u64,
-    /// The sharded calendar engine, when
-    /// [`SchedulerKind::ShardedCalendar`] is selected; `None` runs the
-    /// original single-heap scheduler below.
-    sharded: Option<Box<ShardedEngine>>,
-    /// Multi-core execution knobs for the sharded engine — lookahead
-    /// block width, worker-thread count, and the fan-out threshold.
+    /// Requested shard count (clamped to the fleet size at build).
+    shards: usize,
+    /// Multi-core execution knobs for the engine — lookahead block
+    /// width, worker-thread count, and the fan-out threshold.
     tuning: ExecTuning,
-    rng: SmallRng,
-    /// This epoch's committed option per node — the fleet's protocol
-    /// state, double-buffered with `back` in quiesced mode. In async
-    /// mode there is no double buffer: this vector always holds each
-    /// node's most recent commitment, updated in place.
-    choices: Vec<NodeState>,
-    /// Last epoch's commitments: the snapshot peers answer from in
-    /// quiesced mode. Async mode repurposes it as a one-slot history —
-    /// `back[i]` is node `i`'s commitment as of its *previous*
-    /// completed local epoch — so a responder can serve the snapshot
-    /// nearest the epoch a query asks about.
-    back: Vec<NodeState>,
+    /// The engine, owning all per-node state; `None` until the first
+    /// tick builds it.
+    engine: Option<Box<ShardedEngine>>,
     /// Crash + membership schedule with O(1) presence checks and an
     /// O(1) alive counter.
     members: MembershipTracker,
     /// Cached committed counts per option (this epoch in quiesced
-    /// mode; the current commitments in async mode, maintained
-    /// incrementally).
+    /// mode; the current commitments in async mode), synced from the
+    /// engine every tick.
     counts: Vec<u64>,
-    /// Per-node completed local epoch counters (async mode; in
-    /// quiesced mode every node is implicitly at `round`).
-    epochs: Vec<u64>,
-    /// Per-node virtual time of the last wake-up — the async cadence
-    /// anchor (unused in quiesced mode).
-    last_wake: Vec<u64>,
-    /// Virtual time already consumed by async ticks: each tick
-    /// processes one [`ASYNC_EPOCH_PERIOD`] window past this mark
-    /// (unused in quiesced mode, which owns the whole clock per tick).
-    async_clock: u64,
-    /// The event queue, keyed by `(virtual time, sequence)`. Reused
-    /// across epochs.
-    heap: BinaryHeap<Scheduled>,
-    /// Per-node bounded FIFO inboxes. Reused across epochs.
-    inboxes: Vec<VecDeque<Msg>>,
-    /// Per-node transport bookkeeping for the current epoch.
-    pending: Vec<Pending>,
-    /// Per-node incarnation counters, bumped on every leave (async
-    /// mode; see [`Event::Wake`]). Scheduler state, not protocol
-    /// state.
-    incs: Vec<u32>,
-    /// Per-node bootstrapping flags (async mode): set when a node
-    /// (re)joins, cleared when its first epoch decision lands.
-    boot: Vec<bool>,
-    /// Number of `boot` flags currently set, so the per-tick gauge is
-    /// O(1).
-    boot_count: u64,
-    /// Monotone sequence number for deterministic event tie-breaks.
-    seq: u64,
-    /// High-water mark of any inbox, across all epochs.
-    max_queue_depth: usize,
     /// Epochs completed.
     round: u64,
     metrics: Metrics,
@@ -367,43 +306,19 @@ impl EventRuntime {
         let m = cfg.params().num_options();
         let n = cfg.num_nodes();
         let members = MembershipTracker::new(cfg.faults(), n);
-        let choices: Vec<NodeState> = (0..n)
-            .map(|i| {
-                if members.in_initial_fleet(i) {
-                    crate::uniform_start_choice(i, m)
-                } else {
-                    NO_CHOICE
-                }
-            })
-            .collect();
         let mut counts = vec![0u64; m];
-        for &c in &choices {
-            if c != NO_CHOICE {
-                counts[c as usize] += 1;
-            }
+        for i in (0..n).filter(|&i| members.in_initial_fleet(i)) {
+            counts[crate::uniform_start_choice(i, m) as usize] += 1;
         }
         EventRuntime {
             queue_bound: DEFAULT_QUEUE_BOUND,
             mode: Mode::Quiesced,
             seed,
-            sharded: None,
+            shards: 1,
             tuning: ExecTuning::default(),
-            rng: SmallRng::seed_from_u64(seed),
-            choices,
-            back: vec![NO_CHOICE; n],
+            engine: None,
             members,
             counts,
-            epochs: vec![0; n],
-            last_wake: vec![0; n],
-            async_clock: 0,
-            heap: BinaryHeap::new(),
-            inboxes: (0..n).map(|_| VecDeque::new()).collect(),
-            pending: vec![Pending::default(); n],
-            incs: vec![0; n],
-            boot: vec![false; n],
-            boot_count: 0,
-            seq: 0,
-            max_queue_depth: 0,
             round: 0,
             metrics: Metrics::default(),
             cfg,
@@ -435,87 +350,32 @@ impl EventRuntime {
         self
     }
 
-    /// Selects the scheduler that executes the event streams:
-    /// [`SchedulerKind::SingleHeap`] (the default — one global
-    /// `BinaryHeap` and one RNG stream) or
-    /// [`SchedulerKind::ShardedCalendar`] (per-node-range shards over
-    /// calendar queues with per-node RNG streams split from the root
-    /// seed; byte-identical results for any shard count, same law as
-    /// the single heap). Composes with
-    /// [`with_async_epochs`](EventRuntime::with_async_epochs) and
-    /// [`with_queue_bound`](EventRuntime::with_queue_bound) in any
+    /// Sets the scheduler's shard count: per-node-range shards over
+    /// calendar queues, with per-node RNG streams split from the root
+    /// seed, so results are byte-identical for any shard count (the
+    /// default is one shard). Composes with every other builder in any
     /// order.
     ///
     /// # Panics
     ///
-    /// Panics if the runtime has already executed a tick, or if a
-    /// sharded scheduler is requested with zero shards.
+    /// Panics if the runtime has already executed a tick, or if zero
+    /// shards are requested.
     pub fn with_scheduler(mut self, kind: SchedulerKind) -> Self {
         assert_eq!(
             self.round, 0,
             "scheduler must be chosen before the first tick"
         );
-        let n = self.cfg.num_nodes();
-        let m = self.cfg.params().num_options();
-        self.sharded = match kind {
-            SchedulerKind::SingleHeap => {
-                // Rebuild the (round-0) single-heap per-node state in
-                // case a sharded engine shrank it away below.
-                self.choices = (0..n)
-                    .map(|i| {
-                        if self.members.in_initial_fleet(i) {
-                            crate::uniform_start_choice(i, m)
-                        } else {
-                            NO_CHOICE
-                        }
-                    })
-                    .collect();
-                self.back = vec![NO_CHOICE; n];
-                self.epochs = vec![0; n];
-                self.last_wake = vec![0; n];
-                self.pending = vec![Pending::default(); n];
-                self.incs = vec![0; n];
-                self.boot = vec![false; n];
-                self.boot_count = 0;
-                self.inboxes = (0..n).map(|_| VecDeque::new()).collect();
-                None
-            }
-            SchedulerKind::ShardedCalendar { shards } => {
-                assert!(shards > 0, "shard count must be at least 1");
-                // The engine owns all per-node state; free the
-                // single-heap copies so fleet-scale deployments don't
-                // carry both (`counts` stays — it is the cache every
-                // accessor reads, synced from the engine each tick).
-                self.choices = Vec::new();
-                self.back = Vec::new();
-                self.epochs = Vec::new();
-                self.last_wake = Vec::new();
-                self.pending = Vec::new();
-                self.incs = Vec::new();
-                self.boot = Vec::new();
-                self.boot_count = 0;
-                self.inboxes = Vec::new();
-                self.heap = BinaryHeap::new();
-                Some(Box::new(ShardedEngine::new(
-                    &self.cfg,
-                    self.seed,
-                    shards,
-                    &self.members,
-                )))
-            }
-        };
+        let SchedulerKind::ShardedCalendar { shards } = kind;
+        assert!(shards > 0, "shard count must be at least 1");
+        self.shards = shards;
         self
     }
 
-    /// The scheduler executing this runtime. For sharded schedulers
-    /// the reported shard count is the effective one (clamped to the
-    /// fleet size).
+    /// The scheduler executing this runtime, with the effective shard
+    /// count (clamped to the fleet size).
     pub fn scheduler(&self) -> SchedulerKind {
-        match &self.sharded {
-            None => SchedulerKind::SingleHeap,
-            Some(engine) => SchedulerKind::ShardedCalendar {
-                shards: engine.num_shards(),
-            },
+        SchedulerKind::ShardedCalendar {
+            shards: lane_count(self.cfg.num_nodes(), self.shards),
         }
     }
 
@@ -532,21 +392,17 @@ impl EventRuntime {
         self
     }
 
-    /// Sets the sharded engine's **lookahead block width** `K`: each
-    /// shard lane advances through `K` whole virtual-time windows
-    /// before the cross-shard mailboxes drain at a barrier, cutting
-    /// the barrier count by `K×` and giving worker threads `K` windows
-    /// of work per fan-out. Messages due inside a block are deferred
-    /// to the block boundary (`max(now + latency, block end)`), a
+    /// Sets the scheduler's **lookahead block width** `K`: each shard
+    /// lane advances through `K` whole virtual-time windows before the
+    /// cross-shard mailboxes drain at a barrier, cutting the barrier
+    /// count by `K×` and giving worker threads `K` windows of work per
+    /// fan-out. Messages due inside a block are deferred to the block
+    /// boundary (`max(now + latency, block end)`), a
     /// partition-independent rule, so for a fixed `K` results stay
     /// byte-identical across shard counts and thread counts. `K = 1`
     /// (the default) is exactly the classic per-window barrier —
     /// existing seeds replay bit-for-bit; larger `K` is a different
     /// (equally valid) trajectory of the same protocol law.
-    ///
-    /// Requires the [`SchedulerKind::ShardedCalendar`] scheduler;
-    /// [`tick`](EventRuntime::tick) panics if `K > 1` is combined with
-    /// the single-heap scheduler.
     ///
     /// # Panics
     ///
@@ -565,13 +421,12 @@ impl EventRuntime {
         self
     }
 
-    /// Sets the worker-thread count for dense lookahead blocks in the
-    /// sharded engine: `0` (the default) sizes the pool to the
-    /// machine's available parallelism, `1` always sweeps lanes
-    /// in-thread, and `t > 1` uses a persistent pool of `t` threads.
-    /// Purely a cost knob — results are byte-identical for every
-    /// value. Ignored by the single-heap scheduler (one heap has no
-    /// lanes to fan out).
+    /// Sets the worker-thread count for dense lookahead blocks: `0`
+    /// (the default) sizes the pool to the machine's available
+    /// parallelism, `1` always sweeps lanes in-thread, and `t > 1`
+    /// uses a persistent pool of `t` threads. Purely a cost knob —
+    /// results are byte-identical for every value. A one-shard
+    /// scheduler has no lanes to fan out and ignores it.
     ///
     /// # Panics
     ///
@@ -586,11 +441,10 @@ impl EventRuntime {
     }
 
     /// Sets the fewest due events a lookahead block must hold before
-    /// the sharded engine fans its lanes out on the worker pool;
-    /// sparser blocks are swept in-thread. Purely a cost knob —
-    /// results are byte-identical for every value. Mostly useful in
-    /// tests, which set it to `0` to force the pool path at small
-    /// fleet sizes.
+    /// the engine fans its lanes out on the worker pool; sparser
+    /// blocks are swept in-thread. Purely a cost knob — results are
+    /// byte-identical for every value. Mostly useful in tests, which
+    /// set it to `0` to force the pool path at small fleet sizes.
     ///
     /// # Panics
     ///
@@ -656,7 +510,7 @@ impl EventRuntime {
     /// The deepest any inbox has ever been — by construction never
     /// more than [`queue_bound`](EventRuntime::queue_bound).
     pub fn max_queue_depth(&self) -> usize {
-        self.max_queue_depth
+        self.engine.as_ref().map_or(0, |e| e.max_queue_depth())
     }
 
     /// Whether the scheduler runs fully-async overlapping epochs.
@@ -682,10 +536,9 @@ impl EventRuntime {
     /// Panics if `node >= num_nodes()`.
     pub fn local_epoch(&self, node: usize) -> u64 {
         assert!(node < self.cfg.num_nodes(), "node out of range");
-        match (self.mode, &self.sharded) {
-            (Mode::Quiesced, _) => self.round,
-            (Mode::Async(_), None) => self.epochs[node],
-            (Mode::Async(_), Some(engine)) => engine.epoch_of(node),
+        match self.mode {
+            Mode::Quiesced => self.round,
+            Mode::Async(_) => self.engine.as_ref().map_or(0, |e| e.epoch_of(node)),
         }
     }
 
@@ -693,171 +546,14 @@ impl EventRuntime {
     /// fleet's current epoch overlap. Always 0 in quiesced mode (and
     /// for an all-crashed fleet).
     pub fn epoch_spread(&self) -> u64 {
-        if !self.is_async() {
-            return 0;
-        }
-        if let Some(engine) = &self.sharded {
-            return engine.epoch_spread(&self.members);
-        }
-        let mut lo = u64::MAX;
-        let mut hi = 0u64;
-        let mut any = false;
-        for (i, &e) in self.epochs.iter().enumerate() {
-            if self.members.is_present(i) {
-                any = true;
-                lo = lo.min(e);
-                hi = hi.max(e);
-            }
-        }
-        if any {
-            hi - lo
-        } else {
-            0
-        }
-    }
-
-    /// Pushes an event onto the schedule.
-    fn push(&mut self, at: u64, ev: Event) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Scheduled { at, seq, ev });
-    }
-
-    /// One latency draw for a message about to be sent.
-    fn latency(&mut self) -> u64 {
-        self.rng.gen_range(1..=MAX_MESSAGE_LATENCY)
-    }
-
-    /// Whether a message is lost on the link, per the fault plan.
-    fn link_drops(&mut self) -> bool {
-        let p = self.cfg.faults().drop_prob();
-        p > 0.0 && self.rng.gen_bool(p)
-    }
-
-    /// Offers `msg` to `node`'s bounded inbox; on success schedules
-    /// the matching `Deliver`, on overflow drops it (backpressure).
-    fn enqueue(&mut self, node: u32, msg: Msg, now: u64, rm: &mut RoundMetrics) {
-        let inbox = &mut self.inboxes[node as usize];
-        if inbox.len() >= self.queue_bound {
-            rm.queue_drops += 1;
-            return;
-        }
-        inbox.push_back(msg);
-        self.max_queue_depth = self.max_queue_depth.max(inbox.len());
-        self.push(now + DELIVER_DELAY, Event::Deliver { node });
-    }
-
-    /// Resolves node `i`'s stage 1 with `considered` and runs stage 2
-    /// (adopt with the quality-dependent probability, else sit out).
-    fn decide(&mut self, node: u32, considered: u32, rewards: &[bool], rm: &mut RoundMetrics) {
-        let i = node as usize;
-        debug_assert!(!self.pending[i].resolved, "node resolved twice");
-        self.pending[i].resolved = true;
-        let adopt_p = self
-            .cfg
-            .params()
-            .adopt_probability(rewards[considered as usize]);
-        if self.rng.gen_bool(adopt_p) {
-            self.choices[i] = considered;
-            self.counts[considered as usize] += 1;
-            rm.committed += 1;
-        }
-    }
-
-    /// Issues query `attempt` for `node` (or the uniform fallback once
-    /// the retry budget is spent). `attempt == 1` is the stage-1 entry
-    /// point and may take the `µ`-exploration branch instead.
-    fn start_attempt(
-        &mut self,
-        node: u32,
-        attempt: u32,
-        now: u64,
-        rewards: &[bool],
-        rm: &mut RoundMetrics,
-    ) {
-        let i = node as usize;
-        let n = self.cfg.num_nodes();
-        let m = self.cfg.params().num_options();
-        if attempt == 1 {
-            let mu = self.cfg.params().mu();
-            if self.rng.gen_bool(mu) {
-                rm.explorations += 1;
-                let considered = index_u32(self.rng.gen_range(0..m));
-                self.decide(node, considered, rewards, rm);
-                return;
-            }
-        }
-        if attempt > MAX_QUERY_RETRIES || n == 1 {
-            // Retry budget spent (or no peers to ask at all): uniform
-            // fallback, exactly as in the round-synchronous runtime.
-            rm.fallbacks += 1;
-            let considered = index_u32(self.rng.gen_range(0..m));
-            self.decide(node, considered, rewards, rm);
-            return;
-        }
-        self.pending[i].attempt = attempt;
-        rm.queries_sent += 1;
-        // Ask a uniformly random *other* node what it used last epoch.
-        let mut peer = self.rng.gen_range(0..n - 1);
-        if peer >= i {
-            peer += 1;
-        }
-        // The retry clock starts now, reply or no reply. (Quiesced
-        // mode clears the heap every tick, so the epoch tag is inert.)
-        self.push(
-            now + RETRY_TIMEOUT,
-            Event::Timeout {
-                node,
-                attempt,
-                epoch: 0,
-            },
-        );
-        // The query must survive the link to be scheduled for arrival.
-        if !self.link_drops() {
-            let at = now + self.latency();
-            self.push(
-                at,
-                Event::QueryArrive {
-                    from: node,
-                    to: index_u32(peer),
-                    epoch: 0,
-                },
-            );
-        }
-    }
-
-    /// `node` pops and handles the head of its inbox.
-    fn deliver(&mut self, node: u32, now: u64, rewards: &[bool], rm: &mut RoundMetrics) {
-        let i = node as usize;
-        let Some(msg) = self.inboxes[i].pop_front() else {
-            return;
-        };
-        match msg {
-            Msg::Query { from, epoch: _ } => {
-                // Answer with the option committed last epoch; a node
-                // that sat out stays silent and the querier's timeout
-                // drives the retry.
-                let option = self.back[i];
-                if option != NO_CHOICE && !self.link_drops() {
-                    let at = now + self.latency();
-                    self.push(at, Event::ReplyArrive { node: from, option });
-                }
-            }
-            Msg::Reply { option } => {
-                if self.pending[i].resolved {
-                    // A late duplicate (cannot normally happen: the
-                    // timeout window exceeds the worst-case round
-                    // trip), ignored for safety.
-                    return;
-                }
-                rm.replies_received += 1;
-                self.decide(node, option, rewards, rm);
-            }
+        match (self.mode, &self.engine) {
+            (Mode::Async(_), Some(engine)) => engine.epoch_spread(&self.members),
+            _ => 0,
         }
     }
 
     /// Executes one scheduler round against the fresh reward signals,
-    /// returning what happened.
+    /// returning what happened. The first call builds the engine.
     ///
     /// In the default epoch-quiesced mode the round is one epoch run
     /// to quiescence: every alive node resolves both protocol stages
@@ -879,26 +575,16 @@ impl EventRuntime {
             self.cfg.params().num_options(),
             "rewards length must equal the number of options"
         );
-        if self.sharded.is_some() {
-            return self.tick_sharded(rewards);
-        }
-        assert!(
-            self.tuning.lookahead == 1,
-            "lookahead > 1 requires SchedulerKind::ShardedCalendar"
-        );
-        match self.mode {
-            Mode::Quiesced => self.tick_quiesced(rewards),
-            Mode::Async(bound) => self.tick_async(rewards, bound),
-        }
-    }
-
-    /// One tick routed through the sharded calendar engine. The
-    /// engine owns the per-node state; this wrapper keeps the
-    /// runtime-level clocks, counters, and count cache in sync.
-    fn tick_sharded(&mut self, rewards: &[bool]) -> RoundMetrics {
         self.round += 1;
         let t = self.round;
-        let engine = self.sharded.as_mut().expect("sharded scheduler selected");
+        let engine = self.engine.get_or_insert_with(|| {
+            Box::new(ShardedEngine::new(
+                &self.cfg,
+                self.seed,
+                self.shards,
+                &self.members,
+            ))
+        });
         let rm = engine.tick(
             self.mode,
             &self.cfg,
@@ -909,457 +595,6 @@ impl EventRuntime {
             &self.tuning,
         );
         engine.write_counts(&mut self.counts);
-        self.max_queue_depth = self.max_queue_depth.max(engine.max_queue_depth());
-        self.members.advance_to(t + 1);
-        self.metrics.absorb(&rm);
-        rm
-    }
-
-    /// One epoch run to quiescence (the default mode).
-    fn tick_quiesced(&mut self, rewards: &[bool]) -> RoundMetrics {
-        self.round += 1;
-        let t = self.round;
-        let n = self.cfg.num_nodes();
-
-        let mut rm = RoundMetrics {
-            round: t,
-            ..RoundMetrics::default()
-        };
-
-        // Swap buffers: `back` now holds last epoch's commitments (the
-        // queryable snapshot); `choices` is rewritten over the epoch.
-        std::mem::swap(&mut self.choices, &mut self.back);
-        self.counts.fill(0);
-        self.heap.clear();
-        self.seq = 0;
-        for inbox in &mut self.inboxes {
-            inbox.clear();
-        }
-
-        // Membership transitions land at the epoch boundary. With the
-        // barrier, every (re)join bootstraps and resolves within this
-        // very epoch, so the gauge is just the inflow.
-        for &(_, kind) in self.members.recent() {
-            match kind {
-                Transition::Join => rm.joins += 1,
-                Transition::Leave => rm.leaves += 1,
-                Transition::Rejoin => rm.rejoins += 1,
-                Transition::Crash => {}
-            }
-        }
-        rm.bootstrapping = rm.joins + rm.rejoins;
-
-        // Present nodes wake at jittered times; dead or departed nodes
-        // are resolved (and silent) from the start. A node that just
-        // (re)joined has `back == NO_CHOICE` (absent epochs write
-        // NO_CHOICE) and bootstraps through the ordinary query path.
-        for i in 0..n {
-            self.choices[i] = NO_CHOICE;
-            if self.members.is_present(i) {
-                rm.alive += 1;
-                self.pending[i] = Pending::default();
-                let at = self.rng.gen_range(0..WAKE_SPREAD);
-                self.push(
-                    at,
-                    Event::Wake {
-                        node: index_u32(i),
-                        inc: 0,
-                    },
-                );
-            } else {
-                // An absent node answers nothing: its snapshot slot is
-                // cleared so a query landing here finds no commitment.
-                self.back[i] = NO_CHOICE;
-                self.pending[i] = Pending {
-                    attempt: 0,
-                    resolved: true,
-                };
-            }
-        }
-        debug_assert_eq!(rm.alive, self.members.alive(), "alive counter drifted");
-
-        while let Some(Scheduled { at, ev, .. }) = self.heap.pop() {
-            match ev {
-                Event::Wake { node, .. } => self.start_attempt(node, 1, at, rewards, &mut rm),
-                Event::QueryArrive { from, to, epoch } => {
-                    // An absent peer (crashed or departed) swallows the
-                    // query; the querier's timeout drives the retry.
-                    if self.members.is_present(to as usize) {
-                        self.enqueue(to, Msg::Query { from, epoch }, at, &mut rm);
-                    }
-                }
-                Event::ReplyArrive { node, option } => {
-                    self.enqueue(node, Msg::Reply { option }, at, &mut rm);
-                }
-                Event::Deliver { node } => self.deliver(node, at, rewards, &mut rm),
-                Event::Timeout {
-                    node,
-                    attempt,
-                    epoch: _,
-                } => {
-                    let p = self.pending[node as usize];
-                    if !p.resolved && p.attempt == attempt {
-                        self.start_attempt(node, attempt + 1, at, rewards, &mut rm);
-                    }
-                }
-            }
-        }
-        debug_assert!(
-            self.pending.iter().all(|p| p.resolved),
-            "epoch ended with unresolved nodes"
-        );
-
-        self.members.advance_to(t + 1);
-        self.metrics.absorb(&rm);
-        rm
-    }
-
-    /// Replaces node `i`'s current commitment, keeping the running
-    /// per-option counts in sync (async mode maintains `counts`
-    /// incrementally instead of rebuilding it every epoch).
-    fn set_commit(&mut self, i: usize, new: NodeState) {
-        let old = self.choices[i];
-        if old != NO_CHOICE {
-            self.counts[old as usize] -= 1;
-        }
-        if new != NO_CHOICE {
-            self.counts[new as usize] += 1;
-        }
-        self.choices[i] = new;
-    }
-
-    /// Async stage 2: adopt or sit out, complete the local epoch, and
-    /// schedule the next wake-up on the node's own cadence — the
-    /// moment the barrier-free design hinges on: nothing here waits
-    /// for the rest of the fleet.
-    fn decide_async(
-        &mut self,
-        node: u32,
-        considered: u32,
-        now: u64,
-        rewards: &[bool],
-        rm: &mut RoundMetrics,
-    ) {
-        let i = node as usize;
-        debug_assert!(!self.pending[i].resolved, "node resolved twice");
-        self.pending[i].resolved = true;
-        if self.boot[i] {
-            // First epoch decision after a (re)join: the bootstrap is
-            // over, whatever stage 1 produced.
-            self.boot[i] = false;
-            self.boot_count -= 1;
-        }
-        let adopt_p = self
-            .cfg
-            .params()
-            .adopt_probability(rewards[considered as usize]);
-        // The commitment being superseded becomes the one-slot
-        // history peers can still be served from.
-        self.back[i] = self.choices[i];
-        if self.rng.gen_bool(adopt_p) {
-            self.set_commit(i, considered);
-            rm.committed += 1;
-        } else {
-            self.set_commit(i, NO_CHOICE);
-        }
-        self.epochs[i] += 1;
-        // Next local epoch: one period after the last wake-up, or
-        // immediately (plus jitter) if this epoch overran the period —
-        // that overrun is how slow nodes drift behind their peers
-        // (they catch back up by running epochs back-to-back once the
-        // retry storm passes).
-        let cadence = self.last_wake[i] + ASYNC_EPOCH_PERIOD;
-        let at = cadence.max(now + 1) + self.rng.gen_range(0..ASYNC_WAKE_JITTER);
-        self.push(
-            at,
-            Event::Wake {
-                node,
-                inc: self.incs[i],
-            },
-        );
-    }
-
-    /// Async counterpart of [`start_attempt`](EventRuntime::start_attempt):
-    /// queries and timeouts are tagged with the local epoch that
-    /// issued them, because the heap is never cleared and an abandoned
-    /// timeout may surface epochs later.
-    ///
-    /// Deliberately mirrors the quiesced path stage for stage
-    /// (µ-branch, retry budget, peer pick, timeout clock, link drop)
-    /// rather than sharing code with it: the two must make the same
-    /// protocol decisions in the same RNG order for the cross-mode
-    /// law-equivalence tests to hold, so any change here must be
-    /// mirrored in `start_attempt` and vice versa.
-    fn start_attempt_async(
-        &mut self,
-        node: u32,
-        attempt: u32,
-        now: u64,
-        rewards: &[bool],
-        rm: &mut RoundMetrics,
-    ) {
-        let i = node as usize;
-        let n = self.cfg.num_nodes();
-        let m = self.cfg.params().num_options();
-        if attempt == 1 {
-            let mu = self.cfg.params().mu();
-            if self.rng.gen_bool(mu) {
-                rm.explorations += 1;
-                let considered = index_u32(self.rng.gen_range(0..m));
-                self.decide_async(node, considered, now, rewards, rm);
-                return;
-            }
-        }
-        if attempt > MAX_QUERY_RETRIES || n == 1 {
-            rm.fallbacks += 1;
-            let considered = index_u32(self.rng.gen_range(0..m));
-            self.decide_async(node, considered, now, rewards, rm);
-            return;
-        }
-        self.pending[i].attempt = attempt;
-        rm.queries_sent += 1;
-        let mut peer = self.rng.gen_range(0..n - 1);
-        if peer >= i {
-            peer += 1;
-        }
-        let epoch = self.epochs[i] + 1;
-        self.push(
-            now + RETRY_TIMEOUT,
-            Event::Timeout {
-                node,
-                attempt,
-                epoch,
-            },
-        );
-        if !self.link_drops() {
-            let at = now + self.latency();
-            self.push(
-                at,
-                Event::QueryArrive {
-                    from: node,
-                    to: index_u32(peer),
-                    epoch,
-                },
-            );
-        }
-    }
-
-    /// Async counterpart of [`deliver`](EventRuntime::deliver): peers
-    /// answer from their *latest* commitment (there is no previous-
-    /// epoch snapshot without a barrier), and a responder whose
-    /// information is staler than the bound withholds its reply.
-    fn deliver_async(
-        &mut self,
-        node: u32,
-        now: u64,
-        rewards: &[bool],
-        rm: &mut RoundMetrics,
-        bound: StalenessBound,
-    ) {
-        let i = node as usize;
-        let Some(msg) = self.inboxes[i].pop_front() else {
-            return;
-        };
-        match msg {
-            Msg::Query { from, epoch } => {
-                // The querier at local epoch `e` would, under
-                // synchronized execution, copy information committed
-                // at epoch `e - 1`. Serve the snapshot nearest that
-                // epoch: the latest commitment if the responder is at
-                // or behind the requested epoch (staleness = the gap),
-                // else the one-slot history (a responder that already
-                // completed the requested epoch still holds what it
-                // committed then; one that raced further ahead serves
-                // the oldest it has — fresher than asked, never
-                // stale). Withhold the reply when the served
-                // information is staler than the bound, and let the
-                // querier's timeout drive its retry.
-                let want = epoch.saturating_sub(1);
-                let r = self.epochs[i];
-                let (option, stale) = if want >= r {
-                    (self.choices[i], want - r)
-                } else {
-                    (self.back[i], 0)
-                };
-                // Nothing to report after sitting that epoch out.
-                if option == NO_CHOICE {
-                    return;
-                }
-                if !bound.allows(stale) {
-                    rm.stale_replies += 1;
-                    return;
-                }
-                if !self.link_drops() {
-                    let at = now + self.latency();
-                    self.push(at, Event::ReplyArrive { node: from, option });
-                }
-            }
-            Msg::Reply { option } => {
-                if self.pending[i].resolved {
-                    // A late duplicate (cannot normally happen: a
-                    // delivered reply always beats its timeout).
-                    return;
-                }
-                rm.replies_received += 1;
-                self.decide_async(node, option, now, rewards, rm);
-            }
-        }
-    }
-
-    /// One fully-async tick: advance the scheduler through exactly one
-    /// [`ASYNC_EPOCH_PERIOD`] window of virtual time. No barrier of
-    /// any kind — a healthy node completes about one local epoch per
-    /// window on its own cadence, a node mired in retry timeouts
-    /// completes less than one and genuinely falls behind the fleet
-    /// (catching up later by running epochs back-to-back), and
-    /// in-flight messages, pending timeouts, and future wake-ups all
-    /// survive into the next tick.
-    fn tick_async(&mut self, rewards: &[bool], bound: StalenessBound) -> RoundMetrics {
-        self.round += 1;
-        let t = self.round;
-        let n = self.cfg.num_nodes();
-        let mut rm = RoundMetrics {
-            round: t,
-            ..RoundMetrics::default()
-        };
-
-        // Membership transitions land at the tick boundary, processed
-        // in node order (the tracker's timeline order) so every
-        // scheduler realizes the same sequence. A departing node's
-        // commitment leaves the popularity counts, its history and
-        // pending attempt are wiped (a rejoiner remembers nothing),
-        // and a leave bumps its incarnation so wake-ups scheduled in
-        // its old life die on arrival. A (re)joining node enters
-        // bootstrapping and gets a jittered boot wake-up; everything
-        // after that is the ordinary protocol.
-        if self.members.any_scheduled() && !self.members.recent().is_empty() {
-            let recent: Vec<(u32, Transition)> = self.members.recent().to_vec();
-            for &(node, kind) in &recent {
-                let i = node as usize;
-                match kind {
-                    Transition::Leave | Transition::Crash => {
-                        if kind == Transition::Leave {
-                            rm.leaves += 1;
-                            self.incs[i] = self.incs[i].wrapping_add(1);
-                        }
-                        if self.choices[i] != NO_CHOICE {
-                            self.set_commit(i, NO_CHOICE);
-                        }
-                        self.back[i] = NO_CHOICE;
-                        self.pending[i] = Pending {
-                            attempt: 0,
-                            resolved: true,
-                        };
-                        if self.boot[i] {
-                            self.boot[i] = false;
-                            self.boot_count -= 1;
-                        }
-                    }
-                    Transition::Join | Transition::Rejoin => {
-                        if kind == Transition::Join {
-                            rm.joins += 1;
-                        } else {
-                            rm.rejoins += 1;
-                        }
-                        if !self.boot[i] {
-                            self.boot[i] = true;
-                            self.boot_count += 1;
-                        }
-                        // The t == 1 seeding loop below covers nodes
-                        // present from the start; later (re)joins
-                        // schedule their own boot wake here.
-                        if t > 1 {
-                            let at = self.async_clock + self.rng.gen_range(0..WAKE_SPREAD);
-                            self.push(
-                                at,
-                                Event::Wake {
-                                    node,
-                                    inc: self.incs[i],
-                                },
-                            );
-                        }
-                    }
-                }
-            }
-        }
-        rm.alive = self.members.alive();
-        rm.bootstrapping = self.boot_count;
-
-        // The very first tick seeds every node's epoch loop; from then
-        // on each node perpetually re-schedules its own wake-ups.
-        if t == 1 {
-            for i in 0..n {
-                if self.members.is_present(i) {
-                    let at = self.rng.gen_range(0..WAKE_SPREAD);
-                    self.push(
-                        at,
-                        Event::Wake {
-                            node: index_u32(i),
-                            inc: self.incs[i],
-                        },
-                    );
-                }
-            }
-        }
-
-        let window_end = self.async_clock + ASYNC_EPOCH_PERIOD;
-        while self
-            .heap
-            .peek()
-            .is_some_and(|scheduled| scheduled.at < window_end)
-        {
-            let Scheduled { at, ev, .. } = self.heap.pop().expect("peeked entry");
-            match ev {
-                Event::Wake { node, inc } => {
-                    let i = node as usize;
-                    // The incarnation tag kills wake-ups scheduled
-                    // before a leave: they are the only events whose
-                    // horizon (~WAKE_SPREAD + ASYNC_EPOCH_PERIOD)
-                    // outlives a one-round absence.
-                    if self.members.is_present(i) && inc == self.incs[i] {
-                        self.pending[i] = Pending::default();
-                        self.last_wake[i] = at;
-                        self.start_attempt_async(node, 1, at, rewards, &mut rm);
-                    }
-                }
-                Event::QueryArrive { from, to, epoch } => {
-                    if self.members.is_present(to as usize) {
-                        self.enqueue(to, Msg::Query { from, epoch }, at, &mut rm);
-                    }
-                }
-                Event::ReplyArrive { node, option } => {
-                    if self.members.is_present(node as usize) {
-                        self.enqueue(node, Msg::Reply { option }, at, &mut rm);
-                    }
-                }
-                Event::Deliver { node } => {
-                    if self.members.is_present(node as usize) {
-                        self.deliver_async(node, at, rewards, &mut rm, bound);
-                    } else {
-                        // Keep deliveries 1:1 with enqueues even for
-                        // the dead.
-                        self.inboxes[node as usize].pop_front();
-                    }
-                }
-                Event::Timeout {
-                    node,
-                    attempt,
-                    epoch,
-                } => {
-                    let i = node as usize;
-                    if self.members.is_present(i) {
-                        let p = self.pending[i];
-                        // The epoch tag rejects timeouts abandoned by
-                        // an earlier local epoch.
-                        if !p.resolved && p.attempt == attempt && self.epochs[i] + 1 == epoch {
-                            self.start_attempt_async(node, attempt + 1, at, rewards, &mut rm);
-                        }
-                    }
-                }
-            }
-        }
-        self.async_clock = window_end;
-
         self.members.advance_to(t + 1);
         self.metrics.absorb(&rm);
         rm
@@ -1436,54 +671,64 @@ impl ProtocolRuntime for EventRuntime {
     }
 
     fn write_shard_loads(&self, out: &mut Vec<usize>) {
-        match &self.sharded {
+        match &self.engine {
             Some(engine) => engine.write_shard_loads(&self.members, out),
-            None => out.push(self.alive_count()),
+            None => {
+                write_initial_shard_loads(self.cfg.num_nodes(), self.shards, &self.members, out)
+            }
         }
     }
 
     fn shard_rebalances(&self) -> u64 {
-        self.sharded.as_ref().map_or(0, |e| e.rebalances())
+        self.engine.as_ref().map_or(0, |e| e.rebalances())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FaultPlan;
+    use crate::{FaultPlan, MAX_QUERY_RETRIES};
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
     use sociolearn_core::Params;
 
     fn params() -> Params {
         Params::new(2, 0.65).unwrap()
     }
 
-    #[test]
-    fn initialization_matches_uniform_start() {
-        let net = EventRuntime::new(DistConfig::new(Params::new(3, 0.6).unwrap(), 7), 1);
-        assert_eq!(net.counts(), &[3, 2, 2]);
-        let q = net.distribution();
-        assert!((q[0] - 3.0 / 7.0).abs() < 1e-12);
+    /// An `n`-node fleet under `faults` on `shards` shards, fully-async
+    /// under `staleness` when one is given.
+    fn fleet(
+        n: usize,
+        faults: FaultPlan,
+        seed: u64,
+        staleness: Option<StalenessBound>,
+        shards: usize,
+    ) -> EventRuntime {
+        let net = EventRuntime::new(DistConfig::new(params(), n).with_faults(faults), seed)
+            .with_scheduler(SchedulerKind::ShardedCalendar { shards });
+        match staleness {
+            Some(bound) => net.with_async_epochs(bound),
+            None => net,
+        }
     }
 
-    #[test]
-    fn clean_network_converges_to_best_option() {
-        let mut net = EventRuntime::new(DistConfig::new(params(), 500), 2);
+    /// A clean 500-node fleet converges to the better option.
+    fn assert_converges(staleness: Option<StalenessBound>, shards: usize) {
+        let mut net = fleet(500, FaultPlan::none(), 2, staleness, shards);
         let mut rng = SmallRng::seed_from_u64(3);
         for _ in 0..200 {
-            let rewards = [rng.gen_bool(0.9), rng.gen_bool(0.3)];
-            net.tick(&rewards);
+            net.tick(&[rng.gen_bool(0.9), rng.gen_bool(0.3)]);
         }
-        assert!(
-            net.distribution()[0] > 0.8,
-            "share {}",
-            net.distribution()[0]
-        );
+        let share = net.distribution()[0];
+        assert!(share > 0.8, "share {share}");
     }
 
-    #[test]
-    fn epoch_metrics_are_internally_consistent() {
+    /// Every quiesced epoch under 30% loss keeps its counters
+    /// consistent and its message cost bounded.
+    fn assert_epoch_metrics_consistent(shards: usize) {
         let faults = FaultPlan::with_drop_prob(0.3).unwrap();
-        let mut net = EventRuntime::new(DistConfig::new(params(), 64).with_faults(faults), 4);
+        let mut net = fleet(64, faults, 4, None, shards);
         for _ in 0..50 {
             let rm = net.tick(&[true, false]);
             assert!(rm.committed <= rm.alive);
@@ -1502,15 +747,79 @@ mod tests {
         assert!(m.messages_per_round() > 0.0);
     }
 
-    #[test]
-    fn total_loss_means_no_replies() {
+    /// A one-node fleet has no peer to ask: it lives off explorations
+    /// and fallbacks.
+    fn assert_single_node_never_queries(staleness: Option<StalenessBound>, shards: usize) {
+        let mut net = fleet(1, FaultPlan::none(), 7, staleness, shards);
+        for _ in 0..30 {
+            net.tick(&[true, false]);
+        }
+        let m = net.metrics();
+        assert_eq!(m.queries_sent, 0);
+        assert!(m.explorations + m.fallbacks > 0);
+    }
+
+    /// A fixed seed replays its trajectory; another seed moves it.
+    fn assert_deterministic(staleness: Option<StalenessBound>, shards: usize) {
+        let run = |seed: u64| {
+            let faults = FaultPlan::with_drop_prob(0.4).unwrap().crash(3, 10);
+            let mut net = fleet(50, faults, seed, staleness, shards);
+            let mut out = Vec::new();
+            for t in 0..40 {
+                net.tick(&[t % 2 == 0, t % 3 == 0]);
+                out.push(net.distribution());
+            }
+            (out, net.metrics())
+        };
+        assert_eq!(run(11), run(11));
+        assert_ne!(run(11).0, run(12).0);
+    }
+
+    /// Total link loss starves every reply; nodes fall back instead.
+    fn assert_total_loss_starves_replies(staleness: Option<StalenessBound>) {
         let faults = FaultPlan::with_drop_prob(1.0).unwrap();
-        let mut net = EventRuntime::new(DistConfig::new(params(), 40).with_faults(faults), 5);
+        let mut net = fleet(40, faults, 5, staleness, 1);
         for _ in 0..20 {
             net.tick(&[true, true]);
         }
         assert_eq!(net.metrics().replies_received, 0);
         assert!(net.metrics().fallbacks > 0);
+    }
+
+    /// A bound of 1 forces heavy backpressure in a dense fleet: the
+    /// high-water mark never exceeds the bound, the drops show in the
+    /// metrics, and learning survives.
+    fn assert_tiny_queue_bound_respected(shards: usize) {
+        let mut net = fleet(128, FaultPlan::none(), 9, None, shards).with_queue_bound(1);
+        for _ in 0..30 {
+            net.tick(&[true, false]);
+        }
+        assert!(net.max_queue_depth() <= 1);
+        assert!(net.metrics().queue_drops > 0, "bound 1 never overflowed");
+        assert!(net.distribution()[0] > 0.5);
+    }
+
+    #[test]
+    fn initialization_matches_uniform_start() {
+        let net = EventRuntime::new(DistConfig::new(Params::new(3, 0.6).unwrap(), 7), 1);
+        assert_eq!(net.counts(), &[3, 2, 2]);
+        let q = net.distribution();
+        assert!((q[0] - 3.0 / 7.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn clean_network_converges_to_best_option() {
+        assert_converges(None, 1);
+    }
+
+    #[test]
+    fn epoch_metrics_are_internally_consistent() {
+        assert_epoch_metrics_consistent(1);
+    }
+
+    #[test]
+    fn total_loss_means_no_replies() {
+        assert_total_loss_starves_replies(None);
     }
 
     #[test]
@@ -1525,44 +834,17 @@ mod tests {
 
     #[test]
     fn single_node_fleet_never_queries() {
-        let mut net = EventRuntime::new(DistConfig::new(params(), 1), 7);
-        for _ in 0..30 {
-            net.tick(&[true, false]);
-        }
-        assert_eq!(net.metrics().queries_sent, 0);
-        assert!(net.metrics().explorations + net.metrics().fallbacks > 0);
+        assert_single_node_never_queries(None, 1);
     }
 
     #[test]
     fn deterministic_for_fixed_seed() {
-        let run = |seed: u64| {
-            let faults = FaultPlan::with_drop_prob(0.4).unwrap().crash(3, 10);
-            let mut net =
-                EventRuntime::new(DistConfig::new(params(), 50).with_faults(faults), seed);
-            let mut out = Vec::new();
-            for t in 0..40 {
-                net.tick(&[t % 2 == 0, t % 3 == 0]);
-                out.push(net.distribution());
-            }
-            (out, net.metrics())
-        };
-        assert_eq!(run(11), run(11));
-        assert_ne!(run(11).0, run(12).0);
+        assert_deterministic(None, 1);
     }
 
     #[test]
     fn tiny_queue_bound_is_respected_under_load() {
-        // A bound of 1 forces heavy backpressure in a dense fleet; the
-        // high-water mark must never exceed the bound and drops must
-        // be visible in the metrics.
-        let mut net = EventRuntime::new(DistConfig::new(params(), 128), 9).with_queue_bound(1);
-        for _ in 0..30 {
-            net.tick(&[true, false]);
-        }
-        assert!(net.max_queue_depth() <= 1);
-        assert!(net.metrics().queue_drops > 0, "bound 1 never overflowed");
-        // Backpressure degrades copying but never learning.
-        assert!(net.distribution()[0] > 0.5);
+        assert_tiny_queue_bound_respected(1);
     }
 
     #[test]
@@ -1597,18 +879,7 @@ mod tests {
 
     #[test]
     fn async_clean_network_converges_to_best_option() {
-        let mut net = EventRuntime::new(DistConfig::new(params(), 500), 2)
-            .with_async_epochs(StalenessBound::Unbounded);
-        let mut rng = SmallRng::seed_from_u64(3);
-        for _ in 0..200 {
-            let rewards = [rng.gen_bool(0.9), rng.gen_bool(0.3)];
-            net.tick(&rewards);
-        }
-        assert!(
-            net.distribution()[0] > 0.8,
-            "share {}",
-            net.distribution()[0]
-        );
+        assert_converges(Some(StalenessBound::Unbounded), 1);
     }
 
     #[test]
@@ -1682,20 +953,7 @@ mod tests {
 
     #[test]
     fn async_deterministic_for_fixed_seed() {
-        let run = |seed: u64| {
-            let faults = FaultPlan::with_drop_prob(0.4).unwrap().crash(3, 10);
-            let mut net =
-                EventRuntime::new(DistConfig::new(params(), 50).with_faults(faults), seed)
-                    .with_async_epochs(StalenessBound::Epochs(2));
-            let mut out = Vec::new();
-            for t in 0..40 {
-                net.tick(&[t % 2 == 0, t % 3 == 0]);
-                out.push(net.distribution());
-            }
-            (out, net.metrics())
-        };
-        assert_eq!(run(11), run(11));
-        assert_ne!(run(11).0, run(12).0);
+        assert_deterministic(Some(StalenessBound::Epochs(2)), 1);
     }
 
     #[test]
@@ -1715,25 +973,12 @@ mod tests {
 
     #[test]
     fn async_single_node_fleet_never_queries() {
-        let mut net = EventRuntime::new(DistConfig::new(params(), 1), 7)
-            .with_async_epochs(StalenessBound::Epochs(0));
-        for _ in 0..30 {
-            net.tick(&[true, false]);
-        }
-        assert_eq!(net.metrics().queries_sent, 0);
-        assert!(net.metrics().explorations + net.metrics().fallbacks > 0);
+        assert_single_node_never_queries(Some(StalenessBound::Epochs(0)), 1);
     }
 
     #[test]
     fn async_total_loss_means_no_replies() {
-        let faults = FaultPlan::with_drop_prob(1.0).unwrap();
-        let mut net = EventRuntime::new(DistConfig::new(params(), 40).with_faults(faults), 5)
-            .with_async_epochs(StalenessBound::Unbounded);
-        for _ in 0..20 {
-            net.tick(&[true, true]);
-        }
-        assert_eq!(net.metrics().replies_received, 0);
-        assert!(net.metrics().fallbacks > 0);
+        assert_total_loss_starves_replies(Some(StalenessBound::Unbounded));
     }
 
     #[test]
@@ -1765,38 +1010,52 @@ mod tests {
         assert_eq!(StalenessBound::Epochs(4).to_string(), "4");
     }
 
-    /// Drives one runtime config under every scheduler/shard-count in
-    /// `kinds`, returning (per-tick distributions, per-tick round
-    /// metrics, final cumulative metrics) per kind.
-    #[allow(clippy::type_complexity)]
-    fn drive_kinds(
+    /// Runs `ticks` rounds and returns the full observable trajectory
+    /// (distributions, round metrics, cumulative metrics).
+    fn drive(mut net: EventRuntime, ticks: u64) -> (Vec<Vec<f64>>, Vec<RoundMetrics>, Metrics) {
+        let mut dists = Vec::new();
+        let mut rms = Vec::new();
+        for t in 0..ticks {
+            rms.push(net.tick(&[t % 2 == 0, t % 3 == 0]));
+            dists.push(net.distribution());
+        }
+        (dists, rms, net.metrics())
+    }
+
+    /// [`drive`] with the given execution knobs, forcing the pool path
+    /// even at unit-test fleet sizes.
+    fn drive_tuned(
         make: impl Fn() -> EventRuntime,
-        kinds: &[SchedulerKind],
+        shards: usize,
+        lookahead: u64,
+        threads: usize,
         ticks: u64,
-    ) -> Vec<(Vec<Vec<f64>>, Vec<RoundMetrics>, Metrics)> {
-        kinds
-            .iter()
-            .map(|&kind| {
-                let mut net = make().with_scheduler(kind);
-                let mut dists = Vec::new();
-                let mut rms = Vec::new();
-                for t in 0..ticks {
-                    rms.push(net.tick(&[t % 2 == 0, t % 3 == 0]));
-                    dists.push(net.distribution());
-                }
-                (dists, rms, EventRuntime::metrics(&net))
-            })
-            .collect()
+    ) -> (Vec<Vec<f64>>, Vec<RoundMetrics>, Metrics) {
+        let net = make()
+            .with_scheduler(SchedulerKind::ShardedCalendar { shards })
+            .with_lookahead(lookahead)
+            .with_threads(threads)
+            .with_parallel_threshold(0);
+        drive(net, ticks)
+    }
+
+    /// Asserts that `make`'s default (one-shard) trajectory replays
+    /// byte for byte at every shard count in `shards`.
+    fn assert_identical_across_shards(
+        make: impl Fn() -> EventRuntime,
+        shards: &[usize],
+        ticks: u64,
+    ) {
+        let one = drive(make(), ticks);
+        for &shards in shards {
+            let kind = SchedulerKind::ShardedCalendar { shards };
+            let run = drive(make().with_scheduler(kind), ticks);
+            assert_eq!(one, run, "trajectory diverged at {shards} shards");
+        }
     }
 
     #[test]
     fn sharded_results_are_byte_identical_across_shard_counts() {
-        let kinds = [
-            SchedulerKind::ShardedCalendar { shards: 1 },
-            SchedulerKind::ShardedCalendar { shards: 2 },
-            SchedulerKind::ShardedCalendar { shards: 4 },
-            SchedulerKind::ShardedCalendar { shards: 7 },
-        ];
         let faults = FaultPlan::with_drop_prob(0.3)
             .unwrap()
             .crash(5, 9)
@@ -1807,27 +1066,11 @@ mod tests {
                 11,
             )
         };
-        let runs = drive_kinds(make, &kinds, 30);
-        for run in &runs[1..] {
-            assert_eq!(
-                runs[0].0, run.0,
-                "distributions diverged across shard counts"
-            );
-            assert_eq!(
-                runs[0].1, run.1,
-                "round metrics diverged across shard counts"
-            );
-            assert_eq!(runs[0].2, run.2, "metrics diverged across shard counts");
-        }
+        assert_identical_across_shards(make, &[2, 4, 7], 30);
     }
 
     #[test]
     fn sharded_async_results_are_byte_identical_across_shard_counts() {
-        let kinds = [
-            SchedulerKind::ShardedCalendar { shards: 1 },
-            SchedulerKind::ShardedCalendar { shards: 2 },
-            SchedulerKind::ShardedCalendar { shards: 4 },
-        ];
         let faults = FaultPlan::with_drop_prob(0.4).unwrap().crash(3, 10);
         let make = || {
             EventRuntime::new(
@@ -1836,43 +1079,7 @@ mod tests {
             )
             .with_async_epochs(StalenessBound::Epochs(1))
         };
-        let runs = drive_kinds(make, &kinds, 40);
-        for run in &runs[1..] {
-            assert_eq!(
-                runs[0].0, run.0,
-                "distributions diverged across shard counts"
-            );
-            assert_eq!(
-                runs[0].1, run.1,
-                "round metrics diverged across shard counts"
-            );
-            assert_eq!(runs[0].2, run.2, "metrics diverged across shard counts");
-        }
-    }
-
-    /// Runs `ticks` rounds with the given execution knobs and returns
-    /// the full observable trajectory (distributions, round metrics,
-    /// cumulative metrics).
-    fn drive_tuned(
-        make: impl Fn() -> EventRuntime,
-        shards: usize,
-        lookahead: u64,
-        threads: usize,
-        ticks: u64,
-    ) -> (Vec<Vec<f64>>, Vec<RoundMetrics>, Metrics) {
-        let mut net = make()
-            .with_scheduler(SchedulerKind::ShardedCalendar { shards })
-            .with_lookahead(lookahead)
-            .with_threads(threads)
-            // Force the pool path even at unit-test fleet sizes.
-            .with_parallel_threshold(0);
-        let mut dists = Vec::new();
-        let mut rms = Vec::new();
-        for t in 0..ticks {
-            rms.push(net.tick(&[t % 2 == 0, t % 3 == 0]));
-            dists.push(net.distribution());
-        }
-        (dists, rms, net.metrics())
+        assert_identical_across_shards(make, &[2, 4], 40);
     }
 
     #[test]
@@ -1908,16 +1115,9 @@ mod tests {
     fn lookahead_one_replays_the_classic_trajectory() {
         // K = 1 must replay existing seeds bit-for-bit, pool or not.
         let make = || EventRuntime::new(DistConfig::new(params(), 50), 11);
-        let classic = drive_kinds(make, &[SchedulerKind::ShardedCalendar { shards: 4 }], 25);
+        let classic = drive(make(), 25);
         let tuned = drive_tuned(make, 4, 1, 2, 25);
-        assert_eq!(classic[0], tuned, "K = 1 diverged from the classic path");
-    }
-
-    #[test]
-    #[should_panic(expected = "lookahead > 1 requires SchedulerKind::ShardedCalendar")]
-    fn single_heap_tick_rejects_lookahead() {
-        let mut net = EventRuntime::new(DistConfig::new(params(), 8), 1).with_lookahead(2);
-        net.tick(&[true, false]);
+        assert_eq!(classic, tuned, "K = 1 diverged from the classic path");
     }
 
     #[test]
@@ -1947,63 +1147,26 @@ mod tests {
 
     #[test]
     fn sharded_clean_network_converges_to_best_option() {
-        let mut net = EventRuntime::new(DistConfig::new(params(), 500), 2)
-            .with_scheduler(SchedulerKind::ShardedCalendar { shards: 4 });
-        let mut rng = SmallRng::seed_from_u64(3);
-        for _ in 0..200 {
-            let rewards = [rng.gen_bool(0.9), rng.gen_bool(0.3)];
-            net.tick(&rewards);
-        }
-        assert!(
-            net.distribution()[0] > 0.8,
-            "share {}",
-            net.distribution()[0]
-        );
+        assert_converges(None, 4);
     }
 
     #[test]
     fn sharded_async_clean_network_converges_to_best_option() {
-        let mut net = EventRuntime::new(DistConfig::new(params(), 500), 2)
-            .with_async_epochs(StalenessBound::Unbounded)
-            .with_scheduler(SchedulerKind::ShardedCalendar { shards: 4 });
-        let mut rng = SmallRng::seed_from_u64(3);
-        for _ in 0..200 {
-            let rewards = [rng.gen_bool(0.9), rng.gen_bool(0.3)];
-            net.tick(&rewards);
-        }
-        assert!(
-            net.distribution()[0] > 0.8,
-            "share {}",
-            net.distribution()[0]
-        );
+        assert_converges(Some(StalenessBound::Unbounded), 4);
     }
 
     #[test]
     fn sharded_epoch_metrics_are_internally_consistent() {
-        let faults = FaultPlan::with_drop_prob(0.3).unwrap();
-        let mut net = EventRuntime::new(DistConfig::new(params(), 64).with_faults(faults), 4)
-            .with_scheduler(SchedulerKind::ShardedCalendar { shards: 4 });
-        for _ in 0..50 {
-            let rm = net.tick(&[true, false]);
-            assert!(rm.committed <= rm.alive);
-            assert!(rm.alive <= 64);
-            assert!(rm.replies_received <= rm.queries_sent);
-            let handled = rm.explorations + rm.fallbacks + rm.replies_received;
-            assert!(
-                handled >= rm.alive as u64,
-                "every alive node resolves stage 1"
-            );
-        }
-        assert!(net.max_queue_depth() <= net.queue_bound());
-        let m = EventRuntime::metrics(&net);
-        assert_eq!(m.rounds, 50);
-        assert!(m.messages_per_round() > 0.0);
+        assert_epoch_metrics_consistent(4);
     }
 
     #[test]
     fn sharded_scheduler_reports_effective_shard_count() {
         let net = EventRuntime::new(DistConfig::new(params(), 4), 1);
-        assert_eq!(net.scheduler(), SchedulerKind::SingleHeap);
+        assert_eq!(
+            net.scheduler(),
+            SchedulerKind::ShardedCalendar { shards: 1 }
+        );
         let sharded = net.with_scheduler(SchedulerKind::ShardedCalendar { shards: 2 });
         assert_eq!(
             sharded.scheduler(),
@@ -2025,11 +1188,14 @@ mod tests {
             awkward.scheduler(),
             SchedulerKind::ShardedCalendar { shards: 8 }
         );
+        let mut loads = Vec::new();
+        awkward.write_shard_loads(&mut loads);
+        assert_eq!(loads, [2, 1, 1, 1, 1, 1, 1, 1], "planned before the build");
         let rm = awkward.tick(&[true, false]);
         assert_eq!(rm.alive, 9);
-        // Selecting the single heap again is a no-op round trip.
-        let back = tiny.with_scheduler(SchedulerKind::SingleHeap);
-        assert_eq!(back.scheduler(), SchedulerKind::SingleHeap);
+        loads.clear();
+        awkward.write_shard_loads(&mut loads);
+        assert_eq!(loads, [2, 1, 1, 1, 1, 1, 1, 1], "built as planned");
     }
 
     #[test]
@@ -2051,48 +1217,17 @@ mod tests {
 
     #[test]
     fn sharded_single_node_fleet_never_queries() {
-        let mut net = EventRuntime::new(DistConfig::new(params(), 1), 7)
-            .with_scheduler(SchedulerKind::ShardedCalendar { shards: 4 });
-        for _ in 0..30 {
-            net.tick(&[true, false]);
-        }
-        assert_eq!(EventRuntime::metrics(&net).queries_sent, 0);
-        let m = EventRuntime::metrics(&net);
-        assert!(m.explorations + m.fallbacks > 0);
+        assert_single_node_never_queries(None, 4);
     }
 
     #[test]
     fn sharded_deterministic_for_fixed_seed() {
-        let run = |seed: u64| {
-            let faults = FaultPlan::with_drop_prob(0.4).unwrap().crash(3, 10);
-            let mut net =
-                EventRuntime::new(DistConfig::new(params(), 50).with_faults(faults), seed)
-                    .with_scheduler(SchedulerKind::ShardedCalendar { shards: 4 });
-            let mut out = Vec::new();
-            for t in 0..40 {
-                net.tick(&[t % 2 == 0, t % 3 == 0]);
-                out.push(net.distribution());
-            }
-            (out, EventRuntime::metrics(&net))
-        };
-        assert_eq!(run(11), run(11));
-        assert_ne!(run(11).0, run(12).0);
+        assert_deterministic(None, 4);
     }
 
     #[test]
     fn sharded_tiny_queue_bound_is_respected_under_load() {
-        let mut net = EventRuntime::new(DistConfig::new(params(), 128), 9)
-            .with_queue_bound(1)
-            .with_scheduler(SchedulerKind::ShardedCalendar { shards: 4 });
-        for _ in 0..30 {
-            net.tick(&[true, false]);
-        }
-        assert!(net.max_queue_depth() <= 1);
-        assert!(
-            EventRuntime::metrics(&net).queue_drops > 0,
-            "bound 1 never overflowed"
-        );
-        assert!(net.distribution()[0] > 0.5);
+        assert_tiny_queue_bound_respected(4);
     }
 
     #[test]
@@ -2172,8 +1307,11 @@ mod tests {
 
     #[test]
     fn async_rejoiner_bootstraps_on_its_own_cadence() {
+        // Most bootstrap epochs resolve inside their rejoin tick, where
+        // the end-of-tick gauge never sees them; seed 61 is one whose
+        // bootstrap straddles a tick boundary.
         let faults = FaultPlan::none().leave(5, 3).rejoin(5, 8);
-        let mut net = EventRuntime::new(DistConfig::new(params(), 24).with_faults(faults), 23)
+        let mut net = EventRuntime::new(DistConfig::new(params(), 24).with_faults(faults), 61)
             .with_async_epochs(StalenessBound::Unbounded);
         let mut saw_boot = false;
         for t in 1..=20u64 {
@@ -2219,40 +1357,17 @@ mod tests {
 
     #[test]
     fn sharded_churn_results_are_byte_identical_across_shard_counts() {
-        let kinds = [
-            SchedulerKind::ShardedCalendar { shards: 1 },
-            SchedulerKind::ShardedCalendar { shards: 2 },
-            SchedulerKind::ShardedCalendar { shards: 4 },
-            SchedulerKind::ShardedCalendar { shards: 8 },
-        ];
         let make = || {
             EventRuntime::new(
                 DistConfig::new(params(), 48).with_faults(churn_faults()),
                 17,
             )
         };
-        let runs = drive_kinds(make, &kinds, 30);
-        for run in &runs[1..] {
-            assert_eq!(
-                runs[0].0, run.0,
-                "distributions diverged across shard counts under churn"
-            );
-            assert_eq!(
-                runs[0].1, run.1,
-                "round metrics diverged across shard counts under churn"
-            );
-            assert_eq!(runs[0].2, run.2, "metrics diverged across shard counts");
-        }
+        assert_identical_across_shards(make, &[2, 4, 8], 30);
     }
 
     #[test]
     fn sharded_async_churn_results_are_byte_identical_across_shard_counts() {
-        let kinds = [
-            SchedulerKind::ShardedCalendar { shards: 1 },
-            SchedulerKind::ShardedCalendar { shards: 2 },
-            SchedulerKind::ShardedCalendar { shards: 4 },
-            SchedulerKind::ShardedCalendar { shards: 8 },
-        ];
         let make = || {
             EventRuntime::new(
                 DistConfig::new(params(), 48).with_faults(churn_faults()),
@@ -2260,66 +1375,25 @@ mod tests {
             )
             .with_async_epochs(StalenessBound::Epochs(2))
         };
-        let runs = drive_kinds(make, &kinds, 40);
-        for run in &runs[1..] {
-            assert_eq!(
-                runs[0].0, run.0,
-                "distributions diverged across shard counts under churn"
-            );
-            assert_eq!(
-                runs[0].1, run.1,
-                "round metrics diverged across shard counts under churn"
-            );
-            assert_eq!(runs[0].2, run.2, "metrics diverged across shard counts");
-        }
-    }
-
-    #[test]
-    fn rolling_restart_matches_between_schedulers_in_law_and_counters() {
-        // The two schedulers draw from different RNG streams, so only
-        // the deterministic membership arithmetic must agree exactly.
-        let run = |kind: SchedulerKind| {
-            let faults = FaultPlan::none().rolling_restart(8, 4);
-            let mut net = EventRuntime::new(DistConfig::new(params(), 32).with_faults(faults), 31)
-                .with_scheduler(kind);
-            let mut alive = Vec::new();
-            for _ in 0..24 {
-                alive.push(net.tick(&[true, false]).alive);
-            }
-            (alive, {
-                let m = EventRuntime::metrics(&net);
-                (m.leaves, m.rejoins, m.joins)
-            })
-        };
-        let single = run(SchedulerKind::SingleHeap);
-        let sharded = run(SchedulerKind::ShardedCalendar { shards: 4 });
-        assert_eq!(single, sharded);
-        assert_eq!(single.1, (32, 32, 0), "every node left and came back");
-        assert!(
-            *single.0.iter().min().unwrap() >= 24,
-            "too many down at once"
-        );
+        assert_identical_across_shards(make, &[2, 4, 8], 40);
     }
 
     #[test]
     fn churn_epoch_message_bound_holds() {
         // Per quiesced epoch: at most MAX_QUERY_RETRIES queries per
         // present node, and never more replies than queries.
-        for kind in [
-            SchedulerKind::SingleHeap,
-            SchedulerKind::ShardedCalendar { shards: 4 },
-        ] {
+        for shards in [1, 4] {
             let mut net = EventRuntime::new(
                 DistConfig::new(params(), 48).with_faults(churn_faults()),
                 37,
             )
-            .with_scheduler(kind);
+            .with_scheduler(SchedulerKind::ShardedCalendar { shards });
             for _ in 0..20 {
                 let rm = net.tick(&[true, false]);
                 let cap = 2 * MAX_QUERY_RETRIES as u64 * rm.alive as u64;
                 assert!(
                     rm.queries_sent + rm.replies_received <= cap,
-                    "epoch message bound violated under churn ({kind})"
+                    "epoch message bound violated under churn ({shards} shards)"
                 );
             }
         }

@@ -67,14 +67,13 @@
 //!   study convergence under staleness à la Su–Zubeldia–Lynch
 //!   (arXiv:1802.08159).
 //!
-//! Orthogonally to the execution model, the event-driven runtime can
-//! run on either of two **schedulers**
-//! ([`EventRuntime::with_scheduler`]): the default
-//! [`SchedulerKind::SingleHeap`] (one global `BinaryHeap`), or the
-//! [`SchedulerKind::ShardedCalendar`] engine — per-node-range shards
-//! over O(1) [`Calendar`] queues with per-node RNG streams, built for
-//! fleet scale. The two schedulers agree in law, and the sharded
-//! engine's results are byte-identical across shard counts.
+//! Both event-driven models run on one **scheduler**: the sharded
+//! calendar engine — per-node-range shards over O(1) [`Calendar`]
+//! queues with per-node RNG streams, one shard by default and more
+//! with [`EventRuntime::with_scheduler`] and
+//! [`SchedulerKind::ShardedCalendar`]. Its results are byte-identical
+//! across shard counts, lookahead-fixed across thread counts, and
+//! agree in law with `sociolearn_core::FinitePopulation`.
 //!
 //! # Example
 //!
@@ -153,10 +152,9 @@ pub const ROUND_SYNC_NODE_STATE_BYTES: usize = 2 * std::mem::size_of::<NodeState
 // collaborative learning), tied down at compile time: each execution
 // model's per-node protocol state is a small documented multiple of
 // NODE_STATE_BYTES. A PR that grows a per-node struct must
-// renegotiate the budget here, visibly — see the matching assertions
-// in `event.rs` (EVENT_NODE_STATE_BYTES) and `calendar.rs`
-// (SHARD_LANE_NODE_STATE_BYTES), and the `node_state_budgets` unit
-// test documenting the exact current sizes.
+// renegotiate the budget here, visibly — see the matching assertion
+// in `event.rs` (EVENT_NODE_STATE_BYTES) and the `node_state_budgets`
+// unit test documenting the exact current sizes.
 const _: () = assert!(ROUND_SYNC_NODE_STATE_BYTES == 2 * NODE_STATE_BYTES);
 
 /// How many peers a node tries per round before giving up on copying
@@ -1296,7 +1294,7 @@ mod tests {
     }
 
     /// Documents the exact per-node state budgets that the compile-time
-    /// `const` assertions in `lib.rs`, `event.rs`, and `calendar.rs` bound.
+    /// `const` assertions in `lib.rs` and `event.rs` bound.
     /// If a protocol struct grows, this test pins down the new number so the
     /// change is a conscious decision rather than silent drift away from the
     /// O(log m)-bits-per-node claim.
@@ -1307,12 +1305,10 @@ mod tests {
         // Round-synchronous model: current + next option per node.
         assert_eq!(ROUND_SYNC_NODE_STATE_BYTES, 8);
         assert_eq!(ROUND_SYNC_NODE_STATE_BYTES, 2 * NODE_STATE_BYTES);
-        // Event-driven model: option + pending sample + virtual-time stamp.
-        assert_eq!(EVENT_NODE_STATE_BYTES, 16);
-        assert_eq!(EVENT_NODE_STATE_BYTES, 4 * NODE_STATE_BYTES);
-        // Sharded calendar-queue lane bookkeeping per node.
-        assert_eq!(calendar::SHARD_LANE_NODE_STATE_BYTES, 24);
-        assert_eq!(calendar::SHARD_LANE_NODE_STATE_BYTES, 6 * NODE_STATE_BYTES);
+        // Event-driven model: commitment + history slot + local epoch,
+        // plus the per-source sequence counter and incarnation tag.
+        assert_eq!(EVENT_NODE_STATE_BYTES, 24);
+        assert_eq!(EVENT_NODE_STATE_BYTES, 6 * NODE_STATE_BYTES);
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! inner loop streams line after line with no partial prefix.
 //!
 //! The types keep ordinary `Vec` ergonomics where the engine needs
-//! them: `Index`/`IndexMut`, `push`, `iter`, `extend`, and a draining
+//! them: `Index`/`IndexMut`, `push`, `iter`, `extend`/`collect` (sized
+//! once from the iterator's length hint), and a draining
 //! iterator for the rebalance path's flatten/re-split. Everything is
 //! safe Rust — alignment comes from the chunk type's declared layout,
 //! not from manual allocation.
@@ -40,11 +41,15 @@ macro_rules! aligned_vec {
         }
 
         impl $name {
-            /// A vector of `len` copies of `fill`.
+            /// A vector of `len` copies of `fill`, allocated once at
+            /// its exact chunk count.
             pub(crate) fn with_len(len: usize, fill: $elem) -> Self {
-                let mut v = Self::default();
-                v.resize(len, fill);
-                v
+                let mut chunks = vec![$chunk([fill; $lanes]); len.div_ceil($lanes)];
+                if let Some(last) = chunks.last_mut() {
+                    let live = len - (len - 1) / $lanes * $lanes;
+                    last.0[live..].fill(<$elem>::default());
+                }
+                Self { chunks, len }
             }
 
             pub(crate) fn len(&self) -> usize {
@@ -59,16 +64,6 @@ macro_rules! aligned_vec {
                 }
                 self.chunks[chunk].0[slot] = value;
                 self.len += 1;
-            }
-
-            /// Grows to `len` elements, filling new slots with `fill`
-            /// (shrinking is not needed by the engine and not
-            /// supported).
-            pub(crate) fn resize(&mut self, len: usize, fill: $elem) {
-                assert!(len >= self.len, "aligned vec never shrinks in place");
-                for _ in self.len..len {
-                    self.push(fill);
-                }
             }
 
             /// Iterates the live elements (padding excluded).
@@ -92,7 +87,13 @@ macro_rules! aligned_vec {
         }
 
         impl Extend<$elem> for $name {
+            /// Appends every element, reserving the chunks the
+            /// iterator's lower size bound promises up front.
             fn extend<I: IntoIterator<Item = $elem>>(&mut self, iter: I) {
+                let iter = iter.into_iter();
+                let chunks = (self.len + iter.size_hint().0).div_ceil($lanes);
+                self.chunks
+                    .reserve_exact(chunks.saturating_sub(self.chunks.len()));
                 for v in iter {
                     self.push(v);
                 }
@@ -187,10 +188,30 @@ mod tests {
     fn with_len_fills_and_resize_grows() {
         let mut v = AlignedU64s::with_len(20, 42);
         assert!(v.iter().all(|&x| x == 42));
-        v.resize(25, 7);
+        v.extend(std::iter::repeat_n(7, 5));
         assert_eq!(v.len(), 25);
         assert_eq!(v[19], 42);
         assert_eq!(v[20], 7);
+    }
+
+    #[test]
+    fn with_len_and_collect_allocate_the_exact_chunk_count() {
+        for len in [0usize, 1, 15, 16, 17, 33, 256] {
+            let chunks = len.div_ceil(16);
+            let v = AlignedU32s::with_len(len, 7);
+            assert_eq!((v.chunks.len(), v.chunks.capacity()), (chunks, chunks));
+            let c: AlignedU32s = (0..len).map(|i| i as u32).collect();
+            assert_eq!((c.chunks.len(), c.chunks.capacity()), (chunks, chunks));
+            // The rebalance re-split shape: a `take` off a longer run.
+            let mut source = (0..2 * len as u32).collect::<Vec<_>>().into_iter();
+            let t: AlignedU32s = source.by_ref().take(len).collect();
+            assert_eq!((t.chunks.len(), t.chunks.capacity()), (chunks, chunks));
+            let w = AlignedU64s::with_len(len, 7);
+            let words = len.div_ceil(8);
+            assert_eq!((w.chunks.len(), w.chunks.capacity()), (words, words));
+            // Padding stays at the default, so equality is element-wise.
+            assert_eq!(v, std::iter::repeat_n(7u32, len).collect());
+        }
     }
 
     #[test]

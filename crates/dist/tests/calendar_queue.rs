@@ -137,7 +137,7 @@ fn test_threads() -> usize {
         .unwrap_or(2)
 }
 
-/// Drives one deployment under a scheduler, recording everything
+/// Drives one deployment on `shards` shards, recording everything
 /// observable: per-tick round metrics, per-tick distributions, and the
 /// final cumulative metrics. The parallel threshold is pinned to 0 so
 /// `threads > 1` exercises the worker pool even at proptest-sized
@@ -149,7 +149,7 @@ fn run_observables(
     faults: FaultPlan,
     seed: u64,
     bound: Option<StalenessBound>,
-    kind: SchedulerKind,
+    shards: usize,
     lookahead: u64,
     threads: usize,
     ticks: u64,
@@ -160,7 +160,7 @@ fn run_observables(
         net = net.with_async_epochs(b);
     }
     let mut net = net
-        .with_scheduler(kind)
+        .with_scheduler(SchedulerKind::ShardedCalendar { shards })
         .with_lookahead(lookahead)
         .with_threads(threads)
         .with_parallel_threshold(0);
@@ -231,27 +231,17 @@ proptest! {
         for lookahead in [1u64, 2, 4] {
             let reference = run_observables(
                 params, n, faults.clone(), seed, bound,
-                SchedulerKind::ShardedCalendar { shards: 1 }, lookahead, 1, ticks,
+                1, lookahead, 1, ticks,
             );
             for shards in [2usize, 4, 8] {
                 for threads in [1usize, test_threads()] {
                     let run = run_observables(
                         params, n, faults.clone(), seed, bound,
-                        SchedulerKind::ShardedCalendar { shards }, lookahead, threads, ticks,
+                        shards, lookahead, threads, ticks,
                     );
                     prop_assert_eq!(
-                        &reference.0, &run.0,
-                        "round metrics diverged at K={} shards={} threads={}",
-                        lookahead, shards, threads
-                    );
-                    prop_assert_eq!(
-                        &reference.1, &run.1,
-                        "distributions diverged at K={} shards={} threads={}",
-                        lookahead, shards, threads
-                    );
-                    prop_assert_eq!(
-                        &reference.2, &run.2,
-                        "metrics diverged at K={} shards={} threads={}",
+                        &reference, &run,
+                        "trajectory diverged at K={} shards={} threads={}",
                         lookahead, shards, threads
                     );
                 }
@@ -281,27 +271,17 @@ proptest! {
         for lookahead in [1u64, 4] {
             let reference = run_observables(
                 params, n, plan.clone(), seed, bound,
-                SchedulerKind::ShardedCalendar { shards: 1 }, lookahead, 1, ticks,
+                1, lookahead, 1, ticks,
             );
             for shards in [2usize, 4] {
                 for threads in [1usize, test_threads()] {
                     let run = run_observables(
                         params, n, plan.clone(), seed, bound,
-                        SchedulerKind::ShardedCalendar { shards }, lookahead, threads, ticks,
+                        shards, lookahead, threads, ticks,
                     );
                     prop_assert_eq!(
-                        &reference.0, &run.0,
-                        "round metrics diverged at K={} shards={} threads={}",
-                        lookahead, shards, threads
-                    );
-                    prop_assert_eq!(
-                        &reference.1, &run.1,
-                        "distributions diverged at K={} shards={} threads={}",
-                        lookahead, shards, threads
-                    );
-                    prop_assert_eq!(
-                        &reference.2, &run.2,
-                        "metrics diverged at K={} shards={} threads={}",
+                        &reference, &run,
+                        "trajectory diverged at K={} shards={} threads={}",
                         lookahead, shards, threads
                     );
                 }
@@ -309,8 +289,8 @@ proptest! {
         }
     }
 
-    /// The sharded engine satisfies the same per-tick invariants the
-    /// single heap promises, under arbitrary faults and bounds.
+    /// The engine satisfies the protocol's per-tick invariants at any
+    /// shard count, under arbitrary faults and bounds.
     #[test]
     fn sharded_tick_invariants_hold(
         seed in any::<u64>(),
@@ -327,7 +307,7 @@ proptest! {
         let lookahead = 1 + seed % 4; // any K in 1..=4; invariants hold at all widths
         let (rms, dists, metrics) = run_observables(
             params, n, faults, seed, bound,
-            SchedulerKind::ShardedCalendar { shards }, lookahead, test_threads(), ticks,
+            shards, lookahead, test_threads(), ticks,
         );
         // Replies trail queries *cumulatively*: lookahead defers
         // deliveries to block boundaries, so in async mode a reply can
@@ -366,7 +346,7 @@ fn max_lookahead_never_outruns_the_ring() {
         faults,
         42,
         Some(StalenessBound::Epochs(2)),
-        SchedulerKind::ShardedCalendar { shards: 4 },
+        4,
         MAX_LOOKAHEAD,
         test_threads(),
         60,

@@ -1,8 +1,8 @@
 //! Fault injection aimed at the sharded scheduler's seams: crashes
 //! and message loss landing on nodes adjacent to a shard split must
-//! behave exactly like they do under the single-heap scheduler —
-//! deterministically where the observable is schedule-independent
-//! (alive counts, zero-reply regimes, count conservation), and
+//! behave exactly as the fault plan dictates — deterministically where
+//! the observable is schedule-independent (alive counts derived from
+//! the plan, zero-reply regimes, count conservation), and
 //! byte-identically across shard counts everywhere.
 
 use sociolearn_core::{GroupDynamics, Params};
@@ -32,121 +32,118 @@ fn boundary_crashes(round: u64) -> FaultPlan {
     plan
 }
 
-/// Builds the quiesced 64-node boundary-crash fleet under `kind`.
-fn boundary_fleet(kind: SchedulerKind, seed: u64) -> EventRuntime {
-    EventRuntime::new(
-        DistConfig::new(params(), 64).with_faults(boundary_crashes(10)),
-        seed,
-    )
-    .with_scheduler(kind)
+/// The alive count `plan` dictates for `round` over `n` nodes: every
+/// crash scheduled at or before it has landed.
+fn planned_alive(n: usize, plan: &FaultPlan, round: u64) -> usize {
+    n - (0..n)
+        .filter(|&i| plan.crash_round(i).is_some_and(|r| r <= round))
+        .count()
 }
 
 #[test]
 fn boundary_crashes_kill_the_same_nodes_under_both_schedulers() {
     // The alive trajectory is fixed by the fault plan, not the
-    // schedule: both schedulers must report the identical per-round
-    // alive counts, and the crashed boundary nodes must leave the
-    // committed counts on both.
-    let mut single = boundary_fleet(SchedulerKind::SingleHeap, 5);
-    let mut sharded = boundary_fleet(SchedulerKind::ShardedCalendar { shards: 4 }, 5);
-    for t in 1..=25u64 {
-        let a = single.tick(&[true, false]);
-        let b = sharded.tick(&[true, false]);
-        assert_eq!(a.alive, b.alive, "alive counts diverged at round {t}");
-        assert_eq!(a.alive, if t < 10 { 64 } else { 56 });
-        assert!(a.committed <= a.alive);
-        assert!(b.committed <= b.alive);
+    // schedule: both epoch schedulers — quiesced and fully-async — on
+    // one shard and on four must report the per-round alive counts the
+    // plan dictates, and the crashed boundary nodes must leave the
+    // committed counts.
+    let plan = boundary_crashes(10);
+    for staleness in [None, Some(StalenessBound::Unbounded)] {
+        for shards in [1usize, 4] {
+            let mut net =
+                EventRuntime::new(DistConfig::new(params(), 64).with_faults(plan.clone()), 5)
+                    .with_scheduler(SchedulerKind::ShardedCalendar { shards });
+            if let Some(bound) = staleness {
+                net = net.with_async_epochs(bound);
+            }
+            for t in 1..=25u64 {
+                let rm = net.tick(&[true, false]);
+                assert_eq!(
+                    rm.alive,
+                    planned_alive(64, &plan, t),
+                    "{staleness:?} × {shards} shards: alive count off the plan at round {t}"
+                );
+                assert!(rm.committed <= rm.alive);
+            }
+            assert_eq!(net.alive_count(), planned_alive(64, &plan, 26));
+            assert_eq!(net.alive_count(), 56);
+            assert!(net.counts().iter().sum::<u64>() <= 56);
+        }
     }
-    assert_eq!(single.alive_count(), 56);
-    assert_eq!(sharded.alive_count(), 56);
-    assert!(single.counts().iter().sum::<u64>() <= 56);
-    assert!(sharded.counts().iter().sum::<u64>() <= 56);
+}
+
+/// Asserts that a 64-node fleet crashing its shard-boundary nodes at
+/// `crash_round` runs byte-identically at 1, 2, and 4 shards, crossed
+/// with each lookahead width in `lookaheads` and with worker-thread
+/// counts {1, [`test_threads`]}. The parallel threshold is pinned to 0
+/// so `threads > 1` really exercises the worker pool at this size.
+fn assert_boundary_crashes_identical(
+    staleness: Option<StalenessBound>,
+    crash_round: u64,
+    seed: u64,
+    ticks: u64,
+    lookaheads: [u64; 2],
+) {
+    let drive = |shards: usize, lookahead: u64, threads: usize| {
+        let faults = boundary_crashes(crash_round);
+        let mut net = EventRuntime::new(DistConfig::new(params(), 64).with_faults(faults), seed);
+        if let Some(bound) = staleness {
+            net = net.with_async_epochs(bound);
+        }
+        let mut net = net
+            .with_scheduler(SchedulerKind::ShardedCalendar { shards })
+            .with_lookahead(lookahead)
+            .with_threads(threads)
+            .with_parallel_threshold(0);
+        let mut trace = Vec::new();
+        for t in 0..ticks {
+            let rm = net.tick(&[t % 2 == 0, t % 3 == 0]);
+            trace.push((rm, net.distribution()));
+        }
+        (trace, EventRuntime::metrics(&net))
+    };
+    for lookahead in lookaheads {
+        let one = drive(1, lookahead, 1);
+        for shards in [2usize, 4] {
+            for threads in [1usize, test_threads()] {
+                assert_eq!(
+                    one,
+                    drive(shards, lookahead, threads),
+                    "K={lookahead} shards={shards} threads={threads}"
+                );
+            }
+        }
+    }
 }
 
 #[test]
 fn boundary_crashes_are_identical_across_shard_counts() {
     // Crashes landing exactly at shard splits must not perturb the
-    // shard-count invariance: runs at 1, 2, and 4 shards — crossed
-    // with lookahead widths and worker-thread counts — stay
-    // byte-identical through the crash round and after it. The
-    // parallel threshold is pinned to 0 so `threads > 1` really
-    // exercises the worker pool at this fleet size.
-    let drive = |shards: usize, lookahead: u64, threads: usize| {
-        let faults = boundary_crashes(8);
-        let mut net = EventRuntime::new(DistConfig::new(params(), 64).with_faults(faults), 9)
-            .with_scheduler(SchedulerKind::ShardedCalendar { shards })
-            .with_lookahead(lookahead)
-            .with_threads(threads)
-            .with_parallel_threshold(0);
-        let mut trace = Vec::new();
-        for t in 0..20u64 {
-            let rm = net.tick(&[t % 2 == 0, t % 3 == 0]);
-            trace.push((rm, net.distribution()));
-        }
-        (trace, EventRuntime::metrics(&net))
-    };
-    for lookahead in [1u64, 4] {
-        let one = drive(1, lookahead, 1);
-        for shards in [2usize, 4] {
-            for threads in [1usize, test_threads()] {
-                assert_eq!(
-                    one,
-                    drive(shards, lookahead, threads),
-                    "K={lookahead} shards={shards} threads={threads}"
-                );
-            }
-        }
-    }
+    // shard-count invariance, through the crash round and after it.
+    assert_boundary_crashes_identical(None, 8, 9, 20, [1, 4]);
 }
 
 #[test]
 fn async_boundary_crashes_are_identical_across_shard_counts() {
-    let drive = |shards: usize, lookahead: u64, threads: usize| {
-        let faults = boundary_crashes(6);
-        let mut net = EventRuntime::new(DistConfig::new(params(), 64).with_faults(faults), 11)
-            .with_async_epochs(StalenessBound::Epochs(1))
-            .with_scheduler(SchedulerKind::ShardedCalendar { shards })
-            .with_lookahead(lookahead)
-            .with_threads(threads)
-            .with_parallel_threshold(0);
-        let mut trace = Vec::new();
-        for t in 0..24u64 {
-            let rm = net.tick(&[t % 2 == 0, t % 3 == 0]);
-            trace.push((rm, net.distribution()));
-        }
-        (trace, EventRuntime::metrics(&net))
-    };
-    for lookahead in [1u64, 2] {
-        let one = drive(1, lookahead, 1);
-        for shards in [2usize, 4] {
-            for threads in [1usize, test_threads()] {
-                assert_eq!(
-                    one,
-                    drive(shards, lookahead, threads),
-                    "K={lookahead} shards={shards} threads={threads}"
-                );
-            }
-        }
-    }
+    assert_boundary_crashes_identical(Some(StalenessBound::Epochs(1)), 6, 11, 24, [1, 2]);
 }
 
 #[test]
 fn async_boundary_crashes_stop_pacing_and_leave_counts() {
     // Async mode: crashed boundary nodes stop advancing their local
-    // epochs while interior survivors keep the fleet moving — same
-    // qualitative contract the single heap promises.
+    // epochs while interior survivors keep the fleet moving, whether
+    // the crashes land inside one shard or at four-shard splits.
     let faults = boundary_crashes(5);
-    let mut single =
-        EventRuntime::new(DistConfig::new(params(), 64).with_faults(faults.clone()), 7)
-            .with_async_epochs(StalenessBound::Unbounded);
-    let mut sharded = EventRuntime::new(DistConfig::new(params(), 64).with_faults(faults), 7)
+    let mut one = EventRuntime::new(DistConfig::new(params(), 64).with_faults(faults.clone()), 7)
+        .with_async_epochs(StalenessBound::Unbounded);
+    let mut four = EventRuntime::new(DistConfig::new(params(), 64).with_faults(faults), 7)
         .with_async_epochs(StalenessBound::Unbounded)
         .with_scheduler(SchedulerKind::ShardedCalendar { shards: 4 });
     for _ in 0..20 {
-        single.tick(&[true, true]);
-        sharded.tick(&[true, true]);
+        one.tick(&[true, true]);
+        four.tick(&[true, true]);
     }
-    for net in [&single, &sharded] {
+    for net in [&one, &four] {
         assert_eq!(net.alive_count(), 56);
         assert!(net.counts().iter().sum::<u64>() <= 56);
         // Boundary nodes 16 and 32 died at round 5; interior node 20
@@ -190,15 +187,12 @@ fn async_total_loss_starves_replies_under_the_sharded_scheduler() {
 
 #[test]
 fn loss_and_boundary_crashes_keep_sharded_learning_alive() {
-    // The compound scenario ISSUE names: loss plus crashes at shard
+    // The compound scenario: loss plus crashes at shard
     // boundaries. Learning must survive (share far above the 1/m
-    // floor) and per-round invariants must hold throughout, on both
-    // schedulers, with a starved queue bound for extra backpressure.
-    for (kind, lookahead) in [
-        (SchedulerKind::SingleHeap, 1u64),
-        (SchedulerKind::ShardedCalendar { shards: 4 }, 1),
-        (SchedulerKind::ShardedCalendar { shards: 4 }, 4),
-    ] {
+    // floor) and per-round invariants must hold throughout, on one
+    // shard and on four, with a starved queue bound for extra
+    // backpressure.
+    for (shards, lookahead) in [(1usize, 1u64), (4, 1), (4, 4)] {
         let faults = {
             let mut plan = FaultPlan::with_drop_prob(0.3).unwrap();
             for node in [15usize, 16, 31, 32, 47, 48] {
@@ -208,7 +202,7 @@ fn loss_and_boundary_crashes_keep_sharded_learning_alive() {
         };
         let mut net = EventRuntime::new(DistConfig::new(params(), 64).with_faults(faults), 3)
             .with_queue_bound(2)
-            .with_scheduler(kind)
+            .with_scheduler(SchedulerKind::ShardedCalendar { shards })
             .with_lookahead(lookahead)
             .with_threads(test_threads())
             .with_parallel_threshold(0);
@@ -220,7 +214,7 @@ fn loss_and_boundary_crashes_keep_sharded_learning_alive() {
         assert!(net.max_queue_depth() <= 2);
         assert!(
             net.distribution()[0] > 0.6,
-            "{kind}: share {} under loss + boundary crashes",
+            "{shards} shards, K={lookahead}: share {} under loss + boundary crashes",
             net.distribution()[0]
         );
     }

@@ -5,15 +5,12 @@
 //! All three execution models — the round-synchronous [`Runtime`],
 //! the epoch-quiesced [`EventRuntime`], and its fully-async
 //! overlapping-epoch mode — are driven through the shared
-//! [`ProtocolRuntime`] surface and measured side by side, with the
-//! event-driven models additionally run on the sharded calendar-queue
-//! scheduler (five conditions in all).
+//! [`ProtocolRuntime`] surface and measured side by side.
 
 use crate::{verdict, ExpContext, ExperimentReport};
 use sociolearn_core::{BernoulliRewards, FinitePopulation, Params};
 use sociolearn_dist::{
-    DistConfig, EventRuntime, FaultPlan, ProtocolRuntime, Runtime, SchedulerKind, StalenessBound,
-    NODE_STATE_BYTES,
+    DistConfig, EventRuntime, FaultPlan, ProtocolRuntime, Runtime, StalenessBound, NODE_STATE_BYTES,
 };
 use sociolearn_plot::{fmt_sig, CsvWriter, MarkdownTable};
 use sociolearn_sim::{replicate, run_one, RunConfig, SeedTree};
@@ -110,17 +107,13 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
         "fallbacks",
     ]);
     let mut all_ok = true;
-    let mut clean_regret = [f64::NAN; 5];
+    let mut clean_regret = [f64::NAN; 3];
 
-    // Every condition runs on all three execution models — and, for
-    // the event-driven ones, on both schedulers — through
+    // Every condition runs on all three execution models through
     // `measure_fleet`; `runtime_idx` 0 is round-synchronous, 1 is the
     // epoch-quiesced event scheduler, 2 is fully-async overlapping
     // epochs (staleness unbounded — the pure no-barrier regime; E17
-    // sweeps the staleness bound itself), 3 and 4 repeat 1 and 2 on
-    // the sharded calendar-queue scheduler (4 shards), checking that
-    // the production scheduler keeps the law.
-    let sharded = SchedulerKind::ShardedCalendar { shards: 4 };
+    // sweeps the staleness bound itself).
     let run_condition = |runtime_idx: usize, fault: FaultPlan, salt: u64| {
         let seed = tree.subtree(10 + 200 * runtime_idx as u64 + salt).root();
         let cfg = DistConfig::new(params, n).with_faults(fault);
@@ -141,28 +134,8 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
                 reps,
                 seed,
             ),
-            2 => measure_fleet(
-                |s| EventRuntime::new(cfg.clone(), s).with_async_epochs(StalenessBound::Unbounded),
-                &env,
-                m,
-                horizon,
-                reps,
-                seed,
-            ),
-            3 => measure_fleet(
-                |s| EventRuntime::new(cfg.clone(), s).with_scheduler(sharded),
-                &env,
-                m,
-                horizon,
-                reps,
-                seed,
-            ),
             _ => measure_fleet(
-                |s| {
-                    EventRuntime::new(cfg.clone(), s)
-                        .with_async_epochs(StalenessBound::Unbounded)
-                        .with_scheduler(sharded)
-                },
+                |s| EventRuntime::new(cfg.clone(), s).with_async_epochs(StalenessBound::Unbounded),
                 &env,
                 m,
                 horizon,
@@ -182,8 +155,6 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
         (0usize, "round-sync"),
         (1, "epoch-quiesced"),
         (2, "fully-async"),
-        (3, "epoch-quiesced ×4 shards"),
-        (4, "fully-async ×4 shards"),
     ] {
         for (i, &drop) in drop_rates.iter().enumerate() {
             let fault = if drop == 0.0 {
@@ -247,8 +218,7 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
     let _ = csv.save(ctx.path("E15.csv"));
 
     let markdown = format!(
-        "The conclusion's proposal, measured on all three execution models \
-         (and, for the event-driven ones, on both schedulers): \
+        "The conclusion's proposal, measured on all three execution models: \
          query/reply gossip where each node stores only its current option \
          ({bytes} bytes of protocol state — no weight vector), executed \
          round-synchronously, epoch-quiesced event-driven (jittered wakes, \
@@ -258,9 +228,8 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
          m = {m}, beta = 0.65, horizon {horizon}, {reps} reps, seed {seed}. \
          In-memory reference regret at the same N: {refr}.\n\n{table}\n\
          Reading: clean-network regret (round-sync {clean_rs}, epoch-quiesced \
-         {clean_ev}, fully-async {clean_as}; on the sharded calendar scheduler \
-         {clean_shq} quiesced / {clean_sha} async) matches the in-memory \
-         dynamics for every execution model and both schedulers; message cost \
+         {clean_ev}, fully-async {clean_as}) matches the in-memory \
+         dynamics for every execution model; message cost \
          stays a small multiple of N per round (retries against sit-outs); \
          loss and crashes degrade throughput of *copying*, pushing nodes \
          toward uniform fallback — learning slows but does not collapse, \
@@ -276,8 +245,6 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
         clean_rs = fmt_sig(clean_regret[0], 3),
         clean_ev = fmt_sig(clean_regret[1], 3),
         clean_as = fmt_sig(clean_regret[2], 3),
-        clean_shq = fmt_sig(clean_regret[3], 3),
-        clean_sha = fmt_sig(clean_regret[4], 3),
     );
 
     ExperimentReport {

@@ -9,7 +9,7 @@
 use crate::{verdict, ExpContext, ExperimentReport};
 use sociolearn_core::{BernoulliRewards, Params, RewardModel};
 use sociolearn_dist::{
-    DistConfig, EventRuntime, FaultPlan, ProtocolRuntime, Runtime, SchedulerKind, StalenessBound,
+    DistConfig, EventRuntime, FaultPlan, ProtocolRuntime, Runtime, StalenessBound,
 };
 use sociolearn_plot::{fmt_sig, CsvWriter, MarkdownTable, Series, SvgPlot};
 use sociolearn_sim::{replicate, SeedTree};
@@ -205,57 +205,6 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
             points.push((bound.map_or(unbounded_x, |k| k as f64), time));
         }
 
-        // The production scheduler drives the same regime: fully-async
-        // on the sharded calendar engine (4 shards), at the tightest
-        // and the loosest bound of the sweep. Sharding changes the
-        // schedule realization, not the law, so convergence must track
-        // the single-heap rows within the sweep's own spread.
-        for (si, &bound) in [bounds[0], *bounds.last().expect("bounds nonempty")]
-            .iter()
-            .enumerate()
-        {
-            let sb = bound.map_or(StalenessBound::Unbounded, StalenessBound::Epochs);
-            let seed = tree
-                .subtree(5_000 + 100 * drop_pct as u64 + si as u64)
-                .root();
-            let sharded_cfg = cfg.clone();
-            let (time, share, stale) = converge_stats(
-                |s| {
-                    EventRuntime::new(sharded_cfg.clone(), s)
-                        .with_async_epochs(sb)
-                        .with_scheduler(SchedulerKind::ShardedCalendar { shards: 4 })
-                },
-                &env,
-                m,
-                horizon,
-                reps,
-                seed,
-            );
-            let mut ok = share > 0.55;
-            if bound.is_none() {
-                ok &= stale == 0.0;
-            }
-            all_ok &= ok;
-            let bound_label = bound.map_or("unbounded".to_string(), |k| k.to_string());
-            table.add_row(&[
-                "fully-async ×4 shards".into(),
-                bound_label.clone(),
-                format!("{drop_pct}%"),
-                fmt_sig(time, 3),
-                fmt_sig(share, 3),
-                fmt_sig(stale, 3),
-                verdict(ok),
-            ]);
-            csv.row(&[
-                "fully-async-sharded4".into(),
-                bound_label,
-                drop.to_string(),
-                time.to_string(),
-                share.to_string(),
-                stale.to_string(),
-            ]);
-        }
-
         svg = svg.add(Series::with_markers(
             format!("fully-async, loss {drop_pct}%"),
             points,
@@ -279,8 +228,7 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
          staleness consumes old gossip and converges essentially like the quiesced \
          scheduler. Message loss both slows convergence and widens the epoch \
          spread, which is what makes the staleness bound bite (stale replies/round \
-         grows with loss). The ×4-shards rows run the same regime on the sharded \
-         calendar-queue scheduler: same law, production-scale engine.\n",
+         grows with loss).\n",
         n = n,
         m = m,
         horizon = horizon,

@@ -173,8 +173,8 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
             let cfg = DistConfig::new(params, n).with_faults((scen.apply)(base));
 
             // The three execution models on the identical deployment:
-            // round-synchronous, event-driven quiesced on the sharded
-            // calendar engine, and fully-async single-heap.
+            // round-synchronous, event-driven quiesced on four
+            // calendar shards, and fully-async on the default one.
             let mut rows: Vec<(&str, (f64, f64, f64))> = Vec::new();
             let salt = 100 * drop_pct as u64 + 10 * si as u64;
             let sync_cfg = cfg.clone();

@@ -111,13 +111,13 @@ pub struct WatchConfig {
     pub beta: f64,
     /// Execution model to drive.
     pub model: WatchModel,
-    /// Scheduler shards for the event models (1 = single heap).
+    /// Scheduler shards for the event models.
     pub shards: usize,
-    /// Lookahead block width `K` for the sharded engine (1 = classic
-    /// per-window barrier; requires `shards > 1` when above 1).
+    /// Lookahead block width `K` for the event models (1 = classic
+    /// per-window barrier).
     pub lookahead: u64,
     /// Worker threads for dense lookahead blocks (0 = auto, 1 =
-    /// in-thread; meaningful only with `shards > 1`).
+    /// in-thread; a single shard always runs in-thread).
     pub threads: usize,
     /// Churn script to run under.
     pub churn: ChurnScript,
@@ -163,9 +163,8 @@ impl Default for WatchConfig {
 /// Parses `experiments watch` flags into a [`WatchConfig`].
 ///
 /// Every failure — a flag missing its value, a value that does not
-/// parse, `--shards 0`, an unknown model/churn/flag, or a
-/// lookahead/threads knob without a sharded scheduler to act on — is a
-/// *usage* error returned as a descriptive message (the CLI prints it
+/// parse, `--shards 0`, an out-of-range `--lookahead`, or an unknown
+/// model/churn/flag — is a *usage* error returned as a descriptive message (the CLI prints it
 /// and exits with status 2, the conventional usage-error code).
 ///
 /// # Errors
@@ -174,7 +173,6 @@ impl Default for WatchConfig {
 /// `watch` invocation.
 pub fn parse_watch_args(args: &[String]) -> Result<WatchConfig, String> {
     let mut cfg = WatchConfig::default();
-    let mut threads_set = false;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         macro_rules! next_parsed {
@@ -195,9 +193,7 @@ pub fn parse_watch_args(args: &[String]) -> Result<WatchConfig, String> {
             "--shards" => {
                 cfg.shards = next_parsed!("--shards", "an unsigned integer");
                 if cfg.shards == 0 {
-                    return Err(
-                        "--shards must be at least 1 (1 runs the single-heap scheduler)".into(),
-                    );
+                    return Err("--shards must be at least 1".into());
                 }
             }
             "--lookahead" => {
@@ -210,8 +206,7 @@ pub fn parse_watch_args(args: &[String]) -> Result<WatchConfig, String> {
                 }
             }
             "--threads" => {
-                cfg.threads = next_parsed!("--threads", "an unsigned integer (0 = auto)");
-                threads_set = true;
+                cfg.threads = next_parsed!("--threads", "an unsigned integer (0 = auto)")
             }
             "--cadence" => cfg.cadence = next_parsed!("--cadence", "an unsigned integer"),
             "--window" => cfg.window = next_parsed!("--window", "an unsigned integer"),
@@ -236,17 +231,6 @@ pub fn parse_watch_args(args: &[String]) -> Result<WatchConfig, String> {
                 }
             },
             other => return Err(format!("unexpected watch argument {other:?}")),
-        }
-    }
-    if cfg.shards < 2 {
-        if cfg.lookahead > 1 {
-            return Err(format!(
-                "--lookahead {} needs the sharded scheduler; pass --shards 2 or more",
-                cfg.lookahead
-            ));
-        }
-        if threads_set {
-            return Err("--threads needs the sharded scheduler; pass --shards 2 or more".into());
         }
     }
     Ok(cfg)
@@ -318,12 +302,6 @@ pub fn run_watch(
     out: &mut dyn Write,
 ) -> Result<WatchOutcome, String> {
     let params = Params::new(cfg.m, cfg.beta).map_err(|e| e.to_string())?;
-    if cfg.lookahead > 1 && !(cfg.model != WatchModel::RoundSync && cfg.shards > 1) {
-        return Err(format!(
-            "lookahead {} requires an event model with shards > 1",
-            cfg.lookahead
-        ));
-    }
     let faults = cfg.churn.plan(cfg.n, cfg.ticks);
     let dist = DistConfig::new(params, cfg.n).with_faults(faults);
     let mut rt: Box<dyn ProtocolRuntime> = match cfg.model {
@@ -333,13 +311,11 @@ pub fn run_watch(
             if cfg.model == WatchModel::Async {
                 ev = ev.with_async_epochs(StalenessBound::Unbounded);
             }
-            if cfg.shards > 1 {
-                ev = ev
-                    .with_scheduler(SchedulerKind::ShardedCalendar { shards: cfg.shards })
+            Box::new(
+                ev.with_scheduler(SchedulerKind::ShardedCalendar { shards: cfg.shards })
                     .with_lookahead(cfg.lookahead)
-                    .with_threads(cfg.threads);
-            }
-            Box::new(ev)
+                    .with_threads(cfg.threads),
+            )
         }
     };
 
@@ -558,14 +534,6 @@ mod tests {
             (vec!["--frobnicate"], "unexpected watch argument"),
             (vec!["--lookahead", "0"], "--lookahead must be in"),
             (vec!["--lookahead", "99"], "--lookahead must be in"),
-            (
-                vec!["--shards", "1", "--lookahead", "2"],
-                "needs the sharded scheduler",
-            ),
-            (
-                vec!["--shards", "1", "--threads", "4"],
-                "needs the sharded scheduler",
-            ),
         ] {
             let err = parse_watch_args(&argv(&args)).expect_err(&format!("{args:?} must fail"));
             assert!(
@@ -573,12 +541,16 @@ mod tests {
                 "error for {args:?} should mention {needle:?}, got {err:?}"
             );
         }
-        // The same knobs are fine once the scheduler is sharded.
-        assert!(parse_watch_args(&argv(&["--shards", "2", "--lookahead", "2"])).is_ok());
-        assert!(
-            parse_watch_args(&argv(&["--threads", "4"])).is_ok(),
-            "default shards=8"
-        );
+        // Lookahead and threads apply at any shard count.
+        for args in [
+            vec!["--shards", "1", "--lookahead", "2"],
+            vec!["--shards", "1", "--threads", "4"],
+            vec!["--shards", "2", "--lookahead", "2"],
+            vec!["--threads", "4"],
+        ] {
+            let cfg = parse_watch_args(&argv(&args));
+            assert!(cfg.is_ok(), "{args:?} must parse, got {cfg:?}");
+        }
     }
 
     #[test]
@@ -599,15 +571,15 @@ mod tests {
         let mut timer = || 1.0;
         let outcome = run_watch(&cfg, &mut timer, &mut sink).expect("runs");
         assert_eq!(outcome.ticks, 10);
-        // Lookahead on the single heap is a configuration error, not a
-        // panic from deep inside the runtime.
-        let bad = WatchConfig {
+        // One shard runs the same lookahead trajectory as four.
+        let one = WatchConfig {
             shards: 1,
-            lookahead: 2,
+            name: "look4_one_shard".into(),
             ..cfg
         };
-        let err = run_watch(&bad, &mut timer, &mut sink).expect_err("must be rejected");
-        assert!(err.contains("lookahead"), "got {err:?}");
+        let single = run_watch(&one, &mut timer, &mut sink).expect("runs");
+        assert_eq!(single.metrics, outcome.metrics);
+        assert_eq!(single.best_share, outcome.best_share);
     }
 
     #[test]

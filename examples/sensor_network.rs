@@ -17,8 +17,7 @@
 use rand::SeedableRng;
 use sociolearn::core::{BernoulliRewards, Params, RewardModel};
 use sociolearn::dist::{
-    DistConfig, EventRuntime, FaultPlan, ProtocolRuntime, Runtime, SchedulerKind, StalenessBound,
-    NODE_STATE_BYTES,
+    DistConfig, EventRuntime, FaultPlan, ProtocolRuntime, Runtime, StalenessBound, NODE_STATE_BYTES,
 };
 use sociolearn::plot::MarkdownTable;
 
@@ -103,15 +102,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let quiesced = EventRuntime::new(cfg.clone(), 42);
         // Sensors answer with what they used up to two local epochs
         // ago; anything older is withheld as stale.
-        let asynch =
-            EventRuntime::new(cfg.clone(), 42).with_async_epochs(StalenessBound::Epochs(2));
-        // The same no-barrier fleet on the production scheduler: the
-        // sharded calendar-queue engine (4 node-range shards). Same
-        // law — only the scheduler changes.
-        let sharded = EventRuntime::new(cfg, 42)
-            .with_async_epochs(StalenessBound::Epochs(2))
-            .with_scheduler(SchedulerKind::ShardedCalendar { shards: 4 });
-        let sharded_name = format!("{} ({})", sharded.execution_model(), sharded.scheduler());
+        let asynch = EventRuntime::new(cfg, 42).with_async_epochs(StalenessBound::Epochs(2));
         for (name, (share, msgs, fallbacks)) in [
             (
                 sync.execution_model().label().to_string(),
@@ -125,7 +116,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 asynch.execution_model().label().to_string(),
                 run_fleet(asynch, &env, rounds),
             ),
-            (sharded_name, run_fleet(sharded, &env, rounds)),
         ] {
             table.add_row(&[
                 name,
@@ -145,9 +135,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          global barrier (round-sync), emerge from a jittered event scheduler run to \
          quiescence (epoch-quiesced), or never line up at all because each sensor acts on \
          its own timer (fully-async, staleness bound 2), faults slow the gossip but the \
-         uniform-exploration fallback keeps the fleet learning. The last row repeats the \
-         fully-async fleet on the sharded calendar-queue scheduler — the engine built for \
-         six-figure fleets — and lands on the same answer."
+         uniform-exploration fallback keeps the fleet learning."
     );
     Ok(())
 }

@@ -1,7 +1,7 @@
 //! Cross-crate equivalence tests: every implementation of the
 //! dynamics (collective-statistic, per-agent, network-on-complete-
-//! graph, message-passing under all three execution models and both
-//! event schedulers) is the same process.
+//! graph, message-passing under all three execution models and any
+//! shard count) is the same process.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -244,132 +244,6 @@ fn async_bound_zero_matches_quiesced_event_runtime() {
     assert!(
         ks.accepts_at(0.001),
         "async(bound 0) vs quiesced event runtime differ in law: {ks:?}"
-    );
-}
-
-#[test]
-fn sharded_calendar_matches_single_heap_quiesced() {
-    // The scheduler-equivalence anchor for the tentpole: swapping the
-    // global `BinaryHeap` for the sharded calendar engine (per-node
-    // RNG streams, per-window `(src, seq)` total order, cross-shard
-    // mailboxes) changes the *schedule realization*, not the law of
-    // the per-epoch process.
-    let m = 2;
-    let n = 400;
-    let steps = 15;
-    let params = Params::new(m, 0.65).unwrap();
-    let reps = 200u64;
-
-    let single: Vec<f64> = (0..reps)
-        .map(|i| {
-            final_share(
-                EventRuntime::new(DistConfig::new(params, n), 910_000 + i),
-                steps,
-                m,
-                91_000 + i,
-            )
-        })
-        .collect();
-    let sharded: Vec<f64> = (0..reps)
-        .map(|i| {
-            final_share(
-                EventRuntime::new(DistConfig::new(params, n), 930_000 + i)
-                    .with_scheduler(SchedulerKind::ShardedCalendar { shards: 4 }),
-                steps,
-                m,
-                93_000 + i,
-            )
-        })
-        .collect();
-
-    let ks = ks_two_sample(&sharded, &single);
-    assert!(
-        ks.accepts_at(0.001),
-        "sharded calendar vs single heap (quiesced) differ in law: {ks:?}"
-    );
-}
-
-#[test]
-fn sharded_calendar_matches_single_heap_async_bound_zero() {
-    // Same anchor, fully-async at the tightest staleness bound — the
-    // regime where scheduling details matter most (bound 0 means a
-    // responder must be at least as current as a synchronized peer).
-    let m = 2;
-    let n = 400;
-    let steps = 15;
-    let params = Params::new(m, 0.65).unwrap();
-    let reps = 200u64;
-
-    let single: Vec<f64> = (0..reps)
-        .map(|i| {
-            final_share(
-                EventRuntime::new(DistConfig::new(params, n), 950_000 + i)
-                    .with_async_epochs(StalenessBound::Epochs(0)),
-                steps,
-                m,
-                95_000 + i,
-            )
-        })
-        .collect();
-    let sharded: Vec<f64> = (0..reps)
-        .map(|i| {
-            final_share(
-                EventRuntime::new(DistConfig::new(params, n), 970_000 + i)
-                    .with_async_epochs(StalenessBound::Epochs(0))
-                    .with_scheduler(SchedulerKind::ShardedCalendar { shards: 4 }),
-                steps,
-                m,
-                97_000 + i,
-            )
-        })
-        .collect();
-
-    let ks = ks_two_sample(&sharded, &single);
-    assert!(
-        ks.accepts_at(0.001),
-        "sharded calendar vs single heap (async, bound 0) differ in law: {ks:?}"
-    );
-}
-
-#[test]
-fn sharded_calendar_matches_single_heap_async_bound_two() {
-    // And at a loose-but-finite bound: staleness filtering engages
-    // only through genuine epoch drift, which the sharded engine must
-    // reproduce in distribution.
-    let m = 2;
-    let n = 400;
-    let steps = 15;
-    let params = Params::new(m, 0.65).unwrap();
-    let reps = 200u64;
-
-    let single: Vec<f64> = (0..reps)
-        .map(|i| {
-            final_share(
-                EventRuntime::new(DistConfig::new(params, n), 990_000 + i)
-                    .with_async_epochs(StalenessBound::Epochs(2)),
-                steps,
-                m,
-                99_000 + i,
-            )
-        })
-        .collect();
-    let sharded: Vec<f64> = (0..reps)
-        .map(|i| {
-            final_share(
-                EventRuntime::new(DistConfig::new(params, n), 1_010_000 + i)
-                    .with_async_epochs(StalenessBound::Epochs(2))
-                    .with_scheduler(SchedulerKind::ShardedCalendar { shards: 4 }),
-                steps,
-                m,
-                101_000 + i,
-            )
-        })
-        .collect();
-
-    let ks = ks_two_sample(&sharded, &single);
-    assert!(
-        ks.accepts_at(0.001),
-        "sharded calendar vs single heap (async, bound 2) differ in law: {ks:?}"
     );
 }
 

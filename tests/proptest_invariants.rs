@@ -533,12 +533,12 @@ proptest! {
         let t_sync = check_membership_run(
             |r| sync.round(r), initial_alive, n, m, steps, seed, true,
         )?;
-        // Quiesced event-driven runtime, single-heap scheduler.
+        // Quiesced event-driven runtime, one shard (the default).
         let mut ev = EventRuntime::new(cfg.clone(), seed);
         let t_ev = check_membership_run(
             |r| ev.tick(r), initial_alive, n, m, steps, seed, true,
         )?;
-        // Quiesced event-driven runtime, sharded-calendar scheduler.
+        // Quiesced event-driven runtime, three shards.
         let mut sh = EventRuntime::new(cfg.clone(), seed)
             .with_scheduler(SchedulerKind::ShardedCalendar { shards: 3 });
         let t_sh = check_membership_run(

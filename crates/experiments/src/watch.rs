@@ -163,8 +163,8 @@ impl Default for WatchConfig {
 /// Parses `experiments watch` flags into a [`WatchConfig`].
 ///
 /// Every failure — a flag missing its value, a value that does not
-/// parse, `--shards 0`, an out-of-range `--lookahead`, or an unknown
-/// model/churn/flag — is a *usage* error returned as a descriptive message (the CLI prints it
+/// parse, `--n 0`, `--shards 0`, an out-of-range `--lookahead`, or an
+/// unknown model/churn/flag — is a *usage* error returned as a descriptive message (the CLI prints it
 /// and exits with status 2, the conventional usage-error code).
 ///
 /// # Errors
@@ -187,7 +187,12 @@ pub fn parse_watch_args(args: &[String]) -> Result<WatchConfig, String> {
         }
         match arg.as_str() {
             "--ticks" => cfg.ticks = next_parsed!("--ticks", "an unsigned integer"),
-            "--n" => cfg.n = next_parsed!("--n", "an unsigned integer"),
+            "--n" => {
+                cfg.n = next_parsed!("--n", "an unsigned integer");
+                if cfg.n == 0 {
+                    return Err("--n must be at least 1".into());
+                }
+            }
             "--m" => cfg.m = next_parsed!("--m", "an unsigned integer"),
             "--beta" => cfg.beta = next_parsed!("--beta", "a number"),
             "--shards" => {
@@ -525,6 +530,7 @@ mod tests {
         // Each bad invocation must fail and the message must name the
         // offending flag — that is what the CLI prints before exit 2.
         for (args, needle) in [
+            (vec!["--n", "0"], "--n must be at least 1"),
             (vec!["--shards", "0"], "--shards must be at least 1"),
             (vec!["--cadence", "fast"], "--cadence"),
             (vec!["--cadence"], "--cadence needs"),

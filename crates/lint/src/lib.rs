@@ -12,7 +12,7 @@
 //! | Rule | Invariant |
 //! |------|-----------|
 //! | D1 | no `HashMap`/`HashSet` in runtime-crate non-test code |
-//! | D2 | no wall clock / OS entropy outside `crates/bench` and tests |
+//! | D2 | no wall clock / OS entropy outside tests and benches |
 //! | D3 | library RNG seeds must flow through the SplitMix64 seed tree |
 //! | D4 | every `unsafe` carries a `// SAFETY:` comment |
 //! | D5 | no bare narrowing `as` casts in `crates/dist` index math |

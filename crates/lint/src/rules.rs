@@ -25,8 +25,8 @@ pub enum Rule {
     /// metrics, or message schedules.
     D1,
     /// No wall clock or OS entropy (`Instant::now`, `SystemTime`,
-    /// `thread_rng`, `from_entropy`, `OsRng`) outside the bench crate
-    /// and tests.
+    /// `thread_rng`, `from_entropy`, `OsRng`) outside tests and
+    /// benches.
     D2,
     /// Seed discipline: RNG construction in library code must flow
     /// through the SplitMix64 seed tree (`sociolearn_sim::SeedTree`),
@@ -83,7 +83,7 @@ impl Rule {
             }
             Rule::D2 => {
                 "no wall clock or OS entropy (Instant::now, SystemTime, thread_rng, \
-                 from_entropy, OsRng) outside crates/bench and tests"
+                 from_entropy, OsRng) outside tests and benches"
             }
             Rule::D3 => {
                 "seed discipline: library RNGs must derive from a caller-supplied seed via the \

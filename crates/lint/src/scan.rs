@@ -56,10 +56,6 @@ impl FileCtx {
         }
     }
 
-    fn is_bench_crate(&self) -> bool {
-        self.crate_name.as_deref() == Some("bench")
-    }
-
     /// The path-level rule activation for this file. In-file
     /// `#[cfg(test)]` regions are subtracted later, by the checker.
     pub fn active_rules(&self) -> ActiveRules {
@@ -72,14 +68,14 @@ impl FileCtx {
                     .as_deref()
                     .is_some_and(|c| RUNTIME_CRATES.contains(&c))
                 && (self.lib_src || self.entry_point),
-            // D2: everywhere but the bench crate and tests — entry
-            // points and examples included, so their legitimate
-            // stopwatches carry visible waivers.
-            d2: non_test && !self.is_bench_crate(),
+            // D2: everywhere but tests and benches — entry points and
+            // examples included, so their legitimate stopwatches carry
+            // visible waivers.
+            d2: non_test,
             // D3: library sources only. Entry points (bins, examples)
             // own the root seed, so a literal there IS the seed tree
             // root; benches pin seeds for stable measurement.
-            d3: non_test && !self.is_bench_crate() && self.lib_src && !self.example,
+            d3: non_test && self.lib_src && !self.example,
             // D4: everywhere, tests included — SAFETY discipline has
             // no test exemption.
             d4: true,
@@ -254,8 +250,8 @@ mod tests {
         assert!(e.example && e.crate_name.is_none());
         let m = FileCtx::classify("crates/experiments/src/main.rs");
         assert!(m.entry_point && !m.lib_src);
-        let b = FileCtx::classify("crates/bench/benches/samplers.rs");
-        assert!(b.test_path && b.crate_name.as_deref() == Some("bench"));
+        let b = FileCtx::classify("crates/sim/benches/pool.rs");
+        assert!(b.test_path && b.crate_name.as_deref() == Some("sim"));
     }
 
     #[test]
@@ -266,7 +262,8 @@ mod tests {
         assert!(!stats.d1 && stats.d2 && stats.d3 && stats.d4 && !stats.d5);
         let example = FileCtx::classify("examples/quickstart.rs").active_rules();
         assert!(!example.d1 && example.d2 && !example.d3 && example.d4);
-        let bench = FileCtx::classify("crates/bench/benches/samplers.rs").active_rules();
+        // A `benches/` directory is test code, even in a runtime crate.
+        let bench = FileCtx::classify("crates/sim/benches/pool.rs").active_rules();
         assert!(!bench.d1 && !bench.d2 && !bench.d3 && bench.d4);
         let test = FileCtx::classify("tests/equivalence.rs").active_rules();
         assert!(!test.d1 && !test.d2 && !test.d3 && test.d4);

@@ -112,7 +112,7 @@ fn fixture_headers_span_the_scoping_matrix() {
     for needed in [
         "crates/dist/src/fixture.rs",      // D5 home turf
         "crates/dist/tests/fixture.rs",    // tests-path exemption
-        "crates/bench/benches/fixture.rs", // bench-crate exemption
+        "crates/graph/benches/fixture.rs", // benches-path exemption
         "crates/experiments/src/main.rs",  // entry-point D3 exemption
         "examples/fixture.rs",             // example exemption
         "crates/stats/src/fixture.rs",     // non-runtime-crate D1 exemption

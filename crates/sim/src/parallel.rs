@@ -1,28 +1,24 @@
-//! Thread-pool parallel execution with deterministic seeding.
+//! Scoped parallel map and deterministic replication.
+//!
+//! [`parallel_map`] runs the crate's one work distribution (the
+//! chunked stealing-cursor batch in `pool.rs`, shared with
+//! [`WorkerPool`](crate::WorkerPool)) on a scoped thread team spawned
+//! per call, so its closure may borrow from the caller's stack.
 
+use crate::pool::Batch;
 use crate::seeds::SeedTree;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
-/// How many work chunks each thread's share of the input is split
-/// into. Oversubscription lets the stealing cursor rebalance
-/// heterogeneous item costs while keeping the number of handoff cells
-/// O(threads), independent of the item count.
-const CHUNKS_PER_THREAD: usize = 8;
-
-/// Applies `f` to every item on a scoped thread pool (one thread per
-/// available core, capped by the item count). Order of results matches
-/// the input order.
+/// Applies `f` to every item on a scoped thread team (one thread per
+/// available core, capped by the item count; the caller is one of
+/// them). Order of results matches the input order.
 ///
-/// Work is handed out as disjoint chunks: each chunk pairs an owned
-/// slice of the input with the exclusive `&mut` window of the result
-/// vector it fills, claimed through a single atomic cursor. Workers
-/// therefore write results straight into their final, input-ordered
-/// slots with no per-item locking — the only synchronization on the
-/// hot path is one `fetch_add` plus one handoff-cell lock per *chunk*.
+/// Work is handed out as chunks of the input claimed through a single
+/// atomic cursor, so fast threads steal from slow ones; the only
+/// synchronization on the hot path is one `fetch_add` plus two
+/// handoff-cell locks per *chunk*, never per item.
 ///
-/// A panic in `f` propagates to the caller once all workers have
-/// stopped, exactly like a panic in a plain `std::thread::scope`.
+/// A panic in `f` propagates to the caller, with its original
+/// payload, once every thread has stopped.
 ///
 /// # Example
 ///
@@ -36,62 +32,21 @@ where
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
     let threads = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1)
-        .min(n);
+        .min(items.len());
     if threads <= 1 {
         return items.into_iter().map(f).collect();
     }
-
-    let chunk_len = n.div_ceil(threads * CHUNKS_PER_THREAD).max(1);
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
-    slots.resize_with(n, || None);
-
-    // Pair each owned input chunk with the disjoint result window it
-    // fills. The `Mutex<Option<..>>` is only the one-shot handoff cell
-    // a worker takes the pair through after winning the chunk index on
-    // the cursor — it is locked exactly once per chunk, never per item.
-    type Chunk<'a, T, R> = Mutex<Option<(Vec<T>, &'a mut [Option<R>])>>;
-    let mut input = items.into_iter();
-    let work: Vec<Chunk<'_, T, R>> = slots
-        .chunks_mut(chunk_len)
-        .map(|out| {
-            let chunk: Vec<T> = input.by_ref().take(out.len()).collect();
-            Mutex::new(Some((chunk, out)))
-        })
-        .collect();
-    let cursor = AtomicUsize::new(0);
-
+    let batch = Batch::new(items, threads, f);
     std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let c = cursor.fetch_add(1, Ordering::Relaxed);
-                if c >= work.len() {
-                    break;
-                }
-                let (chunk, out) = work[c]
-                    .lock()
-                    .expect("work cell poisoned")
-                    .take()
-                    .expect("each chunk claimed once");
-                for (item, slot) in chunk.into_iter().zip(out) {
-                    *slot = Some(f(item));
-                }
-            });
+        for _ in 1..threads {
+            scope.spawn(|| while batch.run_next() {});
         }
+        while batch.run_next() {}
     });
-
-    // Release the borrows of `slots` before consuming it.
-    drop(work);
-    slots
-        .into_iter()
-        .map(|s| s.expect("every slot filled"))
-        .collect()
+    batch.take_results()
 }
 
 /// Runs `reps` independent replications of `f` in parallel, passing
@@ -176,7 +131,11 @@ mod tests {
                 x
             })
         });
-        assert!(caught.is_err(), "a panicking worker must fail the map");
+        let payload = caught.expect_err("a panicking worker must fail the map");
+        // The closure's own payload, not the scope's generic
+        // "a scoped thread panicked".
+        let msg = crate::pool::tests::panic_message(payload.as_ref());
+        assert!(msg.contains("boom"), "original payload: {msg}");
     }
 
     #[test]

@@ -1,13 +1,21 @@
-//! A persistent worker pool for repeated parallel batches.
+//! The crate's one thread-team work distribution, and the persistent
+//! pool built on it.
 //!
-//! [`parallel_map`](crate::parallel_map) spawns a scoped thread team
-//! per call, which is the right shape for one-shot experiment fan-out
-//! but wasteful for a hot loop that fans out thousands of times per
-//! second (the sharded calendar engine dispatches its shard lanes once
-//! per lookahead block). [`WorkerPool`] keeps the same stealing-cursor
-//! work distribution but parks a fixed team of named threads on a
-//! condvar between batches, so a batch submission costs a wakeup
-//! instead of `threads` thread spawns.
+//! A `Batch` holds one batch of independent items split into chunk
+//! cells, a stealing cursor that hands the chunks out, a slot for the
+//! first panic payload, and the mapping closure. Any number of threads
+//! may call `Batch::run_next` until it returns `false`;
+//! `Batch::take_results` then resumes the first panic or returns the
+//! results in input order. Two drivers run it:
+//!
+//! - [`parallel_map`](crate::parallel_map) spawns a scoped thread team
+//!   per call, which is the right shape for one-shot experiment
+//!   fan-out and lets the closure borrow from the caller's stack.
+//! - [`WorkerPool`] parks a fixed team of named threads on a condvar
+//!   between batches, so a batch submission costs a wakeup instead of
+//!   `threads` thread spawns. That suits a hot loop that fans out
+//!   thousands of times per second (the sharded calendar engine
+//!   dispatches its shard lanes once per lookahead block).
 //!
 //! The price of persistence is `'static` bounds: jobs outlive the
 //! submitting stack frame from the worker threads' point of view, so
@@ -15,10 +23,10 @@
 //! context is the usual pattern). Callers that need to borrow locals
 //! should keep using [`parallel_map`](crate::parallel_map).
 //!
-//! Determinism: like `parallel_map`, the pool only changes *where*
-//! each item is computed, never the result — `map` returns results in
-//! input order and the closure receives owned items, so a pure
-//! closure yields byte-identical output for any thread count.
+//! Determinism: both drivers only change *where* each item is
+//! computed, never the result — results come back in input order and
+//! the closure receives owned items, so a pure closure yields
+//! byte-identical output for any thread count.
 //!
 //! # Example
 //!
@@ -40,12 +48,13 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 /// Work-stealing granularity: how many chunks each thread's fair
-/// share is split into, so fast threads can steal from slow ones
-/// (mirrors `parallel_map`).
+/// share is split into. Oversubscription lets the stealing cursor
+/// rebalance heterogeneous item costs while keeping the number of
+/// handoff cells O(threads), independent of the item count.
 const CHUNKS_PER_THREAD: usize = 8;
 
-/// A type-erased in-flight batch: workers claim and run chunks until
-/// the cursor is exhausted.
+/// A type-erased in-flight batch, as the pool's parked workers see
+/// it: they claim and run chunks until the cursor is exhausted.
 trait BatchRun: Send + Sync {
     /// Claims and runs one chunk; `false` when no chunks remain.
     fn run_next(&self) -> bool;
@@ -59,17 +68,96 @@ struct ChunkCell<T, R> {
     output: Vec<R>,
 }
 
-/// A concrete batch: the chunk cells, the stealing cursor, and the
-/// mapping closure.
-struct Batch<T, R, F> {
+/// One batch of work: the chunk cells, the stealing cursor, the panic
+/// slot, and the mapping closure.
+pub(crate) struct Batch<T, R, F> {
+    len: usize,
     cursor: AtomicUsize,
     /// Chunks not yet *finished* (the cursor tracks chunks *claimed*).
     remaining: AtomicUsize,
     cells: Vec<Mutex<ChunkCell<T, R>>>,
-    /// First panic payload out of the closure, resumed at the
-    /// submitter once the batch settles.
+    /// First panic payload out of the closure, resumed by
+    /// `take_results` once the batch settles.
     panic: Mutex<Option<Box<dyn Any + Send>>>,
     f: F,
+}
+
+impl<T, R, F> Batch<T, R, F>
+where
+    T: Send,
+    R: Send,
+    F: Fn(T) -> R + Sync,
+{
+    /// Splits `items` into chunk cells sized for `threads` threads.
+    pub(crate) fn new(items: Vec<T>, threads: usize, f: F) -> Self {
+        let len = items.len();
+        let chunk_len = len.div_ceil(threads * CHUNKS_PER_THREAD).max(1);
+        let mut items = items.into_iter();
+        let mut cells = Vec::with_capacity(len.div_ceil(chunk_len));
+        loop {
+            let input: Vec<T> = items.by_ref().take(chunk_len).collect();
+            if input.is_empty() {
+                break;
+            }
+            cells.push(Mutex::new(ChunkCell {
+                input,
+                output: Vec::new(),
+            }));
+        }
+        Batch {
+            len,
+            cursor: AtomicUsize::new(0),
+            remaining: AtomicUsize::new(cells.len()),
+            cells,
+            panic: Mutex::new(None),
+            f,
+        }
+    }
+
+    /// Claims and runs one chunk; `false` when no chunks remain.
+    pub(crate) fn run_next(&self) -> bool {
+        let idx = self.cursor.fetch_add(1, Ordering::Relaxed);
+        let Some(cell) = self.cells.get(idx) else {
+            return false;
+        };
+        let input = {
+            let mut guard = cell.lock().expect("batch chunk poisoned");
+            std::mem::take(&mut guard.input)
+        };
+        // The closure runs outside the cell lock so a panicking job
+        // cannot poison the cell; the payload is parked and resumed
+        // by `take_results` after the batch settles.
+        match catch_unwind(AssertUnwindSafe(|| {
+            input.into_iter().map(&self.f).collect::<Vec<R>>()
+        })) {
+            Ok(out) => cell.lock().expect("batch chunk poisoned").output = out,
+            Err(payload) => {
+                let mut slot = self.panic.lock().expect("batch panic slot poisoned");
+                slot.get_or_insert(payload);
+            }
+        }
+        self.remaining.fetch_sub(1, Ordering::AcqRel);
+        true
+    }
+
+    /// Whether every claimed chunk has also finished.
+    fn is_done(&self) -> bool {
+        self.remaining.load(Ordering::Acquire) == 0
+    }
+
+    /// Resumes the first panic out of the closure, if any; otherwise
+    /// returns the results in input order. Call once every chunk has
+    /// finished.
+    pub(crate) fn take_results(&self) -> Vec<R> {
+        if let Some(payload) = self.panic.lock().expect("batch panic slot poisoned").take() {
+            resume_unwind(payload);
+        }
+        let mut out = Vec::with_capacity(self.len);
+        for cell in &self.cells {
+            out.append(&mut cell.lock().expect("batch chunk poisoned").output);
+        }
+        out
+    }
 }
 
 impl<T, R, F> BatchRun for Batch<T, R, F>
@@ -79,32 +167,11 @@ where
     F: Fn(T) -> R + Send + Sync,
 {
     fn run_next(&self) -> bool {
-        let idx = self.cursor.fetch_add(1, Ordering::Relaxed);
-        let Some(cell) = self.cells.get(idx) else {
-            return false;
-        };
-        let input = {
-            let mut guard = cell.lock().expect("pool chunk poisoned");
-            std::mem::take(&mut guard.input)
-        };
-        // The closure runs outside the cell lock so a panicking job
-        // cannot poison the cell; the payload is parked and resumed
-        // on the submitting thread after the batch settles.
-        match catch_unwind(AssertUnwindSafe(|| {
-            input.into_iter().map(&self.f).collect::<Vec<R>>()
-        })) {
-            Ok(out) => cell.lock().expect("pool chunk poisoned").output = out,
-            Err(payload) => {
-                let mut slot = self.panic.lock().expect("pool panic slot poisoned");
-                slot.get_or_insert(payload);
-            }
-        }
-        self.remaining.fetch_sub(1, Ordering::AcqRel);
-        true
+        Batch::run_next(self)
     }
 
     fn is_done(&self) -> bool {
-        self.remaining.load(Ordering::Acquire) == 0
+        Batch::is_done(self)
     }
 }
 
@@ -230,8 +297,7 @@ impl WorkerPool {
         R: Send + 'static,
         F: Fn(T) -> R + Send + Sync + 'static,
     {
-        let n = items.len();
-        if n <= 1 || self.threads <= 1 {
+        if items.len() <= 1 || self.threads <= 1 {
             return items.into_iter().map(f).collect();
         }
         // Poison-tolerant: the guard carries no data, it only
@@ -242,27 +308,7 @@ impl WorkerPool {
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
 
-        let chunk_len = n.div_ceil(self.threads * CHUNKS_PER_THREAD).max(1);
-        let mut items = items.into_iter();
-        let mut cells = Vec::with_capacity(n.div_ceil(chunk_len));
-        loop {
-            let input: Vec<T> = items.by_ref().take(chunk_len).collect();
-            if input.is_empty() {
-                break;
-            }
-            cells.push(Mutex::new(ChunkCell {
-                input,
-                output: Vec::new(),
-            }));
-        }
-        let batch = Arc::new(Batch {
-            cursor: AtomicUsize::new(0),
-            remaining: AtomicUsize::new(cells.len()),
-            cells,
-            panic: Mutex::new(None),
-            f,
-        });
-
+        let batch = Arc::new(Batch::new(items, self.threads, f));
         {
             let mut state = self.shared.state.lock().expect("pool state poisoned");
             state.epoch += 1;
@@ -283,14 +329,7 @@ impl WorkerPool {
         }
 
         drop(serial);
-        if let Some(payload) = batch.panic.lock().expect("pool panic slot poisoned").take() {
-            resume_unwind(payload);
-        }
-        let mut out = Vec::with_capacity(n);
-        for cell in &batch.cells {
-            out.append(&mut cell.lock().expect("pool chunk poisoned").output);
-        }
-        out
+        batch.take_results()
     }
 }
 
@@ -308,8 +347,18 @@ impl Drop for WorkerPool {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// The message a panic payload carries (`panic!` with or without
+    /// format arguments), or `""` for any other payload type.
+    pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> String {
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
+            .unwrap_or_default()
+    }
 
     #[test]
     fn preserves_input_order() {
@@ -370,15 +419,7 @@ mod tests {
             })
         }));
         let payload = caught.expect_err("panic must propagate");
-        let msg = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_else(|| {
-                payload
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_string())
-                    .unwrap_or_default()
-            });
+        let msg = panic_message(payload.as_ref());
         assert!(msg.contains("boom on 37"), "original payload: {msg}");
         // The pool keeps working after a poisoned batch.
         assert_eq!(pool.map(vec![1u32, 2], |x| x * 10), vec![10, 20]);

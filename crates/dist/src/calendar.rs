@@ -87,22 +87,33 @@
 //!
 //! Scripted joins, leaves, and rejoins (the [`FaultPlan`] membership
 //! builders) land at tick boundaries: a departing node's commitment
-//! leaves the lane's popularity counts and its pending attempt is
-//! wiped; a (re)joining node enters bootstrapping and re-learns a
-//! commitment through the ordinary query/reply protocol — no state
-//! transfer, no new message types. Because churn skews the load of a
-//! fixed node→shard split, the engine also **rebalances ownership
-//! online**: on any tick whose boundary carries membership
-//! transitions, lane boundaries are recomputed to even out *present*
-//! nodes and each migrating node's full state (choices, inbox, local
-//! epoch, RNG stream, pending calendar entries) moves to its new
-//! lane. The move happens only between windows — when cross-shard
-//! mailboxes are provably empty — and the same per-node-stream +
-//! intrinsic-key argument that makes the partition invisible to the
-//! protocol makes rebalancing semantically a no-op: byte-identity
-//! across shard counts holds even while ownership shifts under churn.
+//! and pending attempt are wiped; a (re)joining node enters
+//! bootstrapping and re-learns a commitment through the ordinary
+//! query/reply protocol — no state transfer, no new message types.
+//! Because churn skews the load of a fixed node→shard split, the
+//! engine also **rebalances ownership online**: on any tick whose
+//! boundary carries membership transitions, lane boundaries are
+//! recomputed to even out *present* nodes and each migrating node's
+//! full state (its row of the per-node table, pending calendar
+//! entries) moves to its new lane. The move happens only between
+//! windows — when cross-shard mailboxes are provably empty — and the
+//! same per-node-stream + intrinsic-key argument that makes the
+//! partition invisible to the protocol makes rebalancing semantically
+//! a no-op: byte-identity across shard counts holds even while
+//! ownership shifts under churn.
 //!
 //! [`FaultPlan`]: crate::FaultPlan
+//!
+//! # Per-node state
+//!
+//! Everything a node carries — commitment and one-slot history,
+//! local epoch, inbox, RNG stream, sequence and incarnation counters
+//! — is one row of a struct-of-arrays table, `Nodes`. The engine
+//! builds the whole fleet's table once and cuts it into lanes by
+//! node range; a rebalance joins the lanes' tables back in node order
+//! and cuts again by the new ranges. Nothing else is cached per lane:
+//! the option histogram and the bootstrapping gauge are counted from
+//! the table once per tick.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -110,14 +121,13 @@ use std::sync::Arc;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sociolearn_core::Params;
-use sociolearn_sim::WorkerPool;
+use sociolearn_sim::{SplitMix64, WorkerPool};
 
 use crate::cast::index_u32;
 use crate::event::{
     Event, Mode, Msg, Pending, ASYNC_EPOCH_PERIOD, ASYNC_WAKE_JITTER, DELIVER_DELAY,
     MAX_MESSAGE_LATENCY, RETRY_TIMEOUT, WAKE_SPREAD,
 };
-use crate::soa::{AlignedU32s, AlignedU64s};
 use crate::{
     DistConfig, MembershipTracker, NodeState, RoundMetrics, Transition, MAX_QUERY_RETRIES,
     NO_CHOICE,
@@ -388,16 +398,11 @@ impl<E> Calendar<E> {
     }
 }
 
-/// SplitMix64 finalizer used to derive per-node seeds from the root
+/// One SplitMix64 output derives each per-node seed from the root
 /// seed: adjacent node indices map to decorrelated stream seeds, and
 /// `SmallRng::seed_from_u64` expands each another SplitMix64 round.
 fn node_stream_seed(root: u64, node: usize) -> u64 {
-    let mut z = root
-        .wrapping_add(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add((node as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    SplitMix64::new(root.wrapping_add((node as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9))).next_u64()
 }
 
 /// The node an event is processed at — the shard-routing key.
@@ -553,46 +558,85 @@ struct Ctx {
     lookahead: u64,
     rewards: Vec<bool>,
     /// Per-node presence this round, indexed by global node id — a
-    /// snapshot of `MembershipTracker::is_present` maintained
-    /// incrementally by the engine so worker threads never touch the
-    /// tracker itself.
+    /// handle on the [`MembershipTracker`]'s own table, so worker
+    /// threads read presence without touching the tracker.
     present: Arc<Vec<bool>>,
 }
 
-/// One shard: the full per-node state of a contiguous node range, its
-/// calendar, and one outbound mailbox per peer shard.
-///
-/// The per-node scalars swept every window — commitments, epochs,
-/// sequence counters — live in cache-line-aligned struct-of-arrays
-/// ([`AlignedU32s`]/[`AlignedU64s`]): each lane's arrays start on
-/// their own 64-byte line (no false sharing between lanes on worker
-/// threads) and the inner loops stream whole lines.
+/// The per-node state table: one `Vec` per field, all of the same
+/// length, indexed by node — global node id for a whole fleet,
+/// `global - base` inside a lane. Struct-of-arrays because a lane's
+/// sweeps touch a few fields of many nodes; one struct per node was
+/// measured slower on the churning async fleet.
+#[derive(Debug, Clone, Default)]
+struct Nodes {
+    choices: Vec<NodeState>,
+    /// The one-slot history: the commitment before `choices`.
+    back: Vec<NodeState>,
+    /// Completed local epochs (async mode).
+    epochs: Vec<u64>,
+    last_wake: Vec<u64>,
+    pending: Vec<Pending>,
+    inboxes: Vec<VecDeque<Msg>>,
+    rngs: Vec<SmallRng>,
+    seqs: Vec<u32>,
+    /// Incarnation counters, bumped on every leave so a wake-up
+    /// scheduled in an earlier life dies on arrival (async mode;
+    /// quiesced epochs clear their schedule so the tag is inert
+    /// there).
+    incs: Vec<u32>,
+    /// Whether each node is bootstrapping — (re)joined and not yet
+    /// through its first epoch decision (async mode).
+    boot: Vec<bool>,
+}
+
+impl Nodes {
+    fn len(&self) -> usize {
+        self.choices.len()
+    }
+
+    /// Moves every node of `other` to the end of `self`, leaving
+    /// `other` empty.
+    fn append(&mut self, other: &mut Nodes) {
+        self.choices.append(&mut other.choices);
+        self.back.append(&mut other.back);
+        self.epochs.append(&mut other.epochs);
+        self.last_wake.append(&mut other.last_wake);
+        self.pending.append(&mut other.pending);
+        self.inboxes.append(&mut other.inboxes);
+        self.rngs.append(&mut other.rngs);
+        self.seqs.append(&mut other.seqs);
+        self.incs.append(&mut other.incs);
+        self.boot.append(&mut other.boot);
+    }
+
+    /// Splits the table at `at`: `self` keeps nodes `0..at` and the
+    /// rest are returned.
+    fn split_off(&mut self, at: usize) -> Nodes {
+        Nodes {
+            choices: self.choices.split_off(at),
+            back: self.back.split_off(at),
+            epochs: self.epochs.split_off(at),
+            last_wake: self.last_wake.split_off(at),
+            pending: self.pending.split_off(at),
+            inboxes: self.inboxes.split_off(at),
+            rngs: self.rngs.split_off(at),
+            seqs: self.seqs.split_off(at),
+            incs: self.incs.split_off(at),
+            boot: self.boot.split_off(at),
+        }
+    }
+}
+
+/// One shard: the [`Nodes`] of a contiguous node range, its calendar,
+/// and one outbound mailbox per peer shard.
 #[derive(Debug, Clone)]
 struct ShardLane {
     index: usize,
     /// First global node id owned by this lane.
     base: u32,
-    // Per-node state, indexed by `global - base`.
-    choices: AlignedU32s,
-    back: AlignedU32s,
-    epochs: AlignedU64s,
-    last_wake: AlignedU64s,
-    pending: Vec<Pending>,
-    inboxes: Vec<VecDeque<Msg>>,
-    rngs: Vec<SmallRng>,
-    seqs: AlignedU32s,
-    /// Per-node incarnation counters, bumped on every leave so a
-    /// wake-up scheduled in an earlier life dies on arrival (async
-    /// mode; quiesced epochs clear their schedule so the tag is
-    /// inert there).
-    incs: AlignedU32s,
-    /// Whether each node is bootstrapping — (re)joined and not yet
-    /// through its first epoch decision (async mode).
-    boot: Vec<bool>,
-    /// Number of set flags in `boot`, kept incrementally.
-    boot_count: u64,
-    /// Commitment counts per option over this lane's nodes.
-    counts: Vec<u64>,
+    /// Per-node state, indexed by `global - base`.
+    nodes: Nodes,
     calendar: Calendar<Event>,
     /// Per-destination-shard mailboxes, drained at window boundaries.
     outboxes: Vec<Vec<Entry<Event>>>,
@@ -602,8 +646,28 @@ struct ShardLane {
 }
 
 impl ShardLane {
-    fn len(&self) -> usize {
-        self.choices.len()
+    /// Cuts a fleet's `nodes`, in global node order, into the lanes of
+    /// `map`, each with an empty calendar and empty mailboxes.
+    fn split(mut nodes: Nodes, map: &ShardMap) -> Vec<ShardLane> {
+        debug_assert_eq!(nodes.len(), map.end_of(map.lanes() - 1));
+        let lanes = map.lanes();
+        let mut out: Vec<ShardLane> = (0..lanes)
+            .rev()
+            .map(|index| {
+                let base = map.base_of(index);
+                ShardLane {
+                    index,
+                    base: index_u32(base),
+                    nodes: nodes.split_off(base),
+                    calendar: Calendar::new(),
+                    outboxes: (0..lanes).map(|_| Vec::new()).collect(),
+                    rm: RoundMetrics::default(),
+                    max_queue_depth: 0,
+                }
+            })
+            .collect();
+        out.reverse();
+        out
     }
 
     /// Tags and routes an event produced by global node `src`: its own
@@ -611,8 +675,8 @@ impl ShardLane {
     /// is not.
     fn push_from(&mut self, src: u32, at: u64, ev: Event, ctx: &Ctx) {
         let local = (src - self.base) as usize;
-        let seq = self.seqs[local];
-        self.seqs[local] = seq.wrapping_add(1);
+        let seq = self.nodes.seqs[local];
+        self.nodes.seqs[local] = seq.wrapping_add(1);
         let shard = ctx.map.shard_of(event_target(&ev) as usize);
         let entry = Entry {
             at,
@@ -629,19 +693,19 @@ impl ShardLane {
 
     /// One latency draw from the sender's stream.
     fn latency(&mut self, local: usize) -> u64 {
-        self.rngs[local].gen_range(1..=MAX_MESSAGE_LATENCY)
+        self.nodes.rngs[local].gen_range(1..=MAX_MESSAGE_LATENCY)
     }
 
     /// Whether a message sent by `local` is lost on the link.
     fn link_drops(&mut self, local: usize, ctx: &Ctx) -> bool {
-        ctx.drop_prob > 0.0 && self.rngs[local].gen_bool(ctx.drop_prob)
+        ctx.drop_prob > 0.0 && self.nodes.rngs[local].gen_bool(ctx.drop_prob)
     }
 
     /// Offers `msg` to a local node's bounded inbox; schedules the
     /// matching `Deliver` on success, counts a backpressure drop on
     /// overflow.
     fn enqueue(&mut self, local: usize, msg: Msg, now: u64, ctx: &Ctx) {
-        let inbox = &mut self.inboxes[local];
+        let inbox = &mut self.nodes.inboxes[local];
         if inbox.len() >= ctx.queue_bound {
             self.rm.queue_drops += 1;
             return;
@@ -650,19 +714,6 @@ impl ShardLane {
         self.max_queue_depth = self.max_queue_depth.max(inbox.len());
         let node = self.base + index_u32(local);
         self.push_from(node, now + DELIVER_DELAY, Event::Deliver { node }, ctx);
-    }
-
-    /// Replaces a local node's commitment, keeping the lane's counts
-    /// in sync (the async path maintains counts incrementally).
-    fn set_commit(&mut self, local: usize, new: NodeState) {
-        let old = self.choices[local];
-        if old != NO_CHOICE {
-            self.counts[old as usize] -= 1;
-        }
-        if new != NO_CHOICE {
-            self.counts[new as usize] += 1;
-        }
-        self.choices[local] = new;
     }
 
     // ---- The protocol, one method per stage. Both epoch disciplines
@@ -679,43 +730,40 @@ impl ShardLane {
     /// barrier-free design hinges on: nothing here waits for the rest
     /// of the fleet.
     fn decide(&mut self, local: usize, considered: u32, now: u64, ctx: &Ctx) {
-        debug_assert!(!self.pending[local].resolved, "node resolved twice");
-        self.pending[local].resolved = true;
+        debug_assert!(!self.nodes.pending[local].resolved, "node resolved twice");
+        self.nodes.pending[local].resolved = true;
         let adopt_p = ctx
             .params
             .adopt_probability(ctx.rewards[considered as usize]);
         // A quiesced epoch starts every node uncommitted, so this
         // replaces `NO_CHOICE`; an async commitment is replaced in
         // place.
-        let superseded = self.choices[local];
-        if self.rngs[local].gen_bool(adopt_p) {
-            self.set_commit(local, considered);
+        let superseded = self.nodes.choices[local];
+        self.nodes.choices[local] = if self.nodes.rngs[local].gen_bool(adopt_p) {
             self.rm.committed += 1;
+            considered
         } else {
-            self.set_commit(local, NO_CHOICE);
-        }
+            NO_CHOICE
+        };
         if ctx.mode == Mode::Quiesced {
             return;
         }
-        if self.boot[local] {
-            // First epoch decision after a (re)join: the bootstrap is
-            // over, whatever stage 1 produced.
-            self.boot[local] = false;
-            self.boot_count -= 1;
-        }
+        // First epoch decision after a (re)join: the bootstrap is
+        // over, whatever stage 1 produced.
+        self.nodes.boot[local] = false;
         // The superseded commitment becomes the one-slot history peers
         // can still be served from.
-        self.back[local] = superseded;
-        self.epochs[local] += 1;
+        self.nodes.back[local] = superseded;
+        self.nodes.epochs[local] += 1;
         // Next local epoch: one period after the last wake-up, or
         // immediately (plus jitter) if this epoch overran the period —
         // that overrun is how slow nodes drift behind their peers
         // (they catch back up by running epochs back-to-back once the
         // retry storm passes).
-        let cadence = self.last_wake[local] + ASYNC_EPOCH_PERIOD;
-        let at = cadence.max(now + 1) + self.rngs[local].gen_range(0..ASYNC_WAKE_JITTER);
+        let cadence = self.nodes.last_wake[local] + ASYNC_EPOCH_PERIOD;
+        let at = cadence.max(now + 1) + self.nodes.rngs[local].gen_range(0..ASYNC_WAKE_JITTER);
         let node = self.base + index_u32(local);
-        let inc = self.incs[local];
+        let inc = self.nodes.incs[local];
         self.push_from(node, at, Event::Wake { node, inc }, ctx);
     }
 
@@ -724,9 +772,9 @@ impl ShardLane {
     /// point and may take the µ-exploration branch instead.
     fn start_attempt(&mut self, local: usize, attempt: u32, now: u64, ctx: &Ctx) {
         let node = self.base + index_u32(local);
-        if attempt == 1 && self.rngs[local].gen_bool(ctx.mu) {
+        if attempt == 1 && self.nodes.rngs[local].gen_bool(ctx.mu) {
             self.rm.explorations += 1;
-            let considered = index_u32(self.rngs[local].gen_range(0..ctx.m));
+            let considered = index_u32(self.nodes.rngs[local].gen_range(0..ctx.m));
             self.decide(local, considered, now, ctx);
             return;
         }
@@ -734,15 +782,15 @@ impl ShardLane {
             // Retry budget spent (or no peers to ask at all): uniform
             // fallback, exactly as in the round-synchronous runtime.
             self.rm.fallbacks += 1;
-            let considered = index_u32(self.rngs[local].gen_range(0..ctx.m));
+            let considered = index_u32(self.nodes.rngs[local].gen_range(0..ctx.m));
             self.decide(local, considered, now, ctx);
             return;
         }
-        self.pending[local].attempt = attempt;
+        self.nodes.pending[local].attempt = attempt;
         self.rm.queries_sent += 1;
         // Ask a uniformly random *other* node what it used last epoch.
         let g = node as usize;
-        let mut peer = self.rngs[local].gen_range(0..ctx.n - 1);
+        let mut peer = self.nodes.rngs[local].gen_range(0..ctx.n - 1);
         if peer >= g {
             peer += 1;
         }
@@ -751,7 +799,7 @@ impl ShardLane {
         // earlier epoch may surface later, and the responder measures
         // staleness against the querier's epoch. Quiesced epochs never
         // advance `epochs`, so there the tag is a constant.
-        let epoch = self.epochs[local] + 1;
+        let epoch = self.nodes.epochs[local] + 1;
         // The retry clock starts now, reply or no reply.
         self.push_from(
             node,
@@ -781,14 +829,14 @@ impl ShardLane {
 
     /// Pops and handles the head of a node's inbox.
     fn deliver(&mut self, local: usize, now: u64, ctx: &Ctx) {
-        let Some(msg) = self.inboxes[local].pop_front() else {
+        let Some(msg) = self.nodes.inboxes[local].pop_front() else {
             return;
         };
         match msg {
             Msg::Query { from, epoch } => {
                 let option = match ctx.mode {
                     // Answer with the option committed last epoch.
-                    Mode::Quiesced => self.back[local],
+                    Mode::Quiesced => self.nodes.back[local],
                     Mode::Async(bound) => {
                         // The querier at local epoch `e` would, under
                         // synchronized execution, copy information
@@ -804,11 +852,11 @@ impl ShardLane {
                         // the reply when the served information is
                         // staler than the bound.
                         let want = epoch.saturating_sub(1);
-                        let r = self.epochs[local];
+                        let r = self.nodes.epochs[local];
                         let (option, stale) = if want >= r {
-                            (self.choices[local], want - r)
+                            (self.nodes.choices[local], want - r)
                         } else {
-                            (self.back[local], 0)
+                            (self.nodes.back[local], 0)
                         };
                         if option != NO_CHOICE && !bound.allows(stale) {
                             self.rm.stale_replies += 1;
@@ -827,7 +875,7 @@ impl ShardLane {
                 }
             }
             Msg::Reply { option } => {
-                if self.pending[local].resolved {
+                if self.nodes.pending[local].resolved {
                     // A late duplicate (cannot normally happen: the
                     // timeout window exceeds the worst-case round
                     // trip), ignored for safety.
@@ -844,17 +892,19 @@ impl ShardLane {
     /// (re)joined has `back == NO_CHOICE` (absent epochs write
     /// NO_CHOICE) and bootstraps through the ordinary query path.
     fn begin_epoch(&mut self, ctx: &Ctx) {
-        std::mem::swap(&mut self.choices, &mut self.back);
-        self.counts.fill(0);
+        std::mem::swap(&mut self.nodes.choices, &mut self.nodes.back);
         debug_assert!(self.calendar.is_empty(), "previous epoch left events");
-        for local in 0..self.len() {
-            self.choices[local] = NO_CHOICE;
-            debug_assert!(self.inboxes[local].is_empty(), "previous epoch left mail");
+        for local in 0..self.nodes.len() {
+            self.nodes.choices[local] = NO_CHOICE;
+            debug_assert!(
+                self.nodes.inboxes[local].is_empty(),
+                "previous epoch left mail"
+            );
             if !ctx.present[self.base as usize + local] {
                 // An absent node answers nothing: its snapshot slot is
                 // cleared so a query landing here finds no commitment.
-                self.back[local] = NO_CHOICE;
-                self.pending[local] = Pending {
+                self.nodes.back[local] = NO_CHOICE;
+                self.nodes.pending[local] = Pending {
                     attempt: 0,
                     resolved: true,
                 };
@@ -866,11 +916,11 @@ impl ShardLane {
     /// Schedules a wake-up for every present node, in node order, at a
     /// jittered time in `[0, WAKE_SPREAD)`.
     fn wake_present(&mut self, ctx: &Ctx) {
-        for local in 0..self.len() {
+        for local in 0..self.nodes.len() {
             let node = self.base + index_u32(local);
             if ctx.present[node as usize] {
-                let at = self.rngs[local].gen_range(0..WAKE_SPREAD);
-                let inc = self.incs[local];
+                let at = self.nodes.rngs[local].gen_range(0..WAKE_SPREAD);
+                let inc = self.nodes.incs[local];
                 self.push_from(node, at, Event::Wake { node, inc }, ctx);
             }
         }
@@ -890,9 +940,9 @@ impl ShardLane {
                 // The incarnation tag kills wake-ups scheduled before
                 // a leave: they are the only events whose horizon
                 // outlives a one-round absence.
-                if present(node) && inc == self.incs[local] {
-                    self.pending[local] = Pending::default();
-                    self.last_wake[local] = now;
+                if present(node) && inc == self.nodes.incs[local] {
+                    self.nodes.pending[local] = Pending::default();
+                    self.nodes.last_wake[local] = now;
                     self.start_attempt(local, 1, now, ctx);
                 }
             }
@@ -918,7 +968,7 @@ impl ShardLane {
                 } else {
                     // Keep deliveries 1:1 with enqueues even for the
                     // dead.
-                    self.inboxes[local].pop_front();
+                    self.nodes.inboxes[local].pop_front();
                 }
             }
             Event::Timeout {
@@ -927,13 +977,13 @@ impl ShardLane {
                 epoch,
             } => {
                 let local = (node - self.base) as usize;
-                let p = self.pending[local];
+                let p = self.nodes.pending[local];
                 // The epoch tag rejects timeouts abandoned by an
                 // earlier local epoch.
                 if present(node)
                     && !p.resolved
                     && p.attempt == attempt
-                    && self.epochs[local] + 1 == epoch
+                    && self.nodes.epochs[local] + 1 == epoch
                 {
                     self.start_attempt(local, attempt + 1, now, ctx);
                 }
@@ -986,11 +1036,6 @@ pub(crate) struct ShardedEngine {
     async_clock: u64,
     /// Online rebalances that actually moved a lane boundary.
     rebalances: u64,
-    /// Per-node presence snapshot, maintained incrementally from
-    /// membership transitions at every tick boundary and shared with
-    /// lane jobs via the tick context. Clones of the engine share it
-    /// until the next transition (`Arc::make_mut` copies on write).
-    present: Arc<Vec<bool>>,
     /// Persistent worker threads for dense blocks, created lazily at
     /// first fan-out (an `Arc` so a cloned engine — the twin-runtime
     /// test pattern — shares rather than respawns; the pool
@@ -1012,56 +1057,34 @@ impl ShardedEngine {
     ) -> Self {
         let n = cfg.num_nodes();
         let m = cfg.params().num_options();
-        let lane_count = lane_count(n, shards);
-        let map = ShardMap::balanced(n, lane_count, members);
-        debug_assert_eq!(map.lanes(), lane_count);
-        let lanes = (0..lane_count)
-            .map(|index| {
-                let base = map.base_of(index);
-                let len = map.end_of(index) - base;
-                let mut counts = vec![0u64; m];
-                let choices: AlignedU32s = (base..base + len)
-                    .map(|i| {
-                        if members.in_initial_fleet(i) {
-                            let c = crate::uniform_start_choice(i, m);
-                            counts[c as usize] += 1;
-                            c
-                        } else {
-                            NO_CHOICE
-                        }
-                    })
-                    .collect();
-                ShardLane {
-                    index,
-                    base: index_u32(base),
-                    choices,
-                    back: AlignedU32s::with_len(len, NO_CHOICE),
-                    epochs: AlignedU64s::with_len(len, 0),
-                    last_wake: AlignedU64s::with_len(len, 0),
-                    pending: vec![Pending::default(); len],
-                    inboxes: (0..len).map(|_| VecDeque::new()).collect(),
-                    rngs: (0..len)
-                        .map(|local| SmallRng::seed_from_u64(node_stream_seed(seed, base + local)))
-                        .collect(),
-                    seqs: AlignedU32s::with_len(len, 0),
-                    incs: AlignedU32s::with_len(len, 0),
-                    boot: vec![false; len],
-                    boot_count: 0,
-                    counts,
-                    calendar: Calendar::new(),
-                    outboxes: (0..lane_count).map(|_| Vec::new()).collect(),
-                    rm: RoundMetrics::default(),
-                    max_queue_depth: 0,
-                }
-            })
-            .collect();
-        let present = Arc::new((0..n).map(|i| members.is_present(i)).collect());
+        let map = ShardMap::balanced(n, lane_count(n, shards), members);
+        let nodes = Nodes {
+            choices: (0..n)
+                .map(|i| {
+                    if members.in_initial_fleet(i) {
+                        crate::uniform_start_choice(i, m)
+                    } else {
+                        NO_CHOICE
+                    }
+                })
+                .collect(),
+            back: vec![NO_CHOICE; n],
+            epochs: vec![0; n],
+            last_wake: vec![0; n],
+            pending: vec![Pending::default(); n],
+            inboxes: (0..n).map(|_| VecDeque::new()).collect(),
+            rngs: (0..n)
+                .map(|i| SmallRng::seed_from_u64(node_stream_seed(seed, i)))
+                .collect(),
+            seqs: vec![0; n],
+            incs: vec![0; n],
+            boot: vec![false; n],
+        };
         ShardedEngine {
+            lanes: ShardLane::split(nodes, &map),
             map,
-            lanes,
             async_clock: 0,
             rebalances: 0,
-            present,
             pool: None,
         }
     }
@@ -1069,7 +1092,7 @@ impl ShardedEngine {
     /// `node`'s completed local epoch counter.
     pub(crate) fn epoch_of(&self, node: usize) -> u64 {
         let lane = &self.lanes[self.map.shard_of(node)];
-        lane.epochs[node - lane.base as usize]
+        lane.nodes.epochs[node - lane.base as usize]
     }
 
     /// Max-minus-min completed local epoch over present nodes.
@@ -1078,7 +1101,7 @@ impl ShardedEngine {
         let mut hi = 0u64;
         let mut any = false;
         for lane in &self.lanes {
-            for (local, &e) in lane.epochs.iter().enumerate() {
+            for (local, &e) in lane.nodes.epochs.iter().enumerate() {
                 if members.is_present(lane.base as usize + local) {
                     any = true;
                     lo = lo.min(e);
@@ -1093,12 +1116,14 @@ impl ShardedEngine {
         }
     }
 
-    /// Sums the per-lane commitment counts into `out`.
+    /// Writes the fleet's commitment count per option into `out`.
     pub(crate) fn write_counts(&self, out: &mut [u64]) {
         out.fill(0);
         for lane in &self.lanes {
-            for (slot, &c) in out.iter_mut().zip(&lane.counts) {
-                *slot += c;
+            for &c in &lane.nodes.choices {
+                if c != NO_CHOICE {
+                    out[c as usize] += 1;
+                }
             }
         }
     }
@@ -1214,11 +1239,8 @@ impl ShardedEngine {
         rewards: &[bool],
         tuning: &ExecTuning,
     ) -> RoundMetrics {
-        if !members.recent().is_empty() {
-            self.refresh_present(members);
-            if self.lanes.len() > 1 {
-                self.rebalance(members, cfg.num_nodes());
-            }
+        if !members.recent().is_empty() && self.lanes.len() > 1 {
+            self.rebalance(members, cfg.num_nodes());
         }
         let ctx = Arc::new(Ctx {
             params: *cfg.params(),
@@ -1233,7 +1255,7 @@ impl ShardedEngine {
             t,
             rewards: rewards.to_vec(),
             lookahead: tuning.lookahead,
-            present: Arc::clone(&self.present),
+            present: Arc::clone(members.present()),
         });
         // Resolve the auto thread knob exactly once per tick:
         // `available_parallelism` is an OS query, far too expensive to
@@ -1293,7 +1315,7 @@ impl ShardedEngine {
                 debug_assert!(
                     self.lanes
                         .iter()
-                        .all(|lane| lane.pending.iter().all(|p| p.resolved)),
+                        .all(|lane| lane.nodes.pending.iter().all(|p| p.resolved)),
                     "epoch ended with unresolved nodes"
                 );
                 // With the quiescence barrier, every (re)join
@@ -1303,31 +1325,22 @@ impl ShardedEngine {
             }
             Mode::Async(_) => {
                 self.async_clock = end;
-                rm.bootstrapping = self.lanes.iter().map(|l| l.boot_count).sum();
+                rm.bootstrapping = self
+                    .lanes
+                    .iter()
+                    .map(|l| l.nodes.boot.iter().filter(|&&b| b).count() as u64)
+                    .sum();
             }
         }
         rm
     }
 
-    /// Applies this tick's membership transitions to the engine's
-    /// presence snapshot — the lane-visible view shipped to worker
-    /// threads inside [`Ctx`]. Maintained incrementally so a tick
-    /// without churn shares the previous `Arc` and copies nothing.
-    fn refresh_present(&mut self, members: &MembershipTracker) {
-        let present = Arc::make_mut(&mut self.present);
-        for &(node, kind) in members.recent() {
-            present[node as usize] = matches!(kind, Transition::Join | Transition::Rejoin);
-        }
-        debug_assert!(
-            (0..present.len()).all(|i| present[i] == members.is_present(i)),
-            "presence snapshot drifted from the membership tracker"
-        );
-    }
-
     /// Recomputes lane boundaries to even out *present* nodes and
-    /// migrates each moving node's full state — commitment, inbox,
-    /// local epoch, RNG stream, incarnation, and pending calendar
-    /// entries — to its new owner. Runs only between ticks, where
+    /// migrates each moving node's full state — its [`Nodes`] row and
+    /// its pending calendar entries — to its new owner: every lane's
+    /// table is appended in lane order (global node order), split by
+    /// the new map, and the drained calendar entries are re-pushed to
+    /// their targets' lanes. Runs only between ticks, where
     /// cross-shard outboxes are provably empty, so nothing is in
     /// flight mid-move; per-node RNG streams and intrinsic event keys
     /// make the new partition produce byte-identical results.
@@ -1337,86 +1350,18 @@ impl ShardedEngine {
             return;
         }
         self.rebalances += 1;
-        let lane_count = self.lanes.len();
-        let m = self.lanes[0].counts.len();
         let depth_watermark = self.max_queue_depth();
         let mut entries: Vec<Entry<Event>> = Vec::new();
-        let mut choices: Vec<u32> = Vec::with_capacity(n);
-        let mut back: Vec<u32> = Vec::with_capacity(n);
-        let mut epochs: Vec<u64> = Vec::with_capacity(n);
-        let mut last_wake: Vec<u64> = Vec::with_capacity(n);
-        let mut pending = Vec::with_capacity(n);
-        let mut inboxes = Vec::with_capacity(n);
-        let mut rngs = Vec::with_capacity(n);
-        let mut seqs: Vec<u32> = Vec::with_capacity(n);
-        let mut incs: Vec<u32> = Vec::with_capacity(n);
-        let mut boot = Vec::with_capacity(n);
-        // Lanes own ascending contiguous ranges, so appending in lane
-        // order flattens back to global node order. The aligned
-        // struct-of-arrays fields flatten through plain `Vec`s and
-        // re-chunk on the collect below.
+        let mut nodes = Nodes::default();
         for mut lane in std::mem::take(&mut self.lanes) {
             debug_assert!(
                 lane.outboxes.iter().all(Vec::is_empty),
                 "rebalance crossed a window with undelivered mail"
             );
             entries.append(&mut lane.calendar.drain_all());
-            choices.extend(lane.choices.drain_all());
-            back.extend(lane.back.drain_all());
-            epochs.extend(lane.epochs.drain_all());
-            last_wake.extend(lane.last_wake.drain_all());
-            pending.append(&mut lane.pending);
-            inboxes.append(&mut lane.inboxes);
-            rngs.append(&mut lane.rngs);
-            seqs.extend(lane.seqs.drain_all());
-            incs.extend(lane.incs.drain_all());
-            boot.append(&mut lane.boot);
+            nodes.append(&mut lane.nodes);
         }
-        let mut choices = choices.into_iter();
-        let mut back = back.into_iter();
-        let mut epochs = epochs.into_iter();
-        let mut last_wake = last_wake.into_iter();
-        let mut pending = pending.into_iter();
-        let mut inboxes = inboxes.into_iter();
-        let mut rngs = rngs.into_iter();
-        let mut seqs = seqs.into_iter();
-        let mut incs = incs.into_iter();
-        let mut boot = boot.into_iter();
-        self.lanes = (0..lane_count)
-            .map(|index| {
-                let base = new_map.base_of(index);
-                let len = new_map.end_of(index) - base;
-                let lane_choices: AlignedU32s = choices.by_ref().take(len).collect();
-                let mut counts = vec![0u64; m];
-                for &c in lane_choices.iter() {
-                    if c != NO_CHOICE {
-                        counts[c as usize] += 1;
-                    }
-                }
-                let lane_boot: Vec<bool> = boot.by_ref().take(len).collect();
-                let boot_count = lane_boot.iter().filter(|&&b| b).count() as u64;
-                ShardLane {
-                    index,
-                    base: index_u32(base),
-                    choices: lane_choices,
-                    back: back.by_ref().take(len).collect(),
-                    epochs: epochs.by_ref().take(len).collect(),
-                    last_wake: last_wake.by_ref().take(len).collect(),
-                    pending: pending.by_ref().take(len).collect(),
-                    inboxes: inboxes.by_ref().take(len).collect(),
-                    rngs: rngs.by_ref().take(len).collect(),
-                    seqs: seqs.by_ref().take(len).collect(),
-                    incs: incs.by_ref().take(len).collect(),
-                    boot: lane_boot,
-                    boot_count,
-                    counts,
-                    calendar: Calendar::new(),
-                    outboxes: (0..lane_count).map(|_| Vec::new()).collect(),
-                    rm: RoundMetrics::default(),
-                    max_queue_depth: 0,
-                }
-            })
-            .collect();
+        self.lanes = ShardLane::split(nodes, &new_map);
         // The depth gauge is an engine-wide high-water mark; park it
         // on the first lane so `max_queue_depth()` keeps reporting it.
         self.lanes[0].max_queue_depth = depth_watermark;
@@ -1442,35 +1387,28 @@ impl ShardedEngine {
         for &(node, kind) in members.recent() {
             let lane = &mut self.lanes[self.map.shard_of(node as usize)];
             let local = (node - lane.base) as usize;
+            let nodes = &mut lane.nodes;
             match kind {
                 Transition::Leave | Transition::Crash => {
                     if kind == Transition::Leave {
-                        lane.incs[local] = lane.incs[local].wrapping_add(1);
+                        nodes.incs[local] = nodes.incs[local].wrapping_add(1);
                     }
-                    if lane.choices[local] != NO_CHOICE {
-                        lane.set_commit(local, NO_CHOICE);
-                    }
-                    lane.back[local] = NO_CHOICE;
-                    lane.pending[local] = Pending {
+                    nodes.choices[local] = NO_CHOICE;
+                    nodes.back[local] = NO_CHOICE;
+                    nodes.pending[local] = Pending {
                         attempt: 0,
                         resolved: true,
                     };
-                    if lane.boot[local] {
-                        lane.boot[local] = false;
-                        lane.boot_count -= 1;
-                    }
+                    nodes.boot[local] = false;
                 }
                 Transition::Join | Transition::Rejoin => {
-                    if !lane.boot[local] {
-                        lane.boot[local] = true;
-                        lane.boot_count += 1;
-                    }
+                    nodes.boot[local] = true;
                     // The seeding loop below covers nodes present from
                     // the start; later (re)joins schedule their own
                     // boot wake here.
                     if ctx.t > 1 {
-                        let at = self.async_clock + lane.rngs[local].gen_range(0..WAKE_SPREAD);
-                        let inc = lane.incs[local];
+                        let at = self.async_clock + nodes.rngs[local].gen_range(0..WAKE_SPREAD);
+                        let inc = nodes.incs[local];
                         lane.push_from(node, at, Event::Wake { node, inc }, ctx);
                     }
                 }

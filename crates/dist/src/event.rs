@@ -1010,16 +1010,26 @@ mod tests {
         assert_eq!(StalenessBound::Epochs(4).to_string(), "4");
     }
 
-    /// Runs `ticks` rounds and returns the full observable trajectory
-    /// (distributions, round metrics, cumulative metrics).
-    fn drive(mut net: EventRuntime, ticks: u64) -> (Vec<Vec<f64>>, Vec<RoundMetrics>, Metrics) {
+    /// Per tick: the queue-depth watermark, the epoch spread and every
+    /// node's local epoch — the engine state a rebalance moves.
+    type EngineState = (usize, u64, Vec<u64>);
+
+    /// The full observable trajectory: per-tick distributions, round
+    /// metrics and engine state, then the cumulative metrics.
+    type Trajectory = (Vec<Vec<f64>>, Vec<RoundMetrics>, Vec<EngineState>, Metrics);
+
+    /// Runs `ticks` rounds and returns the full observable trajectory.
+    fn drive(mut net: EventRuntime, ticks: u64) -> Trajectory {
         let mut dists = Vec::new();
         let mut rms = Vec::new();
+        let mut states = Vec::new();
         for t in 0..ticks {
             rms.push(net.tick(&[t % 2 == 0, t % 3 == 0]));
             dists.push(net.distribution());
+            let epochs = (0..net.num_nodes()).map(|i| net.local_epoch(i)).collect();
+            states.push((net.max_queue_depth(), net.epoch_spread(), epochs));
         }
-        (dists, rms, net.metrics())
+        (dists, rms, states, net.metrics())
     }
 
     /// [`drive`] with the given execution knobs, forcing the pool path
@@ -1030,7 +1040,7 @@ mod tests {
         lookahead: u64,
         threads: usize,
         ticks: u64,
-    ) -> (Vec<Vec<f64>>, Vec<RoundMetrics>, Metrics) {
+    ) -> Trajectory {
         let net = make()
             .with_scheduler(SchedulerKind::ShardedCalendar { shards })
             .with_lookahead(lookahead)

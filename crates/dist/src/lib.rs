@@ -98,7 +98,6 @@
 mod calendar;
 mod cast;
 mod event;
-mod soa;
 mod telemetry;
 
 pub use calendar::{Calendar, Entry, SchedulerKind, MAX_LOOKAHEAD, RING_SLOTS};
@@ -107,6 +106,8 @@ pub use event::{
     MAX_MESSAGE_LATENCY,
 };
 pub use telemetry::{MetricsRecorder, NoTelemetry, TelemetryFrame, TelemetrySink, TickObservation};
+
+use std::sync::Arc;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -652,7 +653,9 @@ pub(crate) struct MembershipTracker {
     /// Prefix of `timeline` already applied to `present`/`alive`.
     applied: usize,
     /// Whether each node is present in the round last advanced to.
-    present: Vec<bool>,
+    /// Shared: the event engine's tick context holds a handle on it,
+    /// and `advance_to` copies on write only if that handle is live.
+    present: Arc<Vec<bool>>,
     /// Whether each node is in the fleet *before round 1* (false only
     /// for nodes whose first transition is a join).
     init_present: Vec<bool>,
@@ -781,7 +784,7 @@ impl MembershipTracker {
         let mut tracker = MembershipTracker {
             timeline,
             applied: 0,
-            present: init_present.clone(),
+            present: Arc::new(init_present.clone()),
             init_present,
             alive,
             recent: Vec::new(),
@@ -794,6 +797,12 @@ impl MembershipTracker {
     /// last advanced to. O(1).
     pub(crate) fn is_present(&self, node: usize) -> bool {
         self.present[node]
+    }
+
+    /// The per-node presence table behind
+    /// [`is_present`](Self::is_present), indexed by node id.
+    pub(crate) fn present(&self) -> &Arc<Vec<bool>> {
+        &self.present
     }
 
     /// Whether `node` belongs to the fleet before round 1 — i.e.
@@ -821,12 +830,12 @@ impl MembershipTracker {
             match kind {
                 Transition::Join | Transition::Rejoin => {
                     debug_assert!(!self.present[node as usize]);
-                    self.present[node as usize] = true;
+                    Arc::make_mut(&mut self.present)[node as usize] = true;
                     self.alive += 1;
                 }
                 Transition::Leave | Transition::Crash => {
                     debug_assert!(self.present[node as usize]);
-                    self.present[node as usize] = false;
+                    Arc::make_mut(&mut self.present)[node as usize] = false;
                     self.alive -= 1;
                 }
             }

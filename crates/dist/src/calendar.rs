@@ -95,12 +95,19 @@
 //! boundary carries membership transitions, lane boundaries are
 //! recomputed to even out *present* nodes and each migrating node's
 //! full state (its row of the per-node table, pending calendar
-//! entries) moves to its new lane. The move happens only between
+//! entries) moves to its new lane. Only those nodes move: a lane
+//! keeps the rows it still owns, and its calendar keeps every entry
+//! whose target it still owns, so a rolling restart that shifts a few
+//! boundaries costs about what a quiet tick costs. The move happens
+//! only between
 //! windows — when cross-shard mailboxes are provably empty — and the
 //! same per-node-stream + intrinsic-key argument that makes the
 //! partition invisible to the protocol makes rebalancing semantically
 //! a no-op: byte-identity across shard counts holds even while
-//! ownership shifts under churn.
+//! ownership shifts under churn. In debug builds every rebalance
+//! checks that each lane's rows match its new range, that every
+//! pending event sits in the lane owning its target, and that no
+//! pending event was lost or duplicated.
 //!
 //! [`FaultPlan`]: crate::FaultPlan
 //!
@@ -110,8 +117,10 @@
 //! local epoch, inbox, RNG stream, sequence and incarnation counters
 //! — is one row of a struct-of-arrays table, `Nodes`. The engine
 //! builds the whole fleet's table once and cuts it into lanes by
-//! node range; a rebalance joins the lanes' tables back in node order
-//! and cuts again by the new ranges. Nothing else is cached per lane:
+//! node range; a rebalance queues each lane's table as a run in node
+//! order and has every lane take its new range back, cutting a run
+//! only where a new boundary crosses it. Nothing else is cached per
+//! lane:
 //! the option histogram and the bootstrapping gauge are counted from
 //! the table once per tick.
 
@@ -145,6 +154,24 @@ pub const RING_SLOTS: usize = 128;
 const _: () = assert!(ASYNC_EPOCH_PERIOD + ASYNC_WAKE_JITTER < RING_SLOTS as u64);
 const _: () = assert!(WAKE_SPREAD < RING_SLOTS as u64);
 const _: () = assert!(RETRY_TIMEOUT < RING_SLOTS as u64);
+
+/// Most entries a recycled bucket keeps as capacity: 10 KiB per slot
+/// for the engine's 40-byte `Entry<Event>`, so at most 1.25 MiB of
+/// idle capacity per [`RING_SLOTS`]-slot ring.
+///
+/// Windows of up to this many entries stay allocation-free. Larger
+/// ones regrow their slot: a lane of an 8-shard fleet at N = 1e5
+/// takes windows of about 1,240 entries, so its slot grows from 256
+/// to 2,048 entries, three regrowths per window. Measured on
+/// perfbench, 2-core host:
+///
+/// * Without the bound, `take_due` hands every slot the previous
+///   window's buffer in turn, so each ring ends up with window-sized
+///   buffers in every slot: `fleet_async_churn` peaked at 178–192 MiB
+///   against 84–91 MiB with the bound.
+/// * Dropping the spare altogether, so every window allocates, cost
+///   `reproduce_quick` 42% on `tick_ms_p50` and 12% on `suite_s`.
+const SPARE_CAPACITY: usize = 256;
 
 /// Fewest due events in a block before the engine fans the shards out
 /// on the thread pool; sparser blocks are swept in-thread (the two
@@ -251,6 +278,13 @@ impl<E> Entry<E> {
 /// A fixed-ring calendar queue: `O(1)` amortized enqueue, bucket-walk
 /// dequeue, deterministic `(time, src, seq)` pop order.
 ///
+/// A window's vector handed back through [`recycle`](Calendar::recycle)
+/// becomes the storage of the next slot a window empties, shrunk to a
+/// capacity of at most 256 entries. Windows of up to 256 entries
+/// allocate nothing; a larger window regrows its slot as its entries
+/// arrive. So an empty slot never holds more than 256 entries of
+/// capacity, however large an earlier window was.
+///
 /// The caller must keep every pending entry within one ring rotation
 /// ([`RING_SLOTS`] virtual-time units) of the earliest pending entry —
 /// the event runtime guarantees this by construction (all protocol
@@ -275,8 +309,8 @@ pub struct Calendar<E> {
     /// `RING_SLOTS` buckets indexed by `time % RING_SLOTS`; each holds
     /// entries for exactly one virtual time at any moment.
     buckets: Vec<Vec<Entry<E>>>,
-    /// Recycled bucket storage, so steady-state windows allocate
-    /// nothing.
+    /// Recycled bucket storage, at most [`SPARE_CAPACITY`] entries
+    /// wide, handed to the next slot a window empties.
     spare: Vec<Entry<E>>,
     /// Total pending entries.
     len: usize,
@@ -344,8 +378,8 @@ impl<E> Calendar<E> {
     /// Removes and returns every entry due at `now`, sorted by the
     /// deterministic `(src, seq)` tie-break. Returns an empty vector
     /// when nothing is due. Hand the vector back through
-    /// [`recycle`](Calendar::recycle) to keep the queue
-    /// allocation-free in steady state.
+    /// [`recycle`](Calendar::recycle) so windows of up to 256 entries
+    /// allocate nothing.
     pub fn take_due(&mut self, now: u64) -> Vec<Entry<E>> {
         let slot = (now as usize) & (RING_SLOTS - 1);
         if self.buckets[slot].first().is_none_or(|e| e.at != now) {
@@ -358,26 +392,42 @@ impl<E> Calendar<E> {
     }
 
     /// Returns a drained vector from [`take_due`](Calendar::take_due)
-    /// so its capacity is reused by a later window.
+    /// so a later window reuses its storage. The vector is cleared and
+    /// shrunk to a capacity of at most 256 entries first, so one large
+    /// window cannot leave a window-sized buffer circulating through
+    /// every ring slot.
     pub fn recycle(&mut self, mut bucket: Vec<Entry<E>>) {
         bucket.clear();
+        bucket.shrink_to(SPARE_CAPACITY);
         if bucket.capacity() > self.spare.capacity() {
             self.spare = bucket;
         }
     }
 
-    /// Removes and returns every pending entry, in no particular
-    /// order. Used when shard ownership is rebalanced: the drained
-    /// entries are re-pushed into their new owners' calendars, and
-    /// [`take_due`](Calendar::take_due) re-derives the deterministic
-    /// order from the intrinsic keys.
-    pub fn drain_all(&mut self) -> Vec<Entry<E>> {
-        let mut out = Vec::with_capacity(self.len);
+    /// Moves every pending entry for which `pick` returns true to the
+    /// end of `out`, in no particular order, and keeps the rest. Used
+    /// when shard ownership is rebalanced: a lane hands off the
+    /// entries of nodes it no longer owns, they are re-pushed into
+    /// their new owners' calendars, and [`take_due`](Calendar::take_due)
+    /// re-derives the deterministic order from the intrinsic keys.
+    pub fn extract(&mut self, mut pick: impl FnMut(&Entry<E>) -> bool, out: &mut Vec<Entry<E>>) {
+        let before = out.len();
         for bucket in &mut self.buckets {
-            out.append(bucket);
+            let mut i = 0;
+            while i < bucket.len() {
+                if pick(&bucket[i]) {
+                    out.push(bucket.swap_remove(i));
+                } else {
+                    i += 1;
+                }
+            }
         }
-        self.len = 0;
-        out
+        self.len -= out.len() - before;
+    }
+
+    /// Every pending entry, in no particular order.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = &Entry<E>> {
+        self.buckets.iter().flatten()
     }
 
     /// The earliest pending virtual time at or after `from`, scanning
@@ -624,6 +674,31 @@ impl Nodes {
             seqs: self.seqs.split_off(at),
             incs: self.incs.split_off(at),
             boot: self.boot.split_off(at),
+        }
+    }
+}
+
+/// Moves the rows of `runs` that lie before global node `until`, in
+/// order, to the end of `table`, splitting the run that crosses it.
+/// Each run is keyed by its first global node. A run that lands in an
+/// empty table is moved whole; only rows appended behind others are
+/// copied.
+fn take_runs(table: &mut Nodes, runs: &mut VecDeque<(usize, Nodes)>, until: usize) {
+    while let Some((first, run)) = runs.front_mut() {
+        if *first >= until {
+            return;
+        }
+        let mut taken = if *first + run.len() > until {
+            let rest = run.split_off(until - *first);
+            *first = until;
+            std::mem::replace(run, rest)
+        } else {
+            runs.pop_front().expect("front was just seen").1
+        };
+        if table.len() == 0 {
+            *table = taken;
+        } else {
+            table.append(&mut taken);
         }
     }
 }
@@ -1336,40 +1411,73 @@ impl ShardedEngine {
     }
 
     /// Recomputes lane boundaries to even out *present* nodes and
-    /// migrates each moving node's full state — its [`Nodes`] row and
-    /// its pending calendar entries — to its new owner: every lane's
-    /// table is appended in lane order (global node order), split by
-    /// the new map, and the drained calendar entries are re-pushed to
-    /// their targets' lanes. Runs only between ticks, where
-    /// cross-shard outboxes are provably empty, so nothing is in
-    /// flight mid-move; per-node RNG streams and intrinsic event keys
-    /// make the new partition produce byte-identical results.
+    /// migrates the full state of each node whose lane changes — its
+    /// [`Nodes`] row and its pending calendar entries — to its new
+    /// owner. Only the boundaries move. Each lane's table becomes one
+    /// run in node order; the lanes then take their new ranges back
+    /// from the runs, which are cut with `split_off` only where a new
+    /// boundary crosses them, so a lane keeps the buffer of the rows it
+    /// still owns unless rows now precede them. A lane whose range
+    /// moved hands off just the calendar entries of nodes it no longer
+    /// owns, and those are re-pushed to their new owners; calendars
+    /// and depth watermarks otherwise stay with their lanes. Runs only
+    /// between ticks, where cross-shard outboxes are provably empty, so
+    /// nothing is in flight mid-move; per-node RNG streams and
+    /// intrinsic event keys make the new partition produce
+    /// byte-identical results.
     fn rebalance(&mut self, members: &MembershipTracker, n: usize) {
         let new_map = ShardMap::balanced(n, self.lanes.len(), members);
         if new_map == self.map {
             return;
         }
         self.rebalances += 1;
-        let depth_watermark = self.max_queue_depth();
-        let mut entries: Vec<Entry<Event>> = Vec::new();
-        let mut nodes = Nodes::default();
-        for mut lane in std::mem::take(&mut self.lanes) {
+        let pending_before: usize = self.lanes.iter().map(|l| l.calendar.len()).sum();
+        let mut runs: VecDeque<(usize, Nodes)> = VecDeque::new();
+        let mut handoff: Vec<Entry<Event>> = Vec::new();
+        for (k, lane) in self.lanes.iter_mut().enumerate() {
             debug_assert!(
                 lane.outboxes.iter().all(Vec::is_empty),
                 "rebalance crossed a window with undelivered mail"
             );
-            entries.append(&mut lane.calendar.drain_all());
-            nodes.append(&mut lane.nodes);
+            runs.push_back((self.map.base_of(k), std::mem::take(&mut lane.nodes)));
+            let owned = new_map.base_of(k)..new_map.end_of(k);
+            if owned != (self.map.base_of(k)..self.map.end_of(k)) {
+                lane.calendar.extract(
+                    |e| !owned.contains(&(event_target(&e.payload) as usize)),
+                    &mut handoff,
+                );
+            }
         }
-        self.lanes = ShardLane::split(nodes, &new_map);
-        // The depth gauge is an engine-wide high-water mark; park it
-        // on the first lane so `max_queue_depth()` keeps reporting it.
-        self.lanes[0].max_queue_depth = depth_watermark;
+        for (k, lane) in self.lanes.iter_mut().enumerate() {
+            take_runs(&mut lane.nodes, &mut runs, new_map.end_of(k));
+            lane.base = index_u32(new_map.base_of(k));
+        }
         self.map = new_map;
-        for entry in entries {
+        for entry in handoff {
             let owner = self.map.shard_of(event_target(&entry.payload) as usize);
             self.lanes[owner].calendar.push(entry);
         }
+        debug_assert!(
+            self.lanes.iter().enumerate().all(|(k, lane)| {
+                lane.base as usize == self.map.base_of(k)
+                    && lane.nodes.len() == self.map.end_of(k) - self.map.base_of(k)
+            }),
+            "a lane's rows do not match its new range"
+        );
+        debug_assert!(
+            self.lanes.iter().all(|lane| {
+                let owned = lane.base as usize..lane.base as usize + lane.nodes.len();
+                lane.calendar
+                    .entries()
+                    .all(|e| owned.contains(&(event_target(&e.payload) as usize)))
+            }),
+            "a pending event sits in a lane that does not own its target"
+        );
+        debug_assert_eq!(
+            self.lanes.iter().map(|l| l.calendar.len()).sum::<usize>(),
+            pending_before,
+            "rebalance lost or duplicated pending events"
+        );
     }
 
     /// Opens an async tick: lands the tick boundary's membership
@@ -1474,6 +1582,86 @@ mod tests {
             assert_eq!(due.len(), 1, "step {step}");
             assert_eq!(due[0].seq, step as u32);
             cal.recycle(due);
+        }
+        assert!(cal.is_empty());
+    }
+
+    /// Pops every pending entry, window by window from `from`.
+    fn pop_all<E: Copy>(cal: &mut Calendar<E>, from: u64) -> Vec<Entry<E>> {
+        let mut out = Vec::new();
+        let mut cursor = from;
+        while let Some(t) = cal.next_time(cursor) {
+            let due = cal.take_due(t);
+            out.extend_from_slice(&due);
+            cal.recycle(due);
+            cursor = t + 1;
+        }
+        out
+    }
+
+    fn sorted(mut entries: Vec<Entry<u32>>) -> Vec<Entry<u32>> {
+        entries.sort_by_key(|e| (e.at, e.src, e.seq));
+        entries
+    }
+
+    #[test]
+    fn extract_moves_exactly_the_picked_entries_and_keeps_pop_order() {
+        let mut rng = SplitMix64::new(9);
+        let mut cal = Calendar::new();
+        let mut all = Vec::new();
+        let mut seqs = [0u32; 40];
+        for _ in 0..2_000 {
+            let src = (rng.next_u64() % 40) as u32;
+            let e = entry(rng.next_u64() % 100, src, seqs[src as usize]);
+            seqs[src as usize] += 1;
+            cal.push(e);
+            all.push(e);
+        }
+        let picked = |e: &Entry<u32>| e.src.is_multiple_of(3);
+        let mut out = vec![entry(0, 99, 0)];
+        cal.extract(picked, &mut out);
+        // Appended after what `out` already held.
+        assert_eq!(out.remove(0), entry(0, 99, 0));
+        assert!(out.iter().all(picked));
+        assert_eq!(out.len(), all.iter().filter(|e| picked(e)).count());
+        assert_eq!(cal.len() + out.len(), all.len());
+        assert_eq!(cal.entries().count(), cal.len());
+
+        let rest: Vec<_> = all.iter().copied().filter(|e| !picked(e)).collect();
+        assert_eq!(pop_all(&mut cal.clone(), 0), sorted(rest));
+        for e in out {
+            cal.push(e);
+        }
+        assert_eq!(pop_all(&mut cal, 0), sorted(all));
+        assert!(cal.is_empty());
+    }
+
+    #[test]
+    fn recycled_buckets_keep_bounded_capacity() {
+        let capacity = |cal: &Calendar<u32>| {
+            cal.buckets.iter().map(Vec::capacity).sum::<usize>() + cal.spare.capacity()
+        };
+        let bound = (RING_SLOTS + 1) * SPARE_CAPACITY;
+        let mut cal = Calendar::new();
+        for i in 0..100_000u32 {
+            cal.push(entry(0, i / 8, i % 8));
+        }
+        let due = cal.take_due(0);
+        assert_eq!(due.len(), 100_000);
+        cal.recycle(due);
+        assert!(capacity(&cal) <= bound, "{} > {bound}", capacity(&cal));
+        for t in 1..=RING_SLOTS as u64 {
+            for i in 0..8 {
+                cal.push(entry(t, i, 0));
+            }
+            let due = cal.take_due(t);
+            assert_eq!(due.len(), 8);
+            cal.recycle(due);
+            assert!(
+                capacity(&cal) <= bound,
+                "t={t}: {} > {bound}",
+                capacity(&cal)
+            );
         }
         assert!(cal.is_empty());
     }

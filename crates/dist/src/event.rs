@@ -1389,6 +1389,44 @@ mod tests {
     }
 
     #[test]
+    fn wholesale_rebalances_are_byte_identical_across_shards_and_threads() {
+        // Half the fleet blinks out and a third of it arrives late, so
+        // most nodes change lane, most lanes keep none of their old
+        // rows, and runs of moving rows split across several lanes.
+        let faults = FaultPlan::with_drop_prob(0.1)
+            .unwrap()
+            .region_loss(0..48, 3, 7)
+            .flash_crowd(32, 5);
+        for bound in [
+            None,
+            Some(StalenessBound::Epochs(0)),
+            Some(StalenessBound::Unbounded),
+        ] {
+            let make = || {
+                let net = EventRuntime::new(
+                    DistConfig::new(params(), 96).with_faults(faults.clone()),
+                    23,
+                );
+                match bound {
+                    Some(bound) => net.with_async_epochs(bound),
+                    None => net,
+                }
+            };
+            for lookahead in [1, 4] {
+                let baseline = drive_tuned(make, 1, lookahead, 1, 14);
+                for (shards, threads) in [(3, 1), (3, 2), (8, 1), (8, 2)] {
+                    let run = drive_tuned(make, shards, lookahead, threads, 14);
+                    assert_eq!(
+                        baseline, run,
+                        "trajectory diverged at bound={bound:?} K={lookahead} \
+                         shards={shards} threads={threads}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn churn_epoch_message_bound_holds() {
         // Per quiesced epoch: at most MAX_QUERY_RETRIES queries per
         // present node, and never more replies than queries.

@@ -89,10 +89,17 @@ impl BanditPolicy for Ucb1 {
 
 /// Beta–Bernoulli Thompson sampling: sample `θ_j ~ Beta(s_j+1, f_j+1)`
 /// and play the argmax.
+///
+/// The `m` posteriors are kept between steps, and [`update`] rebuilds
+/// only the pulled arm's, so a step costs `m` `Beta` draws and no
+/// set-up. Arms are drawn in index order, one `Beta` each.
+///
+/// [`update`]: BanditPolicy::update
 #[derive(Debug, Clone, PartialEq)]
 pub struct ThompsonSampling {
     successes: Vec<u64>,
     failures: Vec<u64>,
+    posteriors: Vec<Beta>,
 }
 
 impl ThompsonSampling {
@@ -108,24 +115,25 @@ impl ThompsonSampling {
         Ok(ThompsonSampling {
             successes: vec![0; m],
             failures: vec![0; m],
+            posteriors: vec![posterior(0, 0); m],
         })
     }
 }
 
+/// The `Beta(s+1, f+1)` posterior after `s` successes and `f` failures.
+fn posterior(successes: u64, failures: u64) -> Beta {
+    Beta::new(successes as f64 + 1.0, failures as f64 + 1.0).expect("parameters are >= 1")
+}
+
 impl BanditPolicy for ThompsonSampling {
     fn num_arms(&self) -> usize {
-        self.successes.len()
+        self.posteriors.len()
     }
 
     fn select_arm(&mut self, rng: &mut dyn rand::RngCore) -> usize {
         let mut best = 0;
         let mut best_draw = f64::NEG_INFINITY;
-        for j in 0..self.successes.len() {
-            let beta = Beta::new(
-                self.successes[j] as f64 + 1.0,
-                self.failures[j] as f64 + 1.0,
-            )
-            .expect("parameters are >= 1");
+        for (j, beta) in self.posteriors.iter().enumerate() {
             let draw = beta.sample(&mut &mut *rng);
             if draw > best_draw {
                 best_draw = draw;
@@ -141,6 +149,7 @@ impl BanditPolicy for ThompsonSampling {
         } else {
             self.failures[arm] += 1;
         }
+        self.posteriors[arm] = posterior(self.successes[arm], self.failures[arm]);
     }
 
     fn policy_name(&self) -> &'static str {
@@ -252,23 +261,28 @@ impl Exp3 {
         })
     }
 
+    #[cfg(test)]
     fn probabilities(&self) -> Vec<f64> {
-        let m = self.log_weights.len();
-        let max = self
-            .log_weights
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max);
-        let mut w: Vec<f64> = self
-            .log_weights
-            .iter()
-            .map(|&lw| (lw - max).exp())
-            .collect();
-        let z: f64 = w.iter().sum();
-        for wi in w.iter_mut() {
-            *wi = (1.0 - self.gamma) * *wi / z + self.gamma / m as f64;
-        }
+        let mut w = vec![0.0; self.log_weights.len()];
+        write_probabilities(&self.log_weights, self.gamma, &mut w);
         w
+    }
+}
+
+/// Writes EXP3's sampling distribution into `out`: the softmax of
+/// `log_weights`, mixed with a `gamma`-uniform floor.
+fn write_probabilities(log_weights: &[f64], gamma: f64, out: &mut [f64]) {
+    let m = log_weights.len();
+    let max = log_weights
+        .iter()
+        .copied()
+        .fold(f64::NEG_INFINITY, f64::max);
+    for (wi, &lw) in out.iter_mut().zip(log_weights) {
+        *wi = (lw - max).exp();
+    }
+    let z: f64 = out.iter().sum();
+    for wi in out.iter_mut() {
+        *wi = (1.0 - gamma) * *wi / z + gamma / m as f64;
     }
 }
 
@@ -278,7 +292,7 @@ impl BanditPolicy for Exp3 {
     }
 
     fn select_arm(&mut self, rng: &mut dyn rand::RngCore) -> usize {
-        self.last_probs = self.probabilities();
+        write_probabilities(&self.log_weights, self.gamma, &mut self.last_probs);
         sociolearn_core::sample_categorical(&mut &mut *rng, &self.last_probs)
     }
 

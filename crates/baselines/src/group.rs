@@ -88,14 +88,13 @@ impl<P: BanditPolicy> GroupDynamics for IndependentBanditGroup<P> {
 
     fn step(&mut self, rewards: &[bool], rng: &mut dyn RngCore) {
         assert_eq!(rewards.len(), self.counts.len(), "rewards length mismatch");
-        let mut counts = vec![0u64; self.counts.len()];
+        self.counts.fill(0);
         for agent in self.agents.iter_mut() {
             let arm = agent.select_arm(rng);
             // Partial feedback: the agent sees only its own arm's bit.
             agent.update(arm, rewards[arm]);
-            counts[arm] += 1;
+            self.counts[arm] += 1;
         }
-        self.counts = counts;
         self.steps += 1;
     }
 

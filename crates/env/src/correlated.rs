@@ -5,6 +5,7 @@
 //! the paper's `(η, α, β)` parameterization.
 
 use rand::{Rng, RngCore};
+use rand_distr::{Distribution, StandardNormal};
 use sociolearn_core::{ParamsError, RewardModel};
 
 /// Correlated two-option rewards: each step, option 0 is good with
@@ -150,7 +151,9 @@ impl ShockDuel {
         assert!(samples > 0, "need at least one sample");
         let mut hits = 0u32;
         for _ in 0..samples {
-            let xi: f64 = (0..4).map(|_| normal_sample(rng) * self.sigma).sum();
+            let xi: f64 = (0..4)
+                .map(|_| StandardNormal.sample(rng) * self.sigma)
+                .sum();
             if self.gap + xi > 0.0 {
                 hits += 1;
             }
@@ -276,7 +279,7 @@ impl DuelPopulation {
             // from the agent's own and the shocked comparison favors
             // it; otherwise keep the current option.
             if observed != *choice {
-                let xi: f64 = (0..4).map(|_| normal_sample(rng) * sigma).sum();
+                let xi: f64 = (0..4).map(|_| StandardNormal.sample(rng) * sigma).sum();
                 let observed_advantage = if observed == 0 {
                     reward_diff
                 } else {
@@ -308,13 +311,6 @@ fn normal_cdf(x: f64) -> f64 {
             * t
             * (-z * z).exp();
     0.5 * (1.0 + sign * erf)
-}
-
-/// One standard normal draw via Box–Muller.
-fn normal_sample<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    let u2: f64 = rng.gen();
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 #[cfg(test)]
@@ -409,7 +405,10 @@ mod tests {
         assert!(normal_cdf(5.0) > 0.999);
         assert!(normal_cdf(-5.0) < 0.001);
         let mut rng = SmallRng::seed_from_u64(4);
-        let mean: f64 = (0..10_000).map(|_| normal_sample(&mut rng)).sum::<f64>() / 10_000.0;
+        let mean: f64 = (0..10_000)
+            .map(|_| StandardNormal.sample(&mut rng))
+            .sum::<f64>()
+            / 10_000.0;
         assert!(mean.abs() < 0.05, "normal mean {mean}");
     }
 }

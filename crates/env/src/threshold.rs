@@ -5,6 +5,7 @@
 //! binary reward structure in a standard way").
 
 use rand::{Rng, RngCore};
+use rand_distr::{Distribution, StandardNormal};
 use sociolearn_core::{ParamsError, RewardModel};
 
 /// A continuous reward distribution with samplable draws and a
@@ -53,11 +54,7 @@ impl ContinuousDist {
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         match *self {
             ContinuousDist::Uniform { lo, hi } => rng.gen_range(lo..hi),
-            ContinuousDist::Normal { mean, sd } => {
-                let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-                let u2: f64 = rng.gen();
-                mean + sd * (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-            }
+            ContinuousDist::Normal { mean, sd } => mean + sd * StandardNormal.sample(rng),
             ContinuousDist::Exponential { rate } => {
                 let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
                 -u.ln() / rate

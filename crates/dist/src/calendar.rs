@@ -34,19 +34,20 @@
 //! cross-shard synchronization inside it, and the per-shard-pair
 //! mailboxes are drained once at the block barrier. What makes that
 //! sound is a *message due-time adjustment*: a message sent at `now`
-//! with latency `l` becomes due at `max(now + l, block_end(now))` —
-//! never inside the sender's current block. The adjustment applies to
-//! every message, same-shard or cross-shard, so it is a property of
-//! the *trajectory*, not of the partition: for a fixed K the results
-//! stay byte-identical across shard counts and thread counts. At the
-//! default `K = 1`, `block_end(now) = now + 1 <= now + l`, so the
-//! adjustment is the identity and existing seeds replay bit-for-bit.
+//! with latency `l` is due at `max(now + l, block_end(now))` plus the
+//! fixed `DELIVER_DELAY` — never inside the sender's current block.
+//! The adjustment applies to every message, same-shard or
+//! cross-shard, so it is a property of the *trajectory*, not of the
+//! partition: for a fixed K the results stay byte-identical across
+//! shard counts and thread counts. At the default `K = 1`,
+//! `block_end(now) = now + 1 <= now + l`, so the adjustment is the
+//! identity and existing seeds replay bit-for-bit.
 //! `K` is capped at [`MAX_LOOKAHEAD`]`= MAX_MESSAGE_LATENCY`, which
 //! keeps two invariants intact: no adjusted delay exceeds the
 //! protocol's existing latency ceiling (so the calendar ring horizon
 //! is unchanged and `Calendar::push` cannot hit its ring-collision
 //! panic), and a query round trip still always beats its retry
-//! timeout (`2·max(l, K) + 2·DELIVER_DELAY < RETRY_TIMEOUT`), so the
+//! timeout (`2·(max(l, K) + DELIVER_DELAY) < RETRY_TIMEOUT`), so the
 //! retry/fallback structure of the law is preserved. Lanes run on a
 //! persistent worker-thread pool ([`with_threads`]) — each lane's
 //! block is a pure function of the lane and the shared tick context,
@@ -63,9 +64,14 @@
 //!
 //! * Every event carries an intrinsic `(time, source node, per-source
 //!   sequence number)` key. Within a window, a shard processes its due
-//!   events in ascending `(src, seq)` order, so the total order within
-//!   each window is fixed no matter which mailbox an event travelled
-//!   through or how many shards exist.
+//!   events in two passes — first the timers (`Wake`, `Timeout`), then
+//!   the mail (`QueryArrive`, `ReplyArrive`) — each in ascending
+//!   `(src, seq)` order, so the total order within each window is
+//!   fixed no matter which mailbox an event travelled through or how
+//!   many shards exist. A node thus handles its own timers before the
+//!   mail that reached it in the same window; an event touches only
+//!   its target's state and schedules nothing into the current window,
+//!   so the order *across* targets does not matter.
 //! * Randomness comes from **per-node RNG streams** split from the
 //!   root seed (one `SmallRng` per node, seeded via a SplitMix64
 //!   derivation). A node draws only from its own stream, so regrouping
@@ -114,10 +120,11 @@
 //! # Per-node state
 //!
 //! Everything a node carries — commitment and one-slot history,
-//! local epoch, inbox, RNG stream, sequence and incarnation counters
-//! — is one row of a struct-of-arrays table, `Nodes`. The engine
-//! builds the whole fleet's table once and cuts it into lanes by
-//! node range; a rebalance queues each lane's table as a run in node
+//! local epoch, pending attempt, RNG stream, sequence and incarnation
+//! counters — is one row of a struct-of-arrays table, `Nodes`, of
+//! fixed width: a message is handled the moment it is due, so no
+//! node keeps a mailbox. The engine builds the whole fleet's table
+//! once and cuts it into lanes by node range; a rebalance queues each lane's table as a run in node
 //! order and has every lane take its new range back, cutting a run
 //! only where a new boundary crosses it. Nothing else is cached per
 //! lane:
@@ -134,7 +141,7 @@ use sociolearn_sim::{SplitMix64, WorkerPool};
 
 use crate::cast::index_u32;
 use crate::event::{
-    Event, Mode, Msg, Pending, ASYNC_EPOCH_PERIOD, ASYNC_WAKE_JITTER, DELIVER_DELAY,
+    Event, Mode, Pending, ASYNC_EPOCH_PERIOD, ASYNC_WAKE_JITTER, DELIVER_DELAY,
     MAX_MESSAGE_LATENCY, RETRY_TIMEOUT, WAKE_SPREAD,
 };
 use crate::{
@@ -198,8 +205,8 @@ pub const MAX_LOOKAHEAD: u64 = MAX_MESSAGE_LATENCY;
 const _: () = assert!(MAX_LOOKAHEAD <= MAX_MESSAGE_LATENCY);
 // ...and a maximally-deferred query + reply round trip (each leg at
 // most max(MAX_MESSAGE_LATENCY, MAX_LOOKAHEAD) = MAX_MESSAGE_LATENCY,
-// plus an inbox Deliver hop per leg) must still preempt the sender's
-// retry timeout, or lookahead would change the retry/fallback law.
+// plus DELIVER_DELAY) must still preempt the sender's retry timeout,
+// or lookahead would change the retry/fallback law.
 const _: () = assert!(2 * MAX_MESSAGE_LATENCY + 2 * DELIVER_DELAY < RETRY_TIMEOUT);
 
 /// The absolute-time end of the lookahead block containing `now`:
@@ -209,14 +216,15 @@ fn block_end_of(now: u64, lookahead: u64) -> u64 {
     (now / lookahead + 1) * lookahead
 }
 
-/// The due time of a message sent at `now` with `latency`: deferred
-/// to the sender's block boundary under lookahead (the identity when
-/// `lookahead == 1`, since `latency >= 1`). Partition-independent —
+/// The time a message sent at `now` with `latency` is handled at its
+/// receiver: its link arrival, deferred to the sender's block boundary
+/// under lookahead (the identity when `lookahead == 1`, since
+/// `latency >= 1`), plus [`DELIVER_DELAY`]. Partition-independent —
 /// it applies whether or not the message crosses shards — which is
 /// what keeps trajectories byte-identical across shard counts.
 #[inline]
 fn msg_at(now: u64, latency: u64, ctx: &Ctx) -> u64 {
-    (now + latency).max(block_end_of(now, ctx.lookahead))
+    (now + latency).max(block_end_of(now, ctx.lookahead)) + DELIVER_DELAY
 }
 
 /// Resolves the `threads` knob: `0` means "ask the OS", anything else
@@ -460,7 +468,6 @@ fn event_target(ev: &Event) -> u32 {
     match ev {
         Event::Wake { node, .. }
         | Event::ReplyArrive { node, .. }
-        | Event::Deliver { node }
         | Event::Timeout { node, .. } => *node,
         Event::QueryArrive { to, .. } => *to,
     }
@@ -601,7 +608,6 @@ struct Ctx {
     mu: f64,
     drop_prob: f64,
     has_faults: bool,
-    queue_bound: usize,
     /// The 1-based runtime round (the membership clock).
     t: u64,
     /// Lookahead block width K (windows per barrier).
@@ -627,7 +633,6 @@ struct Nodes {
     epochs: Vec<u64>,
     last_wake: Vec<u64>,
     pending: Vec<Pending>,
-    inboxes: Vec<VecDeque<Msg>>,
     rngs: Vec<SmallRng>,
     seqs: Vec<u32>,
     /// Incarnation counters, bumped on every leave so a wake-up
@@ -653,7 +658,6 @@ impl Nodes {
         self.epochs.append(&mut other.epochs);
         self.last_wake.append(&mut other.last_wake);
         self.pending.append(&mut other.pending);
-        self.inboxes.append(&mut other.inboxes);
         self.rngs.append(&mut other.rngs);
         self.seqs.append(&mut other.seqs);
         self.incs.append(&mut other.incs);
@@ -669,7 +673,6 @@ impl Nodes {
             epochs: self.epochs.split_off(at),
             last_wake: self.last_wake.split_off(at),
             pending: self.pending.split_off(at),
-            inboxes: self.inboxes.split_off(at),
             rngs: self.rngs.split_off(at),
             seqs: self.seqs.split_off(at),
             incs: self.incs.split_off(at),
@@ -717,7 +720,6 @@ struct ShardLane {
     outboxes: Vec<Vec<Entry<Event>>>,
     /// This tick's counter contributions (summed across lanes).
     rm: RoundMetrics,
-    max_queue_depth: usize,
 }
 
 impl ShardLane {
@@ -737,7 +739,6 @@ impl ShardLane {
                     calendar: Calendar::new(),
                     outboxes: (0..lanes).map(|_| Vec::new()).collect(),
                     rm: RoundMetrics::default(),
-                    max_queue_depth: 0,
                 }
             })
             .collect();
@@ -774,21 +775,6 @@ impl ShardLane {
     /// Whether a message sent by `local` is lost on the link.
     fn link_drops(&mut self, local: usize, ctx: &Ctx) -> bool {
         ctx.drop_prob > 0.0 && self.nodes.rngs[local].gen_bool(ctx.drop_prob)
-    }
-
-    /// Offers `msg` to a local node's bounded inbox; schedules the
-    /// matching `Deliver` on success, counts a backpressure drop on
-    /// overflow.
-    fn enqueue(&mut self, local: usize, msg: Msg, now: u64, ctx: &Ctx) {
-        let inbox = &mut self.nodes.inboxes[local];
-        if inbox.len() >= ctx.queue_bound {
-            self.rm.queue_drops += 1;
-            return;
-        }
-        inbox.push_back(msg);
-        self.max_queue_depth = self.max_queue_depth.max(inbox.len());
-        let node = self.base + index_u32(local);
-        self.push_from(node, now + DELIVER_DELAY, Event::Deliver { node }, ctx);
     }
 
     // ---- The protocol, one method per stage. Both epoch disciplines
@@ -902,63 +888,44 @@ impl ShardLane {
         }
     }
 
-    /// Pops and handles the head of a node's inbox.
-    fn deliver(&mut self, local: usize, now: u64, ctx: &Ctx) {
-        let Some(msg) = self.nodes.inboxes[local].pop_front() else {
-            return;
-        };
-        match msg {
-            Msg::Query { from, epoch } => {
-                let option = match ctx.mode {
-                    // Answer with the option committed last epoch.
-                    Mode::Quiesced => self.nodes.back[local],
-                    Mode::Async(bound) => {
-                        // The querier at local epoch `e` would, under
-                        // synchronized execution, copy information
-                        // committed at epoch `e - 1`. Serve the
-                        // snapshot nearest that epoch: the latest
-                        // commitment if the responder is at or behind
-                        // the requested epoch (staleness = the gap),
-                        // else the one-slot history (a responder that
-                        // already completed the requested epoch still
-                        // holds what it committed then; one that raced
-                        // further ahead serves the oldest it has —
-                        // fresher than asked, never stale). Withhold
-                        // the reply when the served information is
-                        // staler than the bound.
-                        let want = epoch.saturating_sub(1);
-                        let r = self.nodes.epochs[local];
-                        let (option, stale) = if want >= r {
-                            (self.nodes.choices[local], want - r)
-                        } else {
-                            (self.nodes.back[local], 0)
-                        };
-                        if option != NO_CHOICE && !bound.allows(stale) {
-                            self.rm.stale_replies += 1;
-                            return;
-                        }
-                        option
-                    }
+    /// Answers `from`'s query, tagged with the querier's local
+    /// `epoch`, at a local node.
+    fn answer(&mut self, local: usize, from: u32, epoch: u64, now: u64, ctx: &Ctx) {
+        let option = match ctx.mode {
+            // Answer with the option committed last epoch.
+            Mode::Quiesced => self.nodes.back[local],
+            Mode::Async(bound) => {
+                // The querier at local epoch `e` would, under
+                // synchronized execution, copy information committed
+                // at epoch `e - 1`. Serve the snapshot nearest that
+                // epoch: the latest commitment if the responder is at
+                // or behind the requested epoch (staleness = the gap),
+                // else the one-slot history (a responder that already
+                // completed the requested epoch still holds what it
+                // committed then; one that raced further ahead serves
+                // the oldest it has — fresher than asked, never
+                // stale). Withhold the reply when the served
+                // information is staler than the bound.
+                let want = epoch.saturating_sub(1);
+                let r = self.nodes.epochs[local];
+                let (option, stale) = if want >= r {
+                    (self.nodes.choices[local], want - r)
+                } else {
+                    (self.nodes.back[local], 0)
                 };
-                // A node that sat that epoch out has nothing to report
-                // and stays silent; the querier's timeout drives the
-                // retry.
-                if option != NO_CHOICE && !self.link_drops(local, ctx) {
-                    let at = msg_at(now, self.latency(local), ctx);
-                    let node = self.base + index_u32(local);
-                    self.push_from(node, at, Event::ReplyArrive { node: from, option }, ctx);
-                }
-            }
-            Msg::Reply { option } => {
-                if self.nodes.pending[local].resolved {
-                    // A late duplicate (cannot normally happen: the
-                    // timeout window exceeds the worst-case round
-                    // trip), ignored for safety.
+                if option != NO_CHOICE && !bound.allows(stale) {
+                    self.rm.stale_replies += 1;
                     return;
                 }
-                self.rm.replies_received += 1;
-                self.decide(local, option, now, ctx);
+                option
             }
+        };
+        // A node that sat that epoch out has nothing to report and
+        // stays silent; the querier's timeout drives the retry.
+        if option != NO_CHOICE && !self.link_drops(local, ctx) {
+            let at = msg_at(now, self.latency(local), ctx);
+            let node = self.base + index_u32(local);
+            self.push_from(node, at, Event::ReplyArrive { node: from, option }, ctx);
         }
     }
 
@@ -971,10 +938,6 @@ impl ShardLane {
         debug_assert!(self.calendar.is_empty(), "previous epoch left events");
         for local in 0..self.nodes.len() {
             self.nodes.choices[local] = NO_CHOICE;
-            debug_assert!(
-                self.nodes.inboxes[local].is_empty(),
-                "previous epoch left mail"
-            );
             if !ctx.present[self.base as usize + local] {
                 // An absent node answers nothing: its snapshot slot is
                 // cleared so a query landing here finds no commitment.
@@ -1004,9 +967,9 @@ impl ShardLane {
     /// Handles one due event. An absent (crashed or departed) node
     /// takes part in nothing: messages addressed to it are swallowed
     /// — the querier's timeout drives the retry — and its own
-    /// wake-ups, deliveries, and timeouts lapse. Quiesced membership
-    /// changes only at epoch boundaries, so there the checks only
-    /// ever swallow queries to absent peers.
+    /// wake-ups and timeouts lapse. Quiesced membership changes only
+    /// at epoch boundaries, so there the checks only ever swallow
+    /// queries to absent peers.
     fn handle(&mut self, entry: Entry<Event>, now: u64, ctx: &Ctx) {
         let present = |node: u32| !ctx.has_faults || ctx.present[node as usize];
         match entry.payload {
@@ -1023,27 +986,17 @@ impl ShardLane {
             }
             Event::QueryArrive { from, to, epoch } => {
                 if present(to) {
-                    self.enqueue(
-                        (to - self.base) as usize,
-                        Msg::Query { from, epoch },
-                        now,
-                        ctx,
-                    );
+                    self.answer((to - self.base) as usize, from, epoch, now, ctx);
                 }
             }
             Event::ReplyArrive { node, option } => {
-                if present(node) {
-                    self.enqueue((node - self.base) as usize, Msg::Reply { option }, now, ctx);
-                }
-            }
-            Event::Deliver { node } => {
                 let local = (node - self.base) as usize;
-                if present(node) {
-                    self.deliver(local, now, ctx);
-                } else {
-                    // Keep deliveries 1:1 with enqueues even for the
-                    // dead.
-                    self.nodes.inboxes[local].pop_front();
+                // A reply to a resolved node is late (cannot normally
+                // happen: the timeout window exceeds the worst-case
+                // round trip) and is ignored for safety.
+                if present(node) && !self.nodes.pending[local].resolved {
+                    self.rm.replies_received += 1;
+                    self.decide(local, option, now, ctx);
                 }
             }
             Event::Timeout {
@@ -1066,11 +1019,24 @@ impl ShardLane {
         }
     }
 
-    /// Processes every event due at `now`, in `(src, seq)` order.
+    /// Processes every event due at `now` in two passes, each in
+    /// `(src, seq)` order: first the timers (`Wake`, `Timeout`), then
+    /// the mail (`QueryArrive`, `ReplyArrive`). So a node settles its
+    /// own timers — a retry, a fallback decision, the start of an
+    /// epoch — before it answers or consumes the mail due in the same
+    /// window, whatever the senders' ids.
     fn run_window(&mut self, now: u64, ctx: &Ctx) {
         let due = self.calendar.take_due(now);
-        for &entry in &due {
-            self.handle(entry, now, ctx);
+        for mail in [false, true] {
+            for &entry in &due {
+                let is_mail = matches!(
+                    entry.payload,
+                    Event::QueryArrive { .. } | Event::ReplyArrive { .. }
+                );
+                if is_mail == mail {
+                    self.handle(entry, now, ctx);
+                }
+            }
         }
         self.calendar.recycle(due);
     }
@@ -1147,7 +1113,6 @@ impl ShardedEngine {
             epochs: vec![0; n],
             last_wake: vec![0; n],
             pending: vec![Pending::default(); n],
-            inboxes: (0..n).map(|_| VecDeque::new()).collect(),
             rngs: (0..n)
                 .map(|i| SmallRng::seed_from_u64(node_stream_seed(seed, i)))
                 .collect(),
@@ -1217,15 +1182,6 @@ impl ShardedEngine {
         self.map.write_loads(members, out);
     }
 
-    /// The deepest any inbox has ever been.
-    pub(crate) fn max_queue_depth(&self) -> usize {
-        self.lanes
-            .iter()
-            .map(|l| l.max_queue_depth)
-            .max()
-            .unwrap_or(0)
-    }
-
     /// The earliest pending virtual time at or after `from`, across
     /// all lanes.
     fn next_window(&self, from: u64) -> Option<u64> {
@@ -1293,7 +1249,6 @@ impl ShardedEngine {
             rm.replies_received += lane.rm.replies_received;
             rm.fallbacks += lane.rm.fallbacks;
             rm.explorations += lane.rm.explorations;
-            rm.queue_drops += lane.rm.queue_drops;
             rm.stale_replies += lane.rm.stale_replies;
         }
         rm
@@ -1303,12 +1258,10 @@ impl ShardedEngine {
     /// async epoch-period window of virtual time. A tick boundary
     /// carrying membership transitions first rebalances shard
     /// ownership to the new present-node load.
-    #[allow(clippy::too_many_arguments)] // the runtime's full tick context, assembled in one place
     pub(crate) fn tick(
         &mut self,
         mode: Mode,
         cfg: &DistConfig,
-        queue_bound: usize,
         members: &MembershipTracker,
         t: u64,
         rewards: &[bool],
@@ -1326,7 +1279,6 @@ impl ShardedEngine {
             mu: cfg.params().mu(),
             drop_prob: cfg.faults().drop_prob(),
             has_faults: members.any_scheduled(),
-            queue_bound,
             t,
             rewards: rewards.to_vec(),
             lookahead: tuning.lookahead,
@@ -1420,11 +1372,10 @@ impl ShardedEngine {
     /// still owns unless rows now precede them. A lane whose range
     /// moved hands off just the calendar entries of nodes it no longer
     /// owns, and those are re-pushed to their new owners; calendars
-    /// and depth watermarks otherwise stay with their lanes. Runs only
-    /// between ticks, where cross-shard outboxes are provably empty, so
-    /// nothing is in flight mid-move; per-node RNG streams and
-    /// intrinsic event keys make the new partition produce
-    /// byte-identical results.
+    /// otherwise stay with their lanes. Runs only between ticks, where
+    /// cross-shard outboxes are provably empty, so nothing is in
+    /// flight mid-move; per-node RNG streams and intrinsic event keys
+    /// make the new partition produce byte-identical results.
     fn rebalance(&mut self, members: &MembershipTracker, n: usize) {
         let new_map = ShardMap::balanced(n, self.lanes.len(), members);
         if new_map == self.map {
@@ -1672,6 +1623,68 @@ mod tests {
             (0..10_000).map(|i| node_stream_seed(42, i)).collect();
         assert_eq!(seeds.len(), 10_000);
         assert_ne!(node_stream_seed(1, 0), node_stream_seed(2, 0));
+    }
+
+    /// Within a window a node settles its own timers before the mail
+    /// due there, whatever the senders' ids. Node 1's last retry times
+    /// out at the same slot as node 0's query reaches it. Timers
+    /// first, node 1 falls back, completes its epoch and answers the
+    /// query as a current peer. Answered first — in plain `(src, seq)`
+    /// order or mail before timers — the query would find node 1 one
+    /// epoch behind and withhold the reply as stale under `Epochs(0)`.
+    #[test]
+    fn window_handles_timers_before_mail() {
+        let params = Params::new(2, 0.65).unwrap();
+        let cfg = DistConfig::new(params, 2);
+        let members = MembershipTracker::new(cfg.faults(), 2);
+        let engine = ShardedEngine::new(&cfg, 7, 1, &members);
+        let ctx = Ctx {
+            params,
+            mode: Mode::Async(crate::StalenessBound::Epochs(0)),
+            n: 2,
+            m: 2,
+            map: engine.map.clone(),
+            mu: params.mu(),
+            drop_prob: 0.0,
+            has_faults: false,
+            t: 1,
+            lookahead: 1,
+            rewards: vec![true, false],
+            present: Arc::new(vec![true; 2]),
+        };
+        let mut lane = engine.lanes.into_iter().next().unwrap();
+        lane.nodes.choices[1] = 0;
+        lane.nodes.epochs = vec![5, 4];
+        lane.nodes.pending[1] = Pending {
+            attempt: MAX_QUERY_RETRIES,
+            resolved: false,
+        };
+        let at = 10;
+        let timeout = Event::Timeout {
+            node: 1,
+            attempt: MAX_QUERY_RETRIES,
+            epoch: 5,
+        };
+        let query = Event::QueryArrive {
+            from: 0,
+            to: 1,
+            epoch: 6,
+        };
+        for (src, payload) in [(1, timeout), (0, query)] {
+            lane.calendar.push(Entry {
+                at,
+                src,
+                seq: 0,
+                payload,
+            });
+        }
+        lane.run_window(at, &ctx);
+        assert_eq!(lane.rm.fallbacks, 1);
+        assert_eq!(
+            lane.rm.stale_replies, 0,
+            "the query went before the timeout"
+        );
+        assert_eq!(lane.nodes.epochs[1], 5);
     }
 
     #[test]

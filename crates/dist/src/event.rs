@@ -2,16 +2,18 @@
 //! [`Runtime`](crate::Runtime), executed by a seeded discrete-event
 //! scheduler instead of a global round barrier.
 //!
-//! Every message (query out, reply back) is a scheduled event with its
-//! own latency jitter, and every node owns a **bounded FIFO inbox**:
-//! a message arriving at a full queue is dropped (backpressure), and a
-//! query that never produces a reply — lost on the link, addressed to
-//! a crashed, departed, or sat-out peer, or squeezed out of a queue —
-//! is recovered by a timeout-driven retry against a fresh peer, up to
-//! [`MAX_QUERY_RETRIES`] attempts before the uniform fallback. This is
-//! the transport behavior a round-synchronous barrier hides, and the
-//! bridge toward fully asynchronous bounded-memory collaborative
-//! learning (Su–Zubeldia–Lynch, arXiv:1802.08159).
+//! Every message (query out, reply back) is one scheduled event with
+//! its own latency jitter, handled by its receiver the moment it is
+//! due — one query and one reply, with no mailbox, as in the paper's
+//! "select a random individual and observe the option that individual
+//! chose". A query that never produces a reply — lost on the link, or
+//! addressed to a crashed, departed, or sat-out peer — is recovered by
+//! a timeout-driven retry against a fresh peer, up to
+//! [`MAX_QUERY_RETRIES`](crate::MAX_QUERY_RETRIES) attempts before the
+//! uniform fallback. This is the transport behavior a
+//! round-synchronous barrier hides, and the bridge toward fully
+//! asynchronous bounded-memory collaborative learning
+//! (Su–Zubeldia–Lynch, arXiv:1802.08159).
 //!
 //! Membership churn (scripted joins, leaves, and rejoins from the
 //! [`crate::FaultPlan`]) runs through the same machinery: an absent
@@ -53,7 +55,8 @@
 //! (Su–Zubeldia–Lynch, arXiv:1802.08159).
 //!
 //! Message cost per epoch is bounded exactly as in the round-
-//! synchronous runtime: at most [`MAX_QUERY_RETRIES`] queries and one
+//! synchronous runtime: at most
+//! [`MAX_QUERY_RETRIES`](crate::MAX_QUERY_RETRIES) queries and one
 //! reply per query per node per epoch, i.e. `≤ 2 · MAX_QUERY_RETRIES
 //! · N` messages per epoch (in async mode, per *local* epoch).
 //! Protocol state stays O(1) per node in both modes: the current
@@ -72,17 +75,15 @@ use crate::{
     RoundMetrics,
 };
 
-/// Default capacity of each node's FIFO inbox. Messages arriving at a
-/// full inbox are dropped and counted in
-/// [`RoundMetrics::queue_drops`].
-pub const DEFAULT_QUEUE_BOUND: usize = 32;
-
 /// Upper bound on the per-message latency jitter, in scheduler ticks;
 /// each delivery draws uniformly from `1..=MAX_MESSAGE_LATENCY`.
 pub const MAX_MESSAGE_LATENCY: u64 = 8;
 
-/// Ticks between a message landing in an inbox and the owner
-/// processing it.
+/// Fixed handling delay every message pays on top of its link
+/// latency (and any lookahead deferral): a message sent at `now` with
+/// latency `l` is handled by its receiver at `now + l + DELIVER_DELAY`.
+/// It sets the protocol's time scale together with the latency range —
+/// [`RETRY_TIMEOUT`] and [`ASYNC_EPOCH_PERIOD`] are derived from both.
 pub(crate) const DELIVER_DELAY: u64 = 1;
 
 /// Window over which alive nodes' wake-ups are jittered at the start
@@ -172,32 +173,20 @@ pub(crate) enum Event {
     /// everything else expires within one tick window). Quiesced mode
     /// clears the schedule every tick, so the tag is inert there.
     Wake { node: u32, inc: u32 },
-    /// A query from `from` reaches `to`'s inbox (link loss already
-    /// resolved at send time). `epoch` is the sender's local epoch at
-    /// send time — the staleness reference in async mode, ignored in
-    /// quiesced mode.
+    /// A query from `from` reaches `to`, which answers it on the spot
+    /// (link loss already resolved at send time). `epoch` is the
+    /// sender's local epoch at send time — the staleness reference in
+    /// async mode, ignored in quiesced mode.
     QueryArrive { from: u32, to: u32, epoch: u64 },
-    /// A reply carrying `option` reaches `node`'s inbox.
+    /// A reply carrying `option` reaches `node`, which consumes it
+    /// unless stage 1 already resolved.
     ReplyArrive { node: u32, option: u32 },
-    /// `node` processes the message at the head of its inbox.
-    Deliver { node: u32 },
     /// `node`'s query `attempt` has waited long enough; retry or fall
     /// back unless a reply already resolved it. `epoch` pins the
     /// timeout to the local epoch that issued the attempt, so a stale
     /// timeout surviving into a later epoch (possible in async mode,
     /// where the schedule is never cleared) cannot fire spuriously.
     Timeout { node: u32, attempt: u32, epoch: u64 },
-}
-
-/// A message sitting in a node's inbox.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Msg {
-    /// "What option did you use last epoch?" — tagged with the
-    /// querier's local epoch at send time (the async staleness
-    /// reference; quiesced mode ignores it).
-    Query { from: u32, epoch: u64 },
-    /// "I used `option`."
-    Reply { option: u32 },
 }
 
 /// Per-node transport bookkeeping for the current epoch. This is
@@ -218,28 +207,27 @@ pub(crate) struct Pending {
 /// async mode — the protocol state — plus the per-source sequence
 /// counter and incarnation tag that give the scheduler its intrinsic
 /// `(time, src, seq)` event order and its leave/rejoin fencing. The
-/// pending-query slot, the bounded inbox, and the wake anchor are
-/// transport bookkeeping with their own constant bounds. Rebalancing
-/// hands this state across shards; nothing grows it.
+/// pending-query slot and the wake anchor are transport bookkeeping
+/// with their own constant bounds; there is no mailbox, since a message
+/// is handled the moment it is due. Rebalancing hands this state across
+/// shards; nothing grows it.
 pub const EVENT_NODE_STATE_BYTES: usize = 2 * std::mem::size_of::<NodeState>()
     + std::mem::size_of::<u64>()
     + 2 * std::mem::size_of::<u32>();
 
 // Compile-time bounded-memory budget: the event runtime's per-node
-// state stays within 6× the advertised NODE_STATE_BYTES, a message
-// never carries more than one commitment plus its epoch tag, and the
+// state stays within 6× the advertised NODE_STATE_BYTES, and the
 // transport bookkeeping stays flat. Renegotiate here, not by silently
 // growing a struct.
 const _: () = assert!(EVENT_NODE_STATE_BYTES <= 6 * crate::NODE_STATE_BYTES);
-const _: () = assert!(std::mem::size_of::<Msg>() <= 4 * crate::NODE_STATE_BYTES);
 const _: () = assert!(std::mem::size_of::<Pending>() <= 2 * crate::NODE_STATE_BYTES);
 
 /// The event-driven message-passing runtime: `N` nodes of
 /// [`crate::NODE_STATE_BYTES`] protocol state each, exchanging
 /// query/reply gossip through a seeded discrete-event scheduler with
-/// per-message latency jitter, bounded FIFO inboxes, and
-/// timeout-driven retries, with faults injected per the configured
-/// [`crate::FaultPlan`].
+/// per-message latency jitter and timeout-driven retries, with faults
+/// injected per the configured [`crate::FaultPlan`]. A message is
+/// handled the moment it is due: no node keeps a mailbox.
 ///
 /// The scheduler is the sharded calendar-queue engine (one shard
 /// unless [`with_scheduler`](EventRuntime::with_scheduler) asks for
@@ -272,7 +260,6 @@ const _: () = assert!(std::mem::size_of::<Pending>() <= 2 * crate::NODE_STATE_BY
 #[derive(Debug, Clone)]
 pub struct EventRuntime {
     cfg: DistConfig,
-    queue_bound: usize,
     mode: Mode,
     /// The root seed the engine splits its per-node streams from.
     seed: u64,
@@ -300,8 +287,7 @@ impl EventRuntime {
     /// Boots a fleet from the uniform initialization (node `i` starts
     /// committed to option `i mod m`, matching both the in-memory
     /// dynamics and the round-synchronous runtime) with all randomness
-    /// derived from `seed` and inboxes bounded at
-    /// [`DEFAULT_QUEUE_BOUND`].
+    /// derived from `seed`.
     pub fn new(cfg: DistConfig, seed: u64) -> Self {
         let m = cfg.params().num_options();
         let n = cfg.num_nodes();
@@ -311,7 +297,6 @@ impl EventRuntime {
             counts[crate::uniform_start_choice(i, m) as usize] += 1;
         }
         EventRuntime {
-            queue_bound: DEFAULT_QUEUE_BOUND,
             mode: Mode::Quiesced,
             seed,
             shards: 1,
@@ -377,19 +362,6 @@ impl EventRuntime {
         SchedulerKind::ShardedCalendar {
             shards: lane_count(self.cfg.num_nodes(), self.shards),
         }
-    }
-
-    /// Replaces the per-node inbox capacity (default
-    /// [`DEFAULT_QUEUE_BOUND`]). Smaller bounds increase backpressure
-    /// drops and hence retries/fallbacks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bound == 0` (a node must be able to receive).
-    pub fn with_queue_bound(mut self, bound: usize) -> Self {
-        assert!(bound > 0, "queue bound must be at least 1");
-        self.queue_bound = bound;
-        self
     }
 
     /// Sets the scheduler's **lookahead block width** `K`: each shard
@@ -485,7 +457,7 @@ impl EventRuntime {
         self.round
     }
 
-    /// Cumulative message/fallback/backpressure counters.
+    /// Cumulative message/fallback/staleness counters.
     pub fn metrics(&self) -> Metrics {
         self.metrics
     }
@@ -500,17 +472,6 @@ impl EventRuntime {
     /// membership churn this can grow as well as shrink.
     pub fn alive_count(&self) -> usize {
         self.members.alive()
-    }
-
-    /// The per-node inbox capacity.
-    pub fn queue_bound(&self) -> usize {
-        self.queue_bound
-    }
-
-    /// The deepest any inbox has ever been — by construction never
-    /// more than [`queue_bound`](EventRuntime::queue_bound).
-    pub fn max_queue_depth(&self) -> usize {
-        self.engine.as_ref().map_or(0, |e| e.max_queue_depth())
     }
 
     /// Whether the scheduler runs fully-async overlapping epochs.
@@ -588,7 +549,6 @@ impl EventRuntime {
         let rm = engine.tick(
             self.mode,
             &self.cfg,
-            self.queue_bound,
             &self.members,
             t,
             rewards,
@@ -741,7 +701,6 @@ mod tests {
                 "every alive node resolves stage 1"
             );
         }
-        assert!(net.max_queue_depth() <= net.queue_bound());
         let m = net.metrics();
         assert_eq!(m.rounds, 50);
         assert!(m.messages_per_round() > 0.0);
@@ -786,19 +745,6 @@ mod tests {
         assert!(net.metrics().fallbacks > 0);
     }
 
-    /// A bound of 1 forces heavy backpressure in a dense fleet: the
-    /// high-water mark never exceeds the bound, the drops show in the
-    /// metrics, and learning survives.
-    fn assert_tiny_queue_bound_respected(shards: usize) {
-        let mut net = fleet(128, FaultPlan::none(), 9, None, shards).with_queue_bound(1);
-        for _ in 0..30 {
-            net.tick(&[true, false]);
-        }
-        assert!(net.max_queue_depth() <= 1);
-        assert!(net.metrics().queue_drops > 0, "bound 1 never overflowed");
-        assert!(net.distribution()[0] > 0.5);
-    }
-
     #[test]
     fn initialization_matches_uniform_start() {
         let net = EventRuntime::new(DistConfig::new(Params::new(3, 0.6).unwrap(), 7), 1);
@@ -840,11 +786,6 @@ mod tests {
     #[test]
     fn deterministic_for_fixed_seed() {
         assert_deterministic(None, 1);
-    }
-
-    #[test]
-    fn tiny_queue_bound_is_respected_under_load() {
-        assert_tiny_queue_bound_respected(1);
     }
 
     #[test]
@@ -1010,9 +951,9 @@ mod tests {
         assert_eq!(StalenessBound::Epochs(4).to_string(), "4");
     }
 
-    /// Per tick: the queue-depth watermark, the epoch spread and every
-    /// node's local epoch — the engine state a rebalance moves.
-    type EngineState = (usize, u64, Vec<u64>);
+    /// Per tick: the epoch spread and every node's local epoch — the
+    /// engine state a rebalance moves.
+    type EngineState = (u64, Vec<u64>);
 
     /// The full observable trajectory: per-tick distributions, round
     /// metrics and engine state, then the cumulative metrics.
@@ -1027,7 +968,7 @@ mod tests {
             rms.push(net.tick(&[t % 2 == 0, t % 3 == 0]));
             dists.push(net.distribution());
             let epochs = (0..net.num_nodes()).map(|i| net.local_epoch(i)).collect();
-            states.push((net.max_queue_depth(), net.epoch_spread(), epochs));
+            states.push((net.epoch_spread(), epochs));
         }
         (dists, rms, states, net.metrics())
     }
@@ -1236,11 +1177,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_tiny_queue_bound_is_respected_under_load() {
-        assert_tiny_queue_bound_respected(4);
-    }
-
-    #[test]
     #[should_panic(expected = "shard count must be at least 1")]
     fn zero_shards_rejected() {
         let _ = EventRuntime::new(DistConfig::new(params(), 4), 1)
@@ -1261,12 +1197,6 @@ mod tests {
         let mut net = EventRuntime::new(DistConfig::new(params(), 4), 1);
         net.tick(&[true, false]);
         let _ = net.with_async_epochs(StalenessBound::Unbounded);
-    }
-
-    #[test]
-    #[should_panic(expected = "queue bound")]
-    fn zero_queue_bound_rejected() {
-        let _ = EventRuntime::new(DistConfig::new(params(), 4), 1).with_queue_bound(0);
     }
 
     #[test]

@@ -53,11 +53,11 @@
 //!   deltas. Use it for law-level experiments and for raw throughput.
 //! * [`EventRuntime`] — **epoch-quiesced event-driven** (the default):
 //!   a seeded discrete-event scheduler delivers query/reply messages
-//!   with per-message latency jitter through bounded per-node FIFO
-//!   queues; lost messages and unanswered queries are recovered by
-//!   timeout-driven retries, and each epoch runs to quiescence before
-//!   the next begins. Use it to model transport behavior — latency,
-//!   queue backpressure — that a global barrier hides.
+//!   with per-message latency jitter, each handled by its receiver the
+//!   moment it is due; lost messages and unanswered queries are
+//!   recovered by timeout-driven retries, and each epoch runs to
+//!   quiescence before the next begins. Use it to model transport
+//!   behavior — latency, loss, retries — that a global barrier hides.
 //! * [`EventRuntime::with_async_epochs`] — **fully asynchronous**: the
 //!   quiescence barrier is gone. Every node advances its own local
 //!   epoch the moment its reply (or timeout fallback) lands, epochs
@@ -102,8 +102,7 @@ mod telemetry;
 
 pub use calendar::{Calendar, Entry, SchedulerKind, MAX_LOOKAHEAD, RING_SLOTS};
 pub use event::{
-    EventRuntime, StalenessBound, ASYNC_EPOCH_PERIOD, DEFAULT_QUEUE_BOUND, EVENT_NODE_STATE_BYTES,
-    MAX_MESSAGE_LATENCY,
+    EventRuntime, StalenessBound, ASYNC_EPOCH_PERIOD, EVENT_NODE_STATE_BYTES, MAX_MESSAGE_LATENCY,
 };
 pub use telemetry::{MetricsRecorder, NoTelemetry, TelemetryFrame, TelemetrySink, TickObservation};
 
@@ -519,12 +518,9 @@ pub struct RoundMetrics {
     /// Nodes that explored uniformly by design (the `µ` branch; sends
     /// no messages and is not a fallback).
     pub explorations: u64,
-    /// Messages rejected by a full receiver queue. Always 0 for the
-    /// round-synchronous [`Runtime`], which has no queues — with or
-    /// without membership churn; the event-driven [`EventRuntime`]
-    /// counts backpressure drops here, and a churn script can spike
-    /// them (a rejoin wave concentrates queries on the nodes still
-    /// up, overflowing their inboxes).
+    /// Always 0: neither [`Runtime`] nor [`EventRuntime`] queues
+    /// messages at the receiver, so none is ever rejected. Kept only
+    /// because the benchmark schema still reports it.
     pub queue_drops: u64,
     /// Replies withheld because the responder's information was more
     /// than the configured staleness bound behind the querier's local
@@ -562,10 +558,9 @@ pub struct Metrics {
     pub fallbacks: u64,
     /// Total deliberate `µ`-explorations.
     pub explorations: u64,
-    /// Total messages rejected by full receiver queues. Always 0 for
-    /// the queueless round-synchronous [`Runtime`] even under churn;
-    /// nonzero only in event-driven execution, where churn waves are
-    /// the usual cause of spikes.
+    /// Always 0, as [`RoundMetrics::queue_drops`]: no runtime queues
+    /// messages at the receiver. Kept only because the benchmark
+    /// schema still reports it.
     pub queue_drops: u64,
     /// Total replies withheld as too stale (fully-async mode with a
     /// finite [`StalenessBound`] only; churn-widened epoch skew is

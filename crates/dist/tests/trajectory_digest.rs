@@ -40,12 +40,12 @@ const EXPECTED: [(&str, u64); 12] = [
     ("quiesced/loss+restart/K4", 0x2c3c37cdad09c53e),
     ("async-unbounded/clean/K1", 0x3243fd2644d57a18),
     ("async-unbounded/clean/K4", 0x93cfc3e380a124cb),
-    ("async-unbounded/loss+restart/K1", 0x007ff37c57df4637),
+    ("async-unbounded/loss+restart/K1", 0xae059aeb0951be8b),
     ("async-unbounded/loss+restart/K4", 0xa1341974c3656f56),
     ("async-0/clean/K1", 0xba26ed6086b368db),
-    ("async-0/clean/K4", 0xd7076b6dd2e094e5),
-    ("async-0/loss+restart/K1", 0xe9777cab161b11d6),
-    ("async-0/loss+restart/K4", 0x00c5fd23ad8fdb8c),
+    ("async-0/clean/K4", 0x7e8f45f402eff587),
+    ("async-0/loss+restart/K1", 0x82f7d67fbc338608),
+    ("async-0/loss+restart/K4", 0x23b6ffc459c097f8),
 ];
 
 /// One grid point of the pinned suite.

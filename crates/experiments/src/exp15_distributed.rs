@@ -222,7 +222,7 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
          query/reply gossip where each node stores only its current option \
          ({bytes} bytes of protocol state — no weight vector), executed \
          round-synchronously, epoch-quiesced event-driven (jittered wakes, \
-         latency-jittered messages, bounded FIFO inboxes, timeout-driven \
+         latency-jittered messages handled on arrival, timeout-driven \
          retries), and fully-async (overlapping local epochs, no quiescence \
          barrier; staleness unbounded here — E17 sweeps the bound). N = {n}, \
          m = {m}, beta = 0.65, horizon {horizon}, {reps} reps, seed {seed}. \

@@ -139,11 +139,10 @@ fn run_watch_cli(args: &[String]) -> ExitCode {
     match run_watch(&cfg, &mut tick_ms, &mut stdout) {
         Ok(outcome) => {
             println!(
-                "watched {} ticks · best-option share {:.3} · {} queries, {} drops, {} stale · snapshot {}",
+                "watched {} ticks · best-option share {:.3} · {} queries, {} stale · snapshot {}",
                 outcome.ticks,
                 outcome.best_share,
                 outcome.metrics.queries_sent,
-                outcome.metrics.queue_drops,
                 outcome.metrics.stale_replies,
                 outcome.svg_path.display()
             );

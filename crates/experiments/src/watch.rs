@@ -265,7 +265,6 @@ fn push_frame(reg: &mut SeriesRegistry, f: &TelemetryFrame) {
     let queries = reg.counter("queries", "msgs/tick");
     let replies = reg.counter("replies", "msgs/tick");
     let fallbacks = reg.counter("fallbacks", "/tick");
-    let drops = reg.counter("queue drops", "/tick");
     let stale = reg.counter("stale replies", "/tick");
     let churn = reg.counter("churn events", "/tick");
     let rebalances = reg.counter("rebalances", "/tick");
@@ -276,7 +275,6 @@ fn push_frame(reg: &mut SeriesRegistry, f: &TelemetryFrame) {
     reg.push(queries, f.delta.queries_sent as f64);
     reg.push(replies, f.delta.replies_received as f64);
     reg.push(fallbacks, f.delta.fallbacks as f64);
-    reg.push(drops, f.delta.queue_drops as f64);
     reg.push(stale, f.delta.stale_replies as f64);
     reg.push(
         churn,

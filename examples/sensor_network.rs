@@ -4,8 +4,8 @@
 //! MWU — under message loss, node crashes, and membership churn
 //! (rolling restarts, flash crowds), on **all three**
 //! execution models: round-synchronous gossip, the epoch-quiesced
-//! event scheduler (latency jitter, bounded inboxes, timeout
-//! retries), and fully-async overlapping epochs where each sensor
+//! event scheduler (latency jitter, messages handled on arrival,
+//! timeout retries), and fully-async overlapping epochs where each sensor
 //! runs on its own local timer with no barrier at all.
 //!
 //! ```text

@@ -340,7 +340,6 @@ proptest! {
         n in 1usize..80,
         steps in 1usize..15,
         drop in 0.0f64..=1.0,
-        queue_bound in 1usize..40,
         crashes in proptest::collection::vec((0usize..80, 1u64..15), 0..6),
     ) {
         let params = Params::new(m, 0.65).expect("valid");
@@ -348,8 +347,7 @@ proptest! {
         for (node, round) in crashes {
             fault = fault.crash(node % n, round);
         }
-        let mut net = EventRuntime::new(DistConfig::new(params, n).with_faults(fault), seed)
-            .with_queue_bound(queue_bound);
+        let mut net = EventRuntime::new(DistConfig::new(params, n).with_faults(fault), seed);
         let mut reward_rng = SmallRng::seed_from_u64(seed ^ 0x5EED);
         for _ in 0..steps {
             let rewards: Vec<bool> =
@@ -367,8 +365,6 @@ proptest! {
             prop_assert!(
                 rm.explorations + rm.fallbacks + rm.replies_received >= rm.alive as u64
             );
-            // The bounded inbox really is bounded.
-            prop_assert!(net.max_queue_depth() <= queue_bound);
             // The distribution is always a distribution, committed or
             // not (uniform fallback when nobody is committed).
             assert_distribution(&net.distribution(), 1e-9);
@@ -422,7 +418,6 @@ proptest! {
                 (rm.committed as u64) <= rm.explorations + rm.fallbacks + rm.replies_received
             );
             prop_assert!(rm.replies_received <= rm.queries_sent);
-            prop_assert!(net.max_queue_depth() <= net.queue_bound());
             // The distribution is always a distribution, whatever mix
             // of local epochs the fleet is spread over.
             assert_distribution(&net.distribution(), 1e-9);
@@ -471,13 +466,11 @@ proptest! {
         seed in any::<u64>(),
         n in 1usize..60,
         drop in 0.0f64..=0.9,
-        queue_bound in 1usize..20,
     ) {
         let params = Params::new(3, 0.6).expect("valid");
         let run = |seed: u64| {
             let fault = FaultPlan::with_drop_prob(drop).expect("valid").crash(0, 5);
-            let mut net = EventRuntime::new(DistConfig::new(params, n).with_faults(fault), seed)
-                .with_queue_bound(queue_bound);
+            let mut net = EventRuntime::new(DistConfig::new(params, n).with_faults(fault), seed);
             let mut dists = Vec::new();
             for t in 0..10u64 {
                 net.tick(&[t % 2 == 0, t % 3 == 0, true]);

@@ -63,25 +63,31 @@
 //! function of the seed alone, **independent of the shard count**:
 //!
 //! * Every event carries an intrinsic `(time, source node, per-source
-//!   sequence number)` key. Within a window, a shard processes its due
-//!   events in two passes — first the timers (`Wake`, `Timeout`), then
-//!   the mail (`QueryArrive`, `ReplyArrive`) — each in ascending
-//!   `(src, seq)` order, so the total order within each window is
-//!   fixed no matter which mailbox an event travelled through or how
-//!   many shards exist. A node thus handles its own timers before the
-//!   mail that reached it in the same window; an event touches only
-//!   its target's state and schedules nothing into the current window,
-//!   so the order *across* targets does not matter.
+//!   sequence number)` key. Within a window, a shard handles its due
+//!   events target by target in ascending node order: each target's
+//!   timers (`Wake`, `Timeout`) by `seq`, then its mail
+//!   (`QueryArrive`, `ReplyArrive`) by `(src, seq)`. Each target's
+//!   order is thus fixed by the intrinsic keys alone, no matter which
+//!   mailbox an event travelled through or how many shards exist, and
+//!   a node handles its own timers before the mail that reached it in
+//!   the same window. An event touches only its target's state and
+//!   schedules nothing into the current window, so the order *across*
+//!   targets does not matter; ascending order just sweeps the lane's
+//!   per-node table front to back.
 //! * Randomness comes from **per-node RNG streams** split from the
 //!   root seed (one `SmallRng` per node, seeded via a SplitMix64
 //!   derivation). A node draws only from its own stream, so regrouping
 //!   nodes into different shard counts cannot reorder anyone's draws.
 //! * Every event the protocol schedules has a strictly positive
 //!   delay, and under lookahead K every *message* is additionally
-//!   deferred to the sender's block boundary, so nothing produced
-//!   inside a K-window block can be due in that same block —
-//!   cross-shard mailboxes drained at the barrier always deliver in
-//!   time, and shards never need to peek at each other mid-block.
+//!   deferred to the sender's block boundary. The one event a lane
+//!   schedules for another node that is not a message — the timeout a
+//!   responder that sends no reply schedules for its querier — is due
+//!   [`RETRY_TIMEOUT`] after the query was sent, past the responder's
+//!   block. So nothing produced inside a K-window block can be due in
+//!   another lane in that same block — cross-shard mailboxes drained
+//!   at the barrier always deliver in time, and shards never need to
+//!   peek at each other mid-block.
 //!
 //! Together these give the invariant the proptest suite pins down:
 //! for a fixed seed, ticks produce **byte-identical metrics and
@@ -172,7 +178,7 @@ const _: () = assert!(RETRY_TIMEOUT < RING_SLOTS as u64);
 /// to 2,048 entries, three regrowths per window. Measured on
 /// perfbench, 2-core host:
 ///
-/// * Without the bound, `take_due` hands every slot the previous
+/// * Without the bound, taking a window hands every slot the previous
 ///   window's buffer in turn, so each ring ends up with window-sized
 ///   buffers in every slot: `fleet_async_churn` peaked at 178–192 MiB
 ///   against 84–91 MiB with the bound.
@@ -208,6 +214,16 @@ const _: () = assert!(MAX_LOOKAHEAD <= MAX_MESSAGE_LATENCY);
 // plus DELIVER_DELAY) must still preempt the sender's retry timeout,
 // or lookahead would change the retry/fallback law.
 const _: () = assert!(2 * MAX_MESSAGE_LATENCY + 2 * DELIVER_DELAY < RETRY_TIMEOUT);
+// A responder that sends no reply schedules the querier's timeout when
+// the query arrives. That timeout must fall past the responder's
+// current lookahead block, so the block barrier delivers it to the
+// querier's lane in time.
+const _: () = assert!(RETRY_TIMEOUT >= MAX_MESSAGE_LATENCY + DELIVER_DELAY + MAX_LOOKAHEAD);
+// A query carries its attempt and its timeout's wait as `u8`s...
+const _: () = assert!(MAX_QUERY_RETRIES as u64 <= u8::MAX as u64);
+const _: () = assert!(RETRY_TIMEOUT <= u8::MAX as u64);
+// ...so the event stays 24 bytes and a calendar entry 40.
+const _: () = assert!(std::mem::size_of::<Entry<Event>>() == 40);
 
 /// The absolute-time end of the lookahead block containing `now`:
 /// the next multiple of `lookahead` strictly after `now`.
@@ -389,13 +405,21 @@ impl<E> Calendar<E> {
     /// [`recycle`](Calendar::recycle) so windows of up to 256 entries
     /// allocate nothing.
     pub fn take_due(&mut self, now: u64) -> Vec<Entry<E>> {
+        let mut due = self.take_window(now);
+        due.sort_unstable_by_key(Entry::order_key);
+        due
+    }
+
+    /// [`take_due`](Calendar::take_due) without the sort: the entries
+    /// due at `now` in push order, for a caller that imposes its own
+    /// order.
+    pub(crate) fn take_window(&mut self, now: u64) -> Vec<Entry<E>> {
         let slot = (now as usize) & (RING_SLOTS - 1);
         if self.buckets[slot].first().is_none_or(|e| e.at != now) {
             return Vec::new();
         }
-        let mut due = std::mem::replace(&mut self.buckets[slot], std::mem::take(&mut self.spare));
+        let due = std::mem::replace(&mut self.buckets[slot], std::mem::take(&mut self.spare));
         self.len -= due.len();
-        due.sort_unstable_by_key(Entry::order_key);
         due
     }
 
@@ -415,9 +439,10 @@ impl<E> Calendar<E> {
     /// Moves every pending entry for which `pick` returns true to the
     /// end of `out`, in no particular order, and keeps the rest. Used
     /// when shard ownership is rebalanced: a lane hands off the
-    /// entries of nodes it no longer owns, they are re-pushed into
-    /// their new owners' calendars, and [`take_due`](Calendar::take_due)
-    /// re-derives the deterministic order from the intrinsic keys.
+    /// entries of nodes it no longer owns and they are re-pushed into
+    /// their new owners' calendars. Push order is free: both
+    /// [`take_due`](Calendar::take_due) and the event engine's window
+    /// order derive the deterministic order from the intrinsic keys.
     pub fn extract(&mut self, mut pick: impl FnMut(&Entry<E>) -> bool, out: &mut Vec<Entry<E>>) {
         let before = out.len();
         for bucket in &mut self.buckets {
@@ -470,6 +495,95 @@ fn event_target(ev: &Event) -> u32 {
         | Event::ReplyArrive { node, .. }
         | Event::Timeout { node, .. } => *node,
         Event::QueryArrive { to, .. } => *to,
+    }
+}
+
+/// The leading part of an event's handling order, `target << 1 |
+/// is_mail`: its target node, then whether it is mail from another node
+/// rather than a timer (`Wake`, `Timeout`) the target set for itself.
+fn target_then_mail(ev: &Event) -> u64 {
+    match *ev {
+        Event::Wake { node, .. } | Event::Timeout { node, .. } => u64::from(node) << 1,
+        Event::QueryArrive { to: node, .. } | Event::ReplyArrive { node, .. } => {
+            u64::from(node) << 1 | 1
+        }
+    }
+}
+
+/// The buffers [`order_window`] fills, reused from window to window.
+#[derive(Debug, Clone, Default)]
+struct WindowOrder {
+    /// The window in handling order, each entry with its
+    /// [`target_then_mail`] key relative to the lane base.
+    order: Vec<(u64, Entry<Event>)>,
+    /// Each window entry's key, in window order.
+    keys: Vec<u64>,
+    /// Bucket offsets of the counting scatter.
+    starts: Vec<usize>,
+}
+
+/// Writes `window` — the entries due at one virtual time in a lane
+/// owning nodes `base..base + span` — to `buf.order` in handling order:
+/// targets ascending; within a target, its timers by `seq` (a timer's
+/// `src` is its target), then its mail by `(src, seq)`.
+///
+/// Each target sees its own events in the order a timers-then-mail,
+/// `(src, seq)`-ordered sweep of the window gives it, which is all
+/// the trajectory depends on: a handler touches only its target's
+/// state and schedules nothing into the current window. Sweeping
+/// targets in ascending order walks the lane's [`Nodes`] columns front
+/// to back.
+///
+/// One counting scatter on the high bits of `target - base`, into
+/// about one bucket per entry and never more than one per node, then
+/// one insertion pass. Buckets are in target order, so the pass only
+/// sorts within a bucket; a bucket holds about one entry, and a
+/// target only a few per window. Each entry's key is computed once,
+/// since matching on the event kind is the costly part of a key.
+fn order_window(window: &[Entry<Event>], base: u32, span: usize, buf: &mut WindowOrder) {
+    let WindowOrder {
+        order,
+        keys,
+        starts,
+    } = buf;
+    order.clear();
+    let Some(&first) = window.first() else {
+        return;
+    };
+    let span_bits = span.next_power_of_two().trailing_zeros();
+    let bucket_bits = window
+        .len()
+        .next_power_of_two()
+        .trailing_zeros()
+        .min(span_bits);
+    // A key's low bit is `is_mail`; the bits above it are `target - base`.
+    let shift = span_bits - bucket_bits + 1;
+    let lead = u64::from(base) << 1;
+    keys.clear();
+    keys.extend(window.iter().map(|e| target_then_mail(&e.payload) - lead));
+    starts.clear();
+    starts.resize((1 << bucket_bits) + 1, 0);
+    for &k in keys.iter() {
+        starts[(k >> shift) as usize + 1] += 1;
+    }
+    for b in 1..starts.len() {
+        starts[b] += starts[b - 1];
+    }
+    order.resize(window.len(), (0, first));
+    for (&k, &e) in keys.iter().zip(window) {
+        let slot = &mut starts[(k >> shift) as usize];
+        order[*slot] = (k, e);
+        *slot += 1;
+    }
+    let key = |(k, e): &(u64, Entry<Event>)| (*k, e.order_key());
+    for i in 1..order.len() {
+        let item = order[i];
+        let mut j = i;
+        while j > 0 && key(&order[j - 1]) > key(&item) {
+            order[j] = order[j - 1];
+            j -= 1;
+        }
+        order[j] = item;
     }
 }
 
@@ -718,6 +832,8 @@ struct ShardLane {
     calendar: Calendar<Event>,
     /// Per-destination-shard mailboxes, drained at window boundaries.
     outboxes: Vec<Vec<Entry<Event>>>,
+    /// The current window in handling order.
+    order: WindowOrder,
     /// This tick's counter contributions (summed across lanes).
     rm: RoundMetrics,
 }
@@ -738,6 +854,7 @@ impl ShardLane {
                     nodes: nodes.split_off(base),
                     calendar: Calendar::new(),
                     outboxes: (0..lanes).map(|_| Vec::new()).collect(),
+                    order: WindowOrder::default(),
                     rm: RoundMetrics::default(),
                 }
             })
@@ -750,16 +867,30 @@ impl ShardLane {
     /// calendar when the target is local, the matching mailbox when it
     /// is not.
     fn push_from(&mut self, src: u32, at: u64, ev: Event, ctx: &Ctx) {
+        let seq = self.next_seq(src);
+        self.route(
+            Entry {
+                at,
+                src,
+                seq,
+                payload: ev,
+            },
+            ctx,
+        );
+    }
+
+    /// Takes the next sequence number of local node `src`.
+    fn next_seq(&mut self, src: u32) -> u32 {
         let local = (src - self.base) as usize;
         let seq = self.nodes.seqs[local];
         self.nodes.seqs[local] = seq.wrapping_add(1);
-        let shard = ctx.map.shard_of(event_target(&ev) as usize);
-        let entry = Entry {
-            at,
-            src,
-            seq,
-            payload: ev,
-        };
+        seq
+    }
+
+    /// Routes an already tagged entry: to this lane's calendar when
+    /// its target is local, else to the matching mailbox.
+    fn route(&mut self, entry: Entry<Event>, ctx: &Ctx) {
+        let shard = ctx.map.shard_of(event_target(&entry.payload) as usize);
         if shard == self.index {
             self.calendar.push(entry);
         } else {
@@ -861,36 +992,40 @@ impl ShardLane {
         // staleness against the querier's epoch. Quiesced epochs never
         // advance `epochs`, so there the tag is a constant.
         let epoch = self.nodes.epochs[local] + 1;
-        // The retry clock starts now, reply or no reply.
-        self.push_from(
-            node,
-            now + RETRY_TIMEOUT,
-            Event::Timeout {
+        // The retry clock starts now, reply or no reply. Its timeout
+        // takes its sequence number now, but is scheduled only by
+        // whichever side first learns that no reply is coming: here,
+        // if the link drops the query; else the responder, if it sends
+        // no reply. An answered query's timeout would find its
+        // querier resolved, so it is never scheduled.
+        let timeout = Entry {
+            at: now + RETRY_TIMEOUT,
+            src: node,
+            seq: self.next_seq(node),
+            payload: Event::Timeout {
                 node,
                 attempt,
                 epoch,
             },
-            ctx,
-        );
-        // The query must survive the link to be scheduled for arrival.
-        if !self.link_drops(local, ctx) {
-            let at = msg_at(now, self.latency(local), ctx);
-            self.push_from(
-                node,
-                at,
-                Event::QueryArrive {
-                    from: node,
-                    to: index_u32(peer),
-                    epoch,
-                },
-                ctx,
-            );
+        };
+        if self.link_drops(local, ctx) {
+            self.route(timeout, ctx);
+            return;
         }
+        let at = msg_at(now, self.latency(local), ctx);
+        let query = Event::QueryArrive {
+            from: node,
+            to: index_u32(peer),
+            epoch,
+            attempt: u8::try_from(attempt).expect("MAX_QUERY_RETRIES fits in a u8"),
+            wait: u8::try_from(timeout.at - at).expect("RETRY_TIMEOUT fits in a u8"),
+        };
+        self.push_from(node, at, query, ctx);
     }
 
     /// Answers `from`'s query, tagged with the querier's local
-    /// `epoch`, at a local node.
-    fn answer(&mut self, local: usize, from: u32, epoch: u64, now: u64, ctx: &Ctx) {
+    /// `epoch`, at a local node. Returns whether a reply was sent.
+    fn answer(&mut self, local: usize, from: u32, epoch: u64, now: u64, ctx: &Ctx) -> bool {
         let option = match ctx.mode {
             // Answer with the option committed last epoch.
             Mode::Quiesced => self.nodes.back[local],
@@ -915,18 +1050,20 @@ impl ShardLane {
                 };
                 if option != NO_CHOICE && !bound.allows(stale) {
                     self.rm.stale_replies += 1;
-                    return;
+                    return false;
                 }
                 option
             }
         };
         // A node that sat that epoch out has nothing to report and
         // stays silent; the querier's timeout drives the retry.
-        if option != NO_CHOICE && !self.link_drops(local, ctx) {
-            let at = msg_at(now, self.latency(local), ctx);
-            let node = self.base + index_u32(local);
-            self.push_from(node, at, Event::ReplyArrive { node: from, option }, ctx);
+        if option == NO_CHOICE || self.link_drops(local, ctx) {
+            return false;
         }
+        let at = msg_at(now, self.latency(local), ctx);
+        let node = self.base + index_u32(local);
+        self.push_from(node, at, Event::ReplyArrive { node: from, option }, ctx);
+        true
     }
 
     /// Resets the lane for a fresh quiesced epoch and wakes its
@@ -984,17 +1121,44 @@ impl ShardLane {
                     self.start_attempt(local, 1, now, ctx);
                 }
             }
-            Event::QueryArrive { from, to, epoch } => {
-                if present(to) {
-                    self.answer((to - self.base) as usize, from, epoch, now, ctx);
+            Event::QueryArrive {
+                from,
+                to,
+                epoch,
+                attempt,
+                wait,
+            } => {
+                let replied =
+                    present(to) && self.answer((to - self.base) as usize, from, epoch, now, ctx);
+                if !replied {
+                    // No reply is coming: schedule the querier's
+                    // timeout, the entry it would have pushed at send
+                    // time. `RETRY_TIMEOUT` puts it past this lookahead
+                    // block, so the barrier delivers a cross-lane one
+                    // in time.
+                    self.route(
+                        Entry {
+                            at: now + u64::from(wait),
+                            src: from,
+                            seq: entry.seq.wrapping_sub(1),
+                            payload: Event::Timeout {
+                                node: from,
+                                attempt: u32::from(attempt),
+                                epoch,
+                            },
+                        },
+                        ctx,
+                    );
                 }
             }
             Event::ReplyArrive { node, option } => {
                 let local = (node - self.base) as usize;
-                // A reply to a resolved node is late (cannot normally
-                // happen: the timeout window exceeds the worst-case
-                // round trip) and is ignored for safety.
-                if present(node) && !self.nodes.pending[local].resolved {
+                let resolved = self.nodes.pending[local].resolved;
+                // A reply always lands before its attempt's timeout,
+                // and nothing else resolves a node with a query out —
+                // which is why an answered query needs no timeout.
+                debug_assert!(!present(node) || !resolved, "reply to a resolved node");
+                if present(node) && !resolved {
                     self.rm.replies_received += 1;
                     self.decide(local, option, now, ctx);
                 }
@@ -1019,26 +1183,22 @@ impl ShardLane {
         }
     }
 
-    /// Processes every event due at `now` in two passes, each in
-    /// `(src, seq)` order: first the timers (`Wake`, `Timeout`), then
-    /// the mail (`QueryArrive`, `ReplyArrive`). So a node settles its
-    /// own timers — a retry, a fallback decision, the start of an
-    /// epoch — before it answers or consumes the mail due in the same
-    /// window, whatever the senders' ids.
+    /// Processes every event due at `now` in the handling order of
+    /// [`order_window`]: target by target, each target's timers
+    /// (`Wake`, `Timeout`) by `seq`, then its mail (`QueryArrive`,
+    /// `ReplyArrive`) by `(src, seq)`. So a node settles its own
+    /// timers — a retry, a fallback decision, the start of an epoch —
+    /// before it answers or consumes the mail due in the same window,
+    /// whatever the senders' ids.
     fn run_window(&mut self, now: u64, ctx: &Ctx) {
-        let due = self.calendar.take_due(now);
-        for mail in [false, true] {
-            for &entry in &due {
-                let is_mail = matches!(
-                    entry.payload,
-                    Event::QueryArrive { .. } | Event::ReplyArrive { .. }
-                );
-                if is_mail == mail {
-                    self.handle(entry, now, ctx);
-                }
-            }
+        let window = self.calendar.take_window(now);
+        let mut buf = std::mem::take(&mut self.order);
+        order_window(&window, self.base, self.nodes.len(), &mut buf);
+        self.calendar.recycle(window);
+        for &(_, entry) in &buf.order {
+            self.handle(entry, now, ctx);
         }
-        self.calendar.recycle(due);
+        self.order = buf;
     }
 
     /// Processes every window in `[start, block_end)` this lane has
@@ -1221,8 +1381,9 @@ impl ShardedEngine {
             }
         }
         // Block barrier: hand cross-shard events over. Bucket order
-        // does not matter — `take_due` re-sorts by `(src, seq)` — so
-        // the drain order is free to be whatever is cheapest.
+        // does not matter — `run_window` re-derives the handling order
+        // from the intrinsic keys — so the drain order is free to be
+        // whatever is cheapest.
         for src in 0..self.lanes.len() {
             for dst in 0..self.lanes.len() {
                 if src == dst || self.lanes[src].outboxes[dst].is_empty() {
@@ -1634,24 +1795,13 @@ mod tests {
     /// epoch behind and withhold the reply as stale under `Epochs(0)`.
     #[test]
     fn window_handles_timers_before_mail() {
-        let params = Params::new(2, 0.65).unwrap();
-        let cfg = DistConfig::new(params, 2);
-        let members = MembershipTracker::new(cfg.faults(), 2);
-        let engine = ShardedEngine::new(&cfg, 7, 1, &members);
-        let ctx = Ctx {
-            params,
-            mode: Mode::Async(crate::StalenessBound::Epochs(0)),
-            n: 2,
-            m: 2,
-            map: engine.map.clone(),
-            mu: params.mu(),
-            drop_prob: 0.0,
-            has_faults: false,
-            t: 1,
-            lookahead: 1,
-            rewards: vec![true, false],
-            present: Arc::new(vec![true; 2]),
-        };
+        let engine = two_node_engine(1);
+        let ctx = hand_ctx(
+            &engine,
+            Mode::Async(crate::StalenessBound::Epochs(0)),
+            0.0,
+            vec![true; 2],
+        );
         let mut lane = engine.lanes.into_iter().next().unwrap();
         lane.nodes.choices[1] = 0;
         lane.nodes.epochs = vec![5, 4];
@@ -1669,6 +1819,8 @@ mod tests {
             from: 0,
             to: 1,
             epoch: 6,
+            attempt: 1,
+            wait: 10,
         };
         for (src, payload) in [(1, timeout), (0, query)] {
             lane.calendar.push(Entry {
@@ -1685,6 +1837,267 @@ mod tests {
             "the query went before the timeout"
         );
         assert_eq!(lane.nodes.epochs[1], 5);
+    }
+
+    /// A two-node fleet on `shards` shards, ready to drive by hand.
+    fn two_node_engine(shards: usize) -> ShardedEngine {
+        let cfg = DistConfig::new(Params::new(2, 0.65).unwrap(), 2);
+        let members = MembershipTracker::new(cfg.faults(), 2);
+        ShardedEngine::new(&cfg, 7, shards, &members)
+    }
+
+    /// A tick context for driving `engine`'s lanes by hand.
+    fn hand_ctx(engine: &ShardedEngine, mode: Mode, drop_prob: f64, present: Vec<bool>) -> Ctx {
+        let params = Params::new(2, 0.65).unwrap();
+        Ctx {
+            params,
+            mode,
+            n: present.len(),
+            m: 2,
+            map: engine.map.clone(),
+            mu: params.mu(),
+            drop_prob,
+            has_faults: present.contains(&false),
+            t: 1,
+            lookahead: 1,
+            rewards: vec![true, false],
+            present: Arc::new(present),
+        }
+    }
+
+    /// Every `Timeout` pending in `lanes`' calendars and mailboxes.
+    fn pending_timeouts(lanes: &[ShardLane]) -> Vec<Entry<Event>> {
+        lanes
+            .iter()
+            .flat_map(|lane| {
+                lane.calendar
+                    .entries()
+                    .chain(lane.outboxes.iter().flatten())
+            })
+            .filter(|e| matches!(e.payload, Event::Timeout { .. }))
+            .copied()
+            .collect()
+    }
+
+    /// How a query fares in [`only_unanswered_queries_schedule_a_timeout`].
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Fate {
+        Answered,
+        QueryDropped,
+        ResponderAbsent,
+        NoChoice,
+        Stale,
+        ReplyDropped,
+    }
+
+    /// Node 0, on lane 0, queries node 1, on lane 1. An answered query
+    /// leaves no timeout anywhere. Every other fate leaves exactly the
+    /// timeout a querier that scheduled it at send time would have: in
+    /// the querier's own calendar when the link drops the query, else
+    /// in the responder's mailbox to the querier's lane.
+    #[test]
+    fn only_unanswered_queries_schedule_a_timeout() {
+        use Fate::*;
+        for fate in [
+            Answered,
+            QueryDropped,
+            ResponderAbsent,
+            NoChoice,
+            Stale,
+            ReplyDropped,
+        ] {
+            let engine = two_node_engine(2);
+            let mode = if fate == Stale {
+                Mode::Async(crate::StalenessBound::Epochs(0))
+            } else {
+                Mode::Quiesced
+            };
+            let drop_prob = if matches!(fate, QueryDropped | ReplyDropped) {
+                1.0
+            } else {
+                0.0
+            };
+            let ctx = hand_ctx(
+                &engine,
+                mode,
+                drop_prob,
+                vec![true, fate != ResponderAbsent],
+            );
+            let mut lanes = engine.lanes;
+            assert_eq!(lanes.len(), 2);
+            // The query carries epoch 6. Quiesced, the responder serves
+            // `back`; async, it serves `choices`, with 2 epochs of
+            // staleness when it stands at epoch 3.
+            lanes[0].nodes.epochs[0] = 5;
+            lanes[1].nodes.epochs[0] = if fate == Stale { 3 } else { 5 };
+            lanes[1].nodes.choices[0] = 1;
+            lanes[1].nodes.back[0] = if fate == NoChoice { NO_CHOICE } else { 1 };
+            let (now, attempt) = (10, 2);
+            let seq = lanes[0].nodes.seqs[0];
+            let at_send = Entry {
+                at: now + RETRY_TIMEOUT,
+                src: 0,
+                seq,
+                payload: Event::Timeout {
+                    node: 0,
+                    attempt,
+                    epoch: 6,
+                },
+            };
+            if fate == ReplyDropped {
+                // Total loss would drop the query too: hand over the
+                // query the querier sends on a clean link.
+                let at = now + 4;
+                lanes[1].calendar.push(Entry {
+                    at,
+                    src: 0,
+                    seq: seq + 1,
+                    payload: Event::QueryArrive {
+                        from: 0,
+                        to: 1,
+                        epoch: 6,
+                        attempt: 2,
+                        wait: 15,
+                    },
+                });
+            } else {
+                lanes[0].start_attempt(0, attempt, now, &ctx);
+                for entry in std::mem::take(&mut lanes[0].outboxes[1]) {
+                    lanes[1].calendar.push(entry);
+                }
+            }
+            lanes[1].run_block(now, now + RETRY_TIMEOUT, &ctx);
+            let replies = lanes[1].outboxes[0]
+                .iter()
+                .filter(|e| matches!(e.payload, Event::ReplyArrive { node: 0, .. }))
+                .count();
+            let timeouts = pending_timeouts(&lanes);
+            if fate == Answered {
+                assert_eq!(replies, 1);
+                assert!(timeouts.is_empty(), "{timeouts:?}");
+                continue;
+            }
+            assert_eq!(replies, 0, "{fate:?}");
+            assert_eq!(timeouts, [at_send], "{fate:?}");
+            let routed = if fate == QueryDropped {
+                lanes[0].calendar.entries().next()
+            } else {
+                lanes[1].outboxes[0].first()
+            };
+            assert_eq!(routed, Some(&at_send), "{fate:?}");
+        }
+    }
+
+    fn is_mail(e: &Entry<Event>) -> bool {
+        matches!(
+            e.payload,
+            Event::QueryArrive { .. } | Event::ReplyArrive { .. }
+        )
+    }
+
+    /// The explicit handling key `(target, is_mail, src, seq)`.
+    fn reference_key(e: &Entry<Event>) -> (u32, bool, u32, u32) {
+        (event_target(&e.payload), is_mail(e), e.src, e.seq)
+    }
+
+    /// `len` random entries targeting nodes `base..base + span` (all
+    /// `base` when `one_target`): timers from their target, mail from
+    /// anywhere in a fleet four lanes wide, keys `(src, seq)` unique.
+    fn random_window(
+        rng: &mut SplitMix64,
+        len: usize,
+        base: u32,
+        span: u32,
+        one_target: bool,
+    ) -> Vec<Entry<Event>> {
+        let fleet = base + 4 * span;
+        (0..len)
+            .map(|i| {
+                let node = if one_target {
+                    base
+                } else {
+                    base + (rng.next_u64() % u64::from(span)) as u32
+                };
+                let sender = (rng.next_u64() % u64::from(fleet)) as u32;
+                let (src, payload) = match rng.next_u64() % 4 {
+                    0 => (node, Event::Wake { node, inc: 0 }),
+                    1 => (
+                        node,
+                        Event::Timeout {
+                            node,
+                            attempt: 1,
+                            epoch: 1,
+                        },
+                    ),
+                    2 => (
+                        sender,
+                        Event::QueryArrive {
+                            from: sender,
+                            to: node,
+                            epoch: 1,
+                            attempt: 1,
+                            wait: 10,
+                        },
+                    ),
+                    _ => (sender, Event::ReplyArrive { node, option: 0 }),
+                };
+                // Random high bits, unique low bits.
+                let seq = (rng.next_u64() as u32 & !0xFFFF) | i as u32;
+                Entry {
+                    at: 7,
+                    src,
+                    seq,
+                    payload,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn order_window_matches_the_reference_orders() {
+        let mut rng = SplitMix64::new(23);
+        let mut buf = WindowOrder::default();
+        // (window length, base, span, one target)
+        let shapes = [
+            (0, 0, 16, false),
+            (1, 0, 16, false),
+            (1, 40, 1, false),
+            (25, 0, 1, false),
+            (60, 3, 40, true),
+            (30, 1_000, 200, false),
+            (900, 12_500, 12_500, false),
+            (2_000, 0, 500, false),
+            (40, 7, 100_000, false),
+        ];
+        for (len, base, span, one_target) in shapes {
+            for _ in 0..10 {
+                let window = random_window(&mut rng, len, base, span, one_target);
+                order_window(&window, base, span as usize, &mut buf);
+                let out: Vec<_> = buf.order.iter().map(|&(_, e)| e).collect();
+                let mut want = window.clone();
+                want.sort_by_key(reference_key);
+                assert_eq!(out, want, "len {len}, base {base}, span {span}");
+                // Per target, the order of a timers-then-mail sweep of
+                // the window in `(src, seq)` order.
+                let mut by_key = window.clone();
+                by_key.sort_by_key(|e| (e.src, e.seq));
+                let sweep: Vec<_> = [false, true]
+                    .into_iter()
+                    .flat_map(|mail| by_key.iter().filter(move |e| is_mail(e) == mail))
+                    .collect();
+                let mut targets: Vec<u32> =
+                    window.iter().map(|e| event_target(&e.payload)).collect();
+                targets.sort_unstable();
+                targets.dedup();
+                for target in targets {
+                    let of = |e: &&Entry<Event>| event_target(&e.payload) == target;
+                    assert!(
+                        out.iter().filter(of).eq(sweep.iter().copied().filter(of)),
+                        "target {target}, len {len}, base {base}, span {span}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

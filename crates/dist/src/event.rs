@@ -93,7 +93,12 @@ pub(crate) const WAKE_SPREAD: u64 = 32;
 /// How long a querier waits for a reply before retrying. Strictly
 /// larger than the worst-case round trip
 /// (`2 · MAX_MESSAGE_LATENCY + 2 · DELIVER_DELAY`), so a reply that
-/// is actually in flight always wins over its timeout.
+/// is actually in flight always wins over its timeout — which is why
+/// an answered query schedules no timeout at all. The responder of an
+/// unanswered one schedules it on arrival, so the timeout must also
+/// fall past that arrival's lookahead block:
+/// `RETRY_TIMEOUT >= MAX_MESSAGE_LATENCY + DELIVER_DELAY +
+/// MAX_LOOKAHEAD`.
 pub(crate) const RETRY_TIMEOUT: u64 = 2 * MAX_MESSAGE_LATENCY + 2 * DELIVER_DELAY + 1;
 
 /// Nominal scheduler ticks between consecutive local-epoch wake-ups of
@@ -176,8 +181,19 @@ pub(crate) enum Event {
     /// A query from `from` reaches `to`, which answers it on the spot
     /// (link loss already resolved at send time). `epoch` is the
     /// sender's local epoch at send time — the staleness reference in
-    /// async mode, ignored in quiesced mode.
-    QueryArrive { from: u32, to: u32, epoch: u64 },
+    /// async mode, ignored in quiesced mode. The query also carries
+    /// the [`Event::Timeout`] its sender did not schedule: its
+    /// `attempt`, and `wait`, the ticks from this arrival to the
+    /// timeout's due time; the timeout's `seq` is the query's
+    /// `seq - 1`. If `to` sends no reply, it schedules that timeout
+    /// for `from`.
+    QueryArrive {
+        from: u32,
+        to: u32,
+        epoch: u64,
+        attempt: u8,
+        wait: u8,
+    },
     /// A reply carrying `option` reaches `node`, which consumes it
     /// unless stage 1 already resolved.
     ReplyArrive { node: u32, option: u32 },
@@ -186,6 +202,12 @@ pub(crate) enum Event {
     /// timeout to the local epoch that issued the attempt, so a stale
     /// timeout surviving into a later epoch (possible in async mode,
     /// where the schedule is never cleared) cannot fire spuriously.
+    ///
+    /// A timeout is due [`RETRY_TIMEOUT`] after its query was sent,
+    /// and is scheduled only for a query that gets no reply, by
+    /// whichever side first learns that no reply is coming: the
+    /// querier when the link drops its query, else the responder when
+    /// it sends none.
     Timeout { node: u32, attempt: u32, epoch: u64 },
 }
 

@@ -11,6 +11,13 @@
 //! any trajectory has to leave this table untouched; a deliberate
 //! protocol change re-records it (the failure message prints the
 //! whole new table).
+//!
+//! One more row pins a fleet-shaped run — 2,000 async nodes under loss
+//! and a rolling restart, lookahead 4 — at one shard and at eight. At
+//! that scale a window often holds several events for the same target
+//! node, which the 48-node grid rarely produces, so the row also
+//! referees the order in which one node's events within a window are
+//! handled.
 
 use sociolearn_core::Params;
 use sociolearn_dist::{
@@ -47,6 +54,11 @@ const EXPECTED: [(&str, u64); 12] = [
     ("async-0/loss+restart/K1", 0x82f7d67fbc338608),
     ("async-0/loss+restart/K4", 0x23b6ffc459c097f8),
 ];
+
+/// The fleet-shaped row: its size, length and recorded digest.
+const FLEET_NODES: usize = 2_000;
+const FLEET_TICKS: u64 = 20;
+const FLEET_EXPECTED: u64 = 0x6217643eb5588292;
 
 /// One grid point of the pinned suite.
 struct Case {
@@ -142,12 +154,18 @@ impl Fnv {
     }
 }
 
-/// Runs one case for [`TICKS`] ticks on `shards` shards and `threads`
-/// worker threads and digests its trajectory.
+/// Runs one grid case for [`TICKS`] ticks on `shards` shards and
+/// `threads` worker threads and digests its trajectory.
 fn digest(case: &Case, shards: usize, threads: usize) -> u64 {
+    digest_fleet(case, NODES, TICKS, shards, threads)
+}
+
+/// Runs `case` on a `nodes`-node fleet for `ticks` ticks on `shards`
+/// shards and `threads` worker threads and digests its trajectory.
+fn digest_fleet(case: &Case, nodes: usize, ticks: u64, shards: usize, threads: usize) -> u64 {
     let params = Params::new(3, 0.65).unwrap();
     let mut net = EventRuntime::new(
-        DistConfig::new(params, NODES).with_faults(case.faults.clone()),
+        DistConfig::new(params, nodes).with_faults(case.faults.clone()),
         SEED,
     );
     if let Some(bound) = case.staleness {
@@ -160,7 +178,7 @@ fn digest(case: &Case, shards: usize, threads: usize) -> u64 {
         // Force the pool path even at this fleet size.
         .with_parallel_threshold(0);
     let mut h = Fnv::new();
-    for t in 0..TICKS {
+    for t in 0..ticks {
         let rm = net.tick(&[t % 2 == 0, t % 3 == 0, t % 5 == 1]);
         h.round(&rm);
     }
@@ -203,5 +221,25 @@ fn digests_do_not_depend_on_shards_or_threads() {
                 case.name
             );
         }
+    }
+}
+
+#[test]
+fn fleet_shaped_trajectory_matches_its_recorded_digest() {
+    let case = Case {
+        name: "fleet/async-unbounded/loss+restart/K4".to_string(),
+        staleness: Some(StalenessBound::Unbounded),
+        faults: FaultPlan::with_drop_prob(0.05)
+            .unwrap()
+            .rolling_restart(20, 4),
+        lookahead: 4,
+    };
+    for (shards, threads) in [(1, 1), (8, test_threads())] {
+        let d = digest_fleet(&case, FLEET_NODES, FLEET_TICKS, shards, threads);
+        assert_eq!(
+            d, FLEET_EXPECTED,
+            "{} moved to {d:#018x} at {shards} shards × {threads} threads",
+            case.name
+        );
     }
 }

@@ -16,8 +16,10 @@
 //! is **sharded** by destination-node range: each shard owns the
 //! per-node state of a contiguous node block and advances its own
 //! local event stream one time window at a time, handing cross-shard
-//! messages to per-shard-pair mailboxes that are drained at window
-//! boundaries. Shards run on a persistent
+//! messages to per-shard-pair mailboxes that change hands at window
+//! boundaries: each outbox trades places with its destination's
+//! inbox, and the receiving shard files that mail into its own
+//! calendar when it runs its next window. Shards run on a persistent
 //! [`sociolearn_sim::WorkerPool`] when a window is dense enough to pay
 //! for the fan-out, and fall back to an in-thread sweep (with
 //! identical results) when it is not.
@@ -32,7 +34,10 @@
 //! into blocks of K windows at absolute multiples of K, each lane
 //! processes a whole block from its own calendar with **no**
 //! cross-shard synchronization inside it, and the per-shard-pair
-//! mailboxes are drained once at the block barrier. What makes that
+//! mailboxes change hands once at the block barrier — a buffer swap
+//! per non-empty mailbox, so the driver thread moves no entries; each
+//! lane files its inbound mail at the start of its next block, on
+//! whichever thread runs it. What makes that
 //! sound is a *message due-time adjustment*: a message sent at `now`
 //! with latency `l` is due at `max(now + l, block_end(now))` plus the
 //! fixed `DELIVER_DELAY` — never inside the sender's current block.
@@ -85,9 +90,12 @@
 //!   responder that sends no reply schedules for its querier — is due
 //!   [`RETRY_TIMEOUT`] after the query was sent, past the responder's
 //!   block. So nothing produced inside a K-window block can be due in
-//!   another lane in that same block — cross-shard mailboxes drained
-//!   at the barrier always deliver in time, and shards never need to
-//!   peek at each other mid-block.
+//!   another lane in that same block — mail handed over at the
+//!   barrier and filed when the next block starts always arrives in
+//!   time, and shards never need to peek at each other mid-block.
+//!   Each mailbox carries its earliest due time across the barrier,
+//!   so the engine schedules the next block exactly without scanning
+//!   the mail.
 //!
 //! Together these give the invariant the proptest suite pins down:
 //! for a fixed seed, ticks produce **byte-identical metrics and
@@ -103,23 +111,28 @@
 //! bootstrapping and re-learns a commitment through the ordinary
 //! query/reply protocol — no state transfer, no new message types.
 //! Because churn skews the load of a fixed node→shard split, the
-//! engine also **rebalances ownership online**: on any tick whose
-//! boundary carries membership transitions, lane boundaries are
-//! recomputed to even out *present* nodes and each migrating node's
-//! full state (its row of the per-node table, pending calendar
-//! entries) moves to its new lane. Only those nodes move: a lane
-//! keeps the rows it still owns, and its calendar keeps every entry
-//! whose target it still owns, so a rolling restart that shifts a few
-//! boundaries costs about what a quiet tick costs. The move happens
-//! only between
-//! windows — when cross-shard mailboxes are provably empty — and the
+//! engine also **rebalances ownership online**: on a tick whose
+//! boundary carries membership transitions and leaves the heaviest
+//! lane's present load more than a tolerance above the mean
+//! ([`REBALANCE_SLACK`]: 1/32 of the mean plus one node), lane
+//! boundaries are recomputed to even out *present* nodes and each
+//! migrating node's full state (its row of the per-node table,
+//! pending calendar entries and inbound mail) moves to its new lane.
+//! Smaller drift, such as a rolling restart of a few nodes, leaves the
+//! partition as it is: the barrier waits for the heaviest lane, and a
+//! node or two over the mean costs less than the move. Only the
+//! migrating nodes move: a lane keeps the rows it still owns, and its
+//! calendar keeps every entry whose target it still owns. The move
+//! happens only between ticks — when every outbox is provably empty,
+//! and after the inboxes are filed — and the
 //! same per-node-stream + intrinsic-key argument that makes the
 //! partition invisible to the protocol makes rebalancing semantically
 //! a no-op: byte-identity across shard counts holds even while
 //! ownership shifts under churn. In debug builds every rebalance
 //! checks that each lane's rows match its new range, that every
 //! pending event sits in the lane owning its target, and that no
-//! pending event was lost or duplicated.
+//! pending event — in a calendar or a mailbox — was lost or
+//! duplicated.
 //!
 //! [`FaultPlan`]: crate::FaultPlan
 //!
@@ -192,6 +205,22 @@ const SPARE_CAPACITY: usize = 256;
 /// semantic one). Overridable per runtime via
 /// [`EventRuntime::with_parallel_threshold`](crate::EventRuntime::with_parallel_threshold).
 pub(crate) const PARALLEL_WINDOW_EVENTS: usize = 2_048;
+
+/// The rebalance tolerance: lane boundaries move only when the
+/// heaviest lane's present load exceeds the mean by more than
+/// `1 / REBALANCE_SLACK` of the mean plus one node.
+///
+/// Every barrier waits for the heaviest lane, so the excess over the
+/// mean is what imbalance costs a block, and a rebalance — which copies
+/// the moving nodes' rows and calendar entries — is worth it only when
+/// that excess is real. A rolling restart moves well under 1% of a
+/// lane: at N = 1e5 on 8 lanes, rebalancing after each batch fired on
+/// half of all ticks and added about 3.4 ms to each of them (traced on
+/// perfbench's `fleet_async_churn`, 2-core host). A flash crowd landing
+/// in one lane or a region loss emptying one clears the tolerance and
+/// still rebalances. A partition never changes a trajectory, so the
+/// tolerance is a cost knob only.
+const REBALANCE_SLACK: usize = 32;
 
 /// Largest accepted lookahead `K` for
 /// [`EventRuntime::with_lookahead`](crate::EventRuntime::with_lookahead).
@@ -466,10 +495,17 @@ impl<E> Calendar<E> {
     /// The earliest pending virtual time at or after `from`, scanning
     /// at most one ring rotation. `None` when the calendar is empty.
     pub fn next_time(&self, from: u64) -> Option<u64> {
+        self.next_time_before(from, u64::MAX)
+    }
+
+    /// [`next_time`](Calendar::next_time) restricted to times before
+    /// `until`: the scan stops there, so a caller that only wants a time
+    /// earlier than one it already holds peeks at no slot past it.
+    pub(crate) fn next_time_before(&self, from: u64, until: u64) -> Option<u64> {
         if self.len == 0 {
             return None;
         }
-        for offset in 0..RING_SLOTS as u64 {
+        for offset in 0..until.saturating_sub(from).min(RING_SLOTS as u64) {
             let t = from + offset;
             let bucket = &self.buckets[(t as usize) & (RING_SLOTS - 1)];
             if let Some(first) = bucket.first() {
@@ -590,8 +626,9 @@ fn order_window(window: &[Entry<Event>], base: u32, span: usize, buf: &mut Windo
 /// The node→shard partition: lane `k` owns the contiguous node range
 /// `bounds[k]..bounds[k + 1]`. Boundaries are chosen to even out the
 /// *present* node count per lane (absent nodes cost nothing — they
-/// schedule no events) and move when membership churn shifts the
-/// load; the lane count itself is fixed at construction.
+/// schedule no events) and move when membership churn drifts the load
+/// past the [`REBALANCE_SLACK`] tolerance; the lane count itself is
+/// fixed at construction.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct ShardMap {
     /// `lanes + 1` monotone boundaries; `bounds[0] == 0` and
@@ -669,12 +706,27 @@ impl ShardMap {
         self.bounds[lane + 1] as usize
     }
 
+    /// Whether the heaviest lane's present load exceeds the mean by
+    /// more than the rebalance tolerance: `mean / REBALANCE_SLACK` plus
+    /// one node.
+    fn drifted(&self, members: &MembershipTracker) -> bool {
+        let mut loads = Vec::with_capacity(self.lanes());
+        self.write_loads(members, &mut loads);
+        let heaviest = loads.iter().copied().max().unwrap_or(0);
+        let alive: usize = loads.iter().sum();
+        // heaviest > mean + mean / SLACK + 1, scaled by lanes · SLACK.
+        heaviest * loads.len() * REBALANCE_SLACK
+            > alive * (REBALANCE_SLACK + 1) + loads.len() * REBALANCE_SLACK
+    }
+
     /// Appends each lane's *present*-node count to `out`, in lane
     /// order.
     fn write_loads(&self, members: &MembershipTracker, out: &mut Vec<usize>) {
+        let present = members.present();
         for lane in 0..self.lanes() {
-            let load = (self.base_of(lane)..self.end_of(lane))
-                .filter(|&i| members.is_present(i))
+            let load = present[self.base_of(lane)..self.end_of(lane)]
+                .iter()
+                .filter(|&&p| p)
                 .count();
             out.push(load);
         }
@@ -821,7 +873,7 @@ fn take_runs(table: &mut Nodes, runs: &mut VecDeque<(usize, Nodes)>, until: usiz
 }
 
 /// One shard: the [`Nodes`] of a contiguous node range, its calendar,
-/// and one outbound mailbox per peer shard.
+/// and one outbound and one inbound mailbox per peer shard.
 #[derive(Debug, Clone)]
 struct ShardLane {
     index: usize,
@@ -830,8 +882,17 @@ struct ShardLane {
     /// Per-node state, indexed by `global - base`.
     nodes: Nodes,
     calendar: Calendar<Event>,
-    /// Per-destination-shard mailboxes, drained at window boundaries.
+    /// Per-destination-shard mail sent during the current block; the
+    /// block barrier swaps each non-empty one with the destination's
+    /// drained inbox.
     outboxes: Vec<Vec<Entry<Event>>>,
+    /// The earliest `at` in each outbox; `u64::MAX` when it is empty.
+    outbox_at: Vec<u64>,
+    /// Per-source-shard mail handed over at the last barrier, filed
+    /// into the calendar when this lane runs its next block.
+    inboxes: Vec<Vec<Entry<Event>>>,
+    /// The earliest `at` in any inbox; `u64::MAX` when all are empty.
+    inbox_at: u64,
     /// The current window in handling order.
     order: WindowOrder,
     /// This tick's counter contributions (summed across lanes).
@@ -854,6 +915,9 @@ impl ShardLane {
                     nodes: nodes.split_off(base),
                     calendar: Calendar::new(),
                     outboxes: (0..lanes).map(|_| Vec::new()).collect(),
+                    outbox_at: vec![u64::MAX; lanes],
+                    inboxes: (0..lanes).map(|_| Vec::new()).collect(),
+                    inbox_at: u64::MAX,
                     order: WindowOrder::default(),
                     rm: RoundMetrics::default(),
                 }
@@ -888,14 +952,42 @@ impl ShardLane {
     }
 
     /// Routes an already tagged entry: to this lane's calendar when
-    /// its target is local, else to the matching mailbox.
+    /// its target is local, else to the matching outbox, whose earliest
+    /// due time it keeps.
     fn route(&mut self, entry: Entry<Event>, ctx: &Ctx) {
         let shard = ctx.map.shard_of(event_target(&entry.payload) as usize);
         if shard == self.index {
             self.calendar.push(entry);
         } else {
+            self.outbox_at[shard] = self.outbox_at[shard].min(entry.at);
             self.outboxes[shard].push(entry);
         }
+    }
+
+    /// Files the mail the last barrier handed over into this lane's
+    /// calendar. `start` is the first time the lane runs next: no
+    /// message is due before it, since the barrier that delivered the
+    /// mail closed the block it was sent in.
+    fn take_inbound(&mut self, start: u64) {
+        if self.inbox_at == u64::MAX {
+            return;
+        }
+        let mut earliest = u64::MAX;
+        for inbox in &mut self.inboxes {
+            for entry in inbox.drain(..) {
+                debug_assert!(entry.at >= start, "mail due before the block that files it");
+                earliest = earliest.min(entry.at);
+                self.calendar.push(entry);
+            }
+        }
+        debug_assert_eq!(earliest, self.inbox_at, "inbox_at is not the earliest mail");
+        self.inbox_at = u64::MAX;
+    }
+
+    /// Pending entries in the calendar and both mailbox sets.
+    fn pending(&self) -> usize {
+        let mail = |boxes: &[Vec<Entry<Event>>]| boxes.iter().map(Vec::len).sum::<usize>();
+        self.calendar.len() + mail(&self.outboxes) + mail(&self.inboxes)
     }
 
     /// One latency draw from the sender's stream.
@@ -1072,7 +1164,7 @@ impl ShardLane {
     /// NO_CHOICE) and bootstraps through the ordinary query path.
     fn begin_epoch(&mut self, ctx: &Ctx) {
         std::mem::swap(&mut self.nodes.choices, &mut self.nodes.back);
-        debug_assert!(self.calendar.is_empty(), "previous epoch left events");
+        debug_assert_eq!(self.pending(), 0, "previous epoch left events");
         for local in 0..self.nodes.len() {
             self.nodes.choices[local] = NO_CHOICE;
             if !ctx.present[self.base as usize + local] {
@@ -1201,17 +1293,16 @@ impl ShardLane {
         self.order = buf;
     }
 
-    /// Processes every window in `[start, block_end)` this lane has
-    /// events for, touching nothing outside the lane — the unit of
-    /// work a worker thread executes between barriers. Sound because
-    /// the `msg_at` deferral guarantees no event produced inside the
-    /// block (by any lane) is due before `block_end`.
+    /// Files the mail handed over at the last barrier, then processes
+    /// every window in `[start, block_end)` this lane has events for,
+    /// touching nothing outside the lane — the unit of work a worker
+    /// thread executes between barriers. Sound because the `msg_at`
+    /// deferral guarantees no event produced inside the block (by any
+    /// lane) is due before `block_end`.
     fn run_block(&mut self, start: u64, block_end: u64, ctx: &Ctx) {
+        self.take_inbound(start);
         let mut cursor = start;
-        while let Some(w) = self.calendar.next_time(cursor) {
-            if w >= block_end {
-                break;
-            }
+        while let Some(w) = self.calendar.next_time_before(cursor, block_end) {
             self.run_window(w, ctx);
             cursor = w + 1;
         }
@@ -1318,14 +1409,18 @@ impl ShardedEngine {
 
     /// Writes the fleet's commitment count per option into `out`.
     pub(crate) fn write_counts(&self, out: &mut [u64]) {
-        out.fill(0);
+        // `NO_CHOICE` lands in a spill bin past the last option, so each
+        // node costs one increment and no branch: about half of a
+        // churning async fleet sits uncommitted at any moment, so a
+        // branch on it would be a coin flip.
+        let m = out.len();
+        let mut bins = vec![0u64; m + 1];
         for lane in &self.lanes {
             for &c in &lane.nodes.choices {
-                if c != NO_CHOICE {
-                    out[c as usize] += 1;
-                }
+                bins[(c as usize).min(m)] += 1;
             }
         }
+        out.copy_from_slice(&bins[..m]);
     }
 
     /// Online rebalances performed so far (only those that actually
@@ -1343,22 +1438,34 @@ impl ShardedEngine {
     }
 
     /// The earliest pending virtual time at or after `from`, across
-    /// all lanes.
+    /// all lanes' calendars and inboxes. Each calendar is scanned only
+    /// up to the earliest time found so far.
     fn next_window(&self, from: u64) -> Option<u64> {
-        self.lanes
-            .iter()
-            .filter_map(|lane| lane.calendar.next_time(from))
-            .min()
+        let mut next = u64::MAX;
+        for lane in &self.lanes {
+            debug_assert!(lane.inbox_at >= from, "mail pending before the cursor");
+            next = next.min(lane.inbox_at);
+            if let Some(t) = lane.calendar.next_time_before(from, next) {
+                next = t;
+            }
+        }
+        (next != u64::MAX).then_some(next)
     }
 
     /// Runs one K-window lookahead block `[start, block_end)` on every
     /// lane — on the persistent worker pool when dense, in-thread when
-    /// sparse (identical results either way) — then drains the
-    /// cross-shard mailboxes into the destination calendars at the
-    /// barrier.
+    /// sparse (identical results either way) — then hands the
+    /// cross-shard mail over at the barrier: each non-empty outbox
+    /// trades places with its destination's inbox, which that lane
+    /// drained when it ran this block, so the barrier moves buffers,
+    /// not entries. Each lane files its own inbound mail at the start
+    /// of its next block, on whichever thread runs it.
     fn run_block(&mut self, start: u64, block_end: u64, ctx: &Arc<Ctx>, tuning: &ExecTuning) {
+        // The fan-out estimate counts calendars only: counting whole
+        // inboxes as due would fan out blocks whose mail is mostly due
+        // later, which costs small K = 1 fleets more than it saves.
         let due: usize = self.lanes.iter().map(|l| l.due_in(start, block_end)).sum();
-        if due == 0 {
+        if due == 0 && self.lanes.iter().all(|l| l.inbox_at >= block_end) {
             return;
         }
         // `tuning.threads` arrives already resolved by `tick` —
@@ -1380,20 +1487,22 @@ impl ShardedEngine {
                 lane.run_block(start, block_end, ctx);
             }
         }
-        // Block barrier: hand cross-shard events over. Bucket order
-        // does not matter — `run_window` re-derives the handling order
-        // from the intrinsic keys — so the drain order is free to be
-        // whatever is cheapest.
+        // Block barrier: hand cross-shard mail over. Filing order does
+        // not matter — `run_window` re-derives the handling order from
+        // the intrinsic keys — and the earliest due time travels with
+        // the buffer, so the schedule stays exact without a scan.
         for src in 0..self.lanes.len() {
             for dst in 0..self.lanes.len() {
                 if src == dst || self.lanes[src].outboxes[dst].is_empty() {
                     continue;
                 }
-                let mut moved = std::mem::take(&mut self.lanes[src].outboxes[dst]);
-                for entry in moved.drain(..) {
-                    self.lanes[dst].calendar.push(entry);
-                }
-                self.lanes[src].outboxes[dst] = moved;
+                let mail = std::mem::take(&mut self.lanes[src].outboxes[dst]);
+                let at = std::mem::replace(&mut self.lanes[src].outbox_at[dst], u64::MAX);
+                let to = &mut self.lanes[dst];
+                debug_assert!(to.inboxes[src].is_empty(), "barrier found undrained mail");
+                to.inbox_at = to.inbox_at.min(at);
+                let drained = std::mem::replace(&mut to.inboxes[src], mail);
+                self.lanes[src].outboxes[dst] = drained;
             }
         }
     }
@@ -1418,7 +1527,8 @@ impl ShardedEngine {
     /// One tick under `mode`: a full epoch run to quiescence, or one
     /// async epoch-period window of virtual time. A tick boundary
     /// carrying membership transitions first rebalances shard
-    /// ownership to the new present-node load.
+    /// ownership to the new present-node load, if it drifted past the
+    /// tolerance.
     pub(crate) fn tick(
         &mut self,
         mode: Mode,
@@ -1526,7 +1636,9 @@ impl ShardedEngine {
     /// Recomputes lane boundaries to even out *present* nodes and
     /// migrates the full state of each node whose lane changes — its
     /// [`Nodes`] row and its pending calendar entries — to its new
-    /// owner. Only the boundaries move. Each lane's table becomes one
+    /// owner, but only when the heaviest lane's present load exceeds
+    /// the mean by more than the [`REBALANCE_SLACK`] tolerance. Only
+    /// the boundaries move. Each lane's table becomes one
     /// run in node order; the lanes then take their new ranges back
     /// from the runs, which are cut with `split_off` only where a new
     /// boundary crosses them, so a lane keeps the buffer of the rows it
@@ -1534,16 +1646,21 @@ impl ShardedEngine {
     /// moved hands off just the calendar entries of nodes it no longer
     /// owns, and those are re-pushed to their new owners; calendars
     /// otherwise stay with their lanes. Runs only between ticks, where
-    /// cross-shard outboxes are provably empty, so nothing is in
-    /// flight mid-move; per-node RNG streams and intrinsic event keys
-    /// make the new partition produce byte-identical results.
+    /// cross-shard outboxes are provably empty; mail waiting in an
+    /// inbox is filed into its lane's calendar first, so it moves with
+    /// its target and nothing is in flight mid-move. Per-node RNG
+    /// streams and intrinsic event keys make the new partition produce
+    /// byte-identical results.
     fn rebalance(&mut self, members: &MembershipTracker, n: usize) {
+        if !self.map.drifted(members) {
+            return;
+        }
         let new_map = ShardMap::balanced(n, self.lanes.len(), members);
         if new_map == self.map {
             return;
         }
         self.rebalances += 1;
-        let pending_before: usize = self.lanes.iter().map(|l| l.calendar.len()).sum();
+        let pending_before: usize = self.lanes.iter().map(ShardLane::pending).sum();
         let mut runs: VecDeque<(usize, Nodes)> = VecDeque::new();
         let mut handoff: Vec<Entry<Event>> = Vec::new();
         for (k, lane) in self.lanes.iter_mut().enumerate() {
@@ -1551,6 +1668,9 @@ impl ShardedEngine {
                 lane.outboxes.iter().all(Vec::is_empty),
                 "rebalance crossed a window with undelivered mail"
             );
+            // Inbound mail is addressed by the old partition: file it
+            // first, so the hand-off below moves it with its target.
+            lane.take_inbound(self.async_clock);
             runs.push_back((self.map.base_of(k), std::mem::take(&mut lane.nodes)));
             let owned = new_map.base_of(k)..new_map.end_of(k);
             if owned != (self.map.base_of(k)..self.map.end_of(k)) {
@@ -1586,7 +1706,7 @@ impl ShardedEngine {
             "a pending event sits in a lane that does not own its target"
         );
         debug_assert_eq!(
-            self.lanes.iter().map(|l| l.calendar.len()).sum::<usize>(),
+            self.lanes.iter().map(ShardLane::pending).sum::<usize>(),
             pending_before,
             "rebalance lost or duplicated pending events"
         );
@@ -1873,6 +1993,7 @@ mod tests {
                 lane.calendar
                     .entries()
                     .chain(lane.outboxes.iter().flatten())
+                    .chain(lane.inboxes.iter().flatten())
             })
             .filter(|e| matches!(e.payload, Event::Timeout { .. }))
             .copied()
@@ -1986,6 +2107,83 @@ mod tests {
             };
             assert_eq!(routed, Some(&at_send), "{fate:?}");
         }
+    }
+
+    /// Node 0, on lane 0, times out and re-queries node 1, on lane 1.
+    /// After that block's barrier the query, waiting in lane 1's inbox,
+    /// is the only pending event: the schedule must find it there and
+    /// run the next block exactly at its due time, and the reply must
+    /// come back through lane 0's inbox the same way.
+    #[test]
+    fn mail_waiting_only_in_an_inbox_is_run_on_time() {
+        let mut engine = two_node_engine(2);
+        let ctx = Arc::new(hand_ctx(&engine, Mode::Quiesced, 0.0, vec![true; 2]));
+        let tuning = ExecTuning {
+            threads: 1,
+            ..ExecTuning::default()
+        };
+        engine.lanes[1].nodes.back[0] = 1;
+        engine.lanes[0].nodes.pending[0] = Pending {
+            attempt: 1,
+            resolved: false,
+        };
+        engine.lanes[0].nodes.seqs[0] = 1;
+        let timeout = Event::Timeout {
+            node: 0,
+            attempt: 1,
+            epoch: 1,
+        };
+        engine.lanes[0].calendar.push(Entry {
+            at: 10,
+            src: 0,
+            seq: 0,
+            payload: timeout,
+        });
+
+        // Drives block by block, as `tick` does at K = 1, and returns
+        // the block that ran and the mail its barrier handed over.
+        let step = |engine: &mut ShardedEngine, from: u64| {
+            let w = engine.next_window(from).expect("an event is pending");
+            engine.run_block(w, w + 1, &ctx, &tuning);
+            let mail: Vec<_> = engine
+                .lanes
+                .iter()
+                .flat_map(|l| l.inboxes.iter().flatten())
+                .copied()
+                .collect();
+            assert!(engine.lanes.iter().all(|l| l.calendar.is_empty()));
+            (w, mail)
+        };
+
+        let (w, mail) = step(&mut engine, 0);
+        assert_eq!(w, 10);
+        let [query] = mail[..] else {
+            panic!("want one query in flight, got {mail:?}")
+        };
+        assert!(matches!(query.payload, Event::QueryArrive { to: 1, .. }));
+        assert!(query.at > w + 1);
+        assert_eq!(engine.lanes[1].inbox_at, query.at);
+        assert_eq!(engine.lanes[0].inbox_at, u64::MAX);
+
+        // A block that ends before the query is skipped and leaves the
+        // mail where it is.
+        engine.run_block(w + 1, query.at, &ctx, &tuning);
+        assert_eq!(engine.lanes[1].inbox_at, query.at);
+
+        let (w, mail) = step(&mut engine, w + 1);
+        assert_eq!(w, query.at);
+        let [reply] = mail[..] else {
+            panic!("want one reply in flight, got {mail:?}")
+        };
+        assert_eq!(reply.payload, Event::ReplyArrive { node: 0, option: 1 });
+        assert_eq!(engine.lanes[0].inbox_at, reply.at);
+
+        let (w, mail) = step(&mut engine, w + 1);
+        assert_eq!(w, reply.at);
+        assert!(mail.is_empty());
+        assert_eq!(engine.lanes[0].rm.replies_received, 1);
+        assert!(engine.lanes[0].nodes.pending[0].resolved);
+        assert_eq!(engine.next_window(w + 1), None);
     }
 
     fn is_mail(e: &Entry<Event>) -> bool {

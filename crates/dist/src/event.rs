@@ -983,6 +983,12 @@ mod tests {
 
     /// Runs `ticks` rounds and returns the full observable trajectory.
     fn drive(mut net: EventRuntime, ticks: u64) -> Trajectory {
+        run_ticks(&mut net, ticks)
+    }
+
+    /// [`drive`] on a runtime the caller keeps, to read its engine
+    /// counters afterwards.
+    fn run_ticks(net: &mut EventRuntime, ticks: u64) -> Trajectory {
         let mut dists = Vec::new();
         let mut rms = Vec::new();
         let mut states = Vec::new();
@@ -995,8 +1001,22 @@ mod tests {
         (dists, rms, states, net.metrics())
     }
 
-    /// [`drive`] with the given execution knobs, forcing the pool path
-    /// even at unit-test fleet sizes.
+    /// `make`'s runtime with the given execution knobs, forcing the
+    /// pool path even at unit-test fleet sizes.
+    fn tuned(
+        make: impl Fn() -> EventRuntime,
+        shards: usize,
+        lookahead: u64,
+        threads: usize,
+    ) -> EventRuntime {
+        make()
+            .with_scheduler(SchedulerKind::ShardedCalendar { shards })
+            .with_lookahead(lookahead)
+            .with_threads(threads)
+            .with_parallel_threshold(0)
+    }
+
+    /// [`drive`] on [`tuned`]'s runtime.
     fn drive_tuned(
         make: impl Fn() -> EventRuntime,
         shards: usize,
@@ -1004,12 +1024,7 @@ mod tests {
         threads: usize,
         ticks: u64,
     ) -> Trajectory {
-        let net = make()
-            .with_scheduler(SchedulerKind::ShardedCalendar { shards })
-            .with_lookahead(lookahead)
-            .with_threads(threads)
-            .with_parallel_threshold(0);
-        drive(net, ticks)
+        drive(tuned(make, shards, lookahead, threads), ticks)
     }
 
     /// Asserts that `make`'s default (one-shard) trajectory replays
@@ -1367,15 +1382,59 @@ mod tests {
             for lookahead in [1, 4] {
                 let baseline = drive_tuned(make, 1, lookahead, 1, 14);
                 for (shards, threads) in [(3, 1), (3, 2), (8, 1), (8, 2)] {
-                    let run = drive_tuned(make, shards, lookahead, threads, 14);
+                    let mut net = tuned(make, shards, lookahead, threads);
+                    let run = run_ticks(&mut net, 14);
                     assert_eq!(
                         baseline, run,
                         "trajectory diverged at bound={bound:?} K={lookahead} \
                          shards={shards} threads={threads}"
                     );
+                    assert!(
+                        net.shard_rebalances() > 0,
+                        "no rebalance at bound={bound:?} K={lookahead} shards={shards}"
+                    );
                 }
             }
         }
+    }
+
+    /// A 4,096-node async fleet under 5% loss plus `churn`, one shard
+    /// by default.
+    fn gate_fleet(churn: impl Fn(FaultPlan) -> FaultPlan) -> EventRuntime {
+        let faults = churn(FaultPlan::with_drop_prob(0.05).unwrap());
+        EventRuntime::new(DistConfig::new(params(), 4_096).with_faults(faults), 41)
+            .with_async_epochs(StalenessBound::Unbounded)
+    }
+
+    /// One leave in an 8-lane fleet of 4,096 nodes would move every
+    /// balanced boundary by a node, but leaves the heaviest lane within
+    /// the rebalance tolerance: the partition stays, the imbalance
+    /// persists, and the run replays the one-shard trajectory.
+    #[test]
+    fn drift_within_the_rebalance_tolerance_keeps_the_partition() {
+        let make = || gate_fleet(|plan| plan.leave(100, 3));
+        let baseline = drive_tuned(make, 1, 4, 1, 8);
+        let mut net = tuned(make, 8, 4, 2);
+        let run = run_ticks(&mut net, 8);
+        assert_eq!(baseline, run);
+        assert_eq!(run.1.iter().map(|rm| rm.leaves).sum::<u64>(), 1);
+        assert_eq!(net.shard_rebalances(), 0);
+        let mut loads = Vec::new();
+        net.write_shard_loads(&mut loads);
+        assert_eq!(loads, [511, 512, 512, 512, 512, 512, 512, 512]);
+    }
+
+    /// A region loss that empties a lane clears the tolerance: the
+    /// partition moves when the region goes and again when it comes
+    /// back, and the run replays the one-shard trajectory.
+    #[test]
+    fn region_loss_that_empties_a_lane_rebalances() {
+        let make = || gate_fleet(|plan| plan.region_loss(0..512, 3, 6));
+        let baseline = drive_tuned(make, 1, 4, 1, 8);
+        let mut net = tuned(make, 8, 4, 2);
+        let run = run_ticks(&mut net, 8);
+        assert_eq!(baseline, run);
+        assert_eq!(net.shard_rebalances(), 2);
     }
 
     #[test]

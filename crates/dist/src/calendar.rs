@@ -13,9 +13,10 @@
 //! **calendar queue**: events are bucketed by virtual-time slot in a
 //! fixed ring ([`RING_SLOTS`] wide), so enqueue is an `O(1)` append and dequeue
 //! is a linear walk of one bucket. On top of the calendar, the fleet
-//! is **sharded** by destination-node range: each shard owns the
-//! per-node state of a contiguous node block and advances its own
-//! local event stream one time window at a time, handing cross-shard
+//! is **sharded** by striping: node `i` lives in shard `i % shards`.
+//! Each shard owns the per-node state of its stripe, receives every
+//! event targeted at one of its nodes, and advances its own local
+//! event stream one time window at a time, handing cross-shard
 //! messages to per-shard-pair mailboxes that change hands at window
 //! boundaries: each outbox trades places with its destination's
 //! inbox, and the receiving shard files that mail into its own
@@ -78,7 +79,8 @@
 //!   the same window. An event touches only its target's state and
 //!   schedules nothing into the current window, so the order *across*
 //!   targets does not matter; ascending order just sweeps the lane's
-//!   per-node table front to back.
+//!   per-node table front to back, since a lane's rows hold its nodes
+//!   in ascending order.
 //! * Randomness comes from **per-node RNG streams** split from the
 //!   root seed (one `SmallRng` per node, seeded via a SplitMix64
 //!   derivation). A node draws only from its own stream, so regrouping
@@ -103,36 +105,21 @@
 //! matches the finite-population dynamics (KS-tested in
 //! `tests/equivalence.rs`).
 //!
-//! # Membership churn and online rebalancing
+//! # Membership churn
 //!
 //! Scripted joins, leaves, and rejoins (the [`FaultPlan`] membership
 //! builders) land at tick boundaries: a departing node's commitment
 //! and pending attempt are wiped; a (re)joining node enters
 //! bootstrapping and re-learns a commitment through the ordinary
 //! query/reply protocol — no state transfer, no new message types.
-//! Because churn skews the load of a fixed node→shard split, the
-//! engine also **rebalances ownership online**: on a tick whose
-//! boundary carries membership transitions and leaves the heaviest
-//! lane's present load more than a tolerance above the mean
-//! ([`REBALANCE_SLACK`]: 1/32 of the mean plus one node), lane
-//! boundaries are recomputed to even out *present* nodes and each
-//! migrating node's full state (its row of the per-node table,
-//! pending calendar entries and inbound mail) moves to its new lane.
-//! Smaller drift, such as a rolling restart of a few nodes, leaves the
-//! partition as it is: the barrier waits for the heaviest lane, and a
-//! node or two over the mean costs less than the move. Only the
-//! migrating nodes move: a lane keeps the rows it still owns, and its
-//! calendar keeps every entry whose target it still owns. The move
-//! happens only between ticks — when every outbox is provably empty,
-//! and after the inboxes are filed — and the
-//! same per-node-stream + intrinsic-key argument that makes the
-//! partition invisible to the protocol makes rebalancing semantically
-//! a no-op: byte-identity across shard counts holds even while
-//! ownership shifts under churn. In debug builds every rebalance
-//! checks that each lane's rows match its new range, that every
-//! pending event sits in the lane owning its target, and that no
-//! pending event — in a calendar or a mailbox — was lost or
-//! duplicated.
+//! The partition never changes. Every bulk builder scripts a
+//! contiguous id range (a rolling restart batch, a flash crowd's last
+//! ids, a lost region), and striping spreads any contiguous range over
+//! the lanes within one node of evenly, so churn cannot leave one lane
+//! much heavier than the rest, and the barrier, which waits for the
+//! heaviest lane, stays cheap without moving any node. Peers are
+//! chosen uniformly at random, so every partition carries the same
+//! share of cross-lane mail; balance is all a partition decides.
 //!
 //! [`FaultPlan`]: crate::FaultPlan
 //!
@@ -142,15 +129,12 @@
 //! local epoch, pending attempt, RNG stream, sequence and incarnation
 //! counters — is one row of a struct-of-arrays table, `Nodes`, of
 //! fixed width: a message is handled the moment it is due, so no
-//! node keeps a mailbox. The engine builds the whole fleet's table
-//! once and cuts it into lanes by node range; a rebalance queues each lane's table as a run in node
-//! order and has every lane take its new range back, cutting a run
-//! only where a new boundary crosses it. Nothing else is cached per
-//! lane:
-//! the option histogram and the bootstrapping gauge are counted from
-//! the table once per tick.
+//! node keeps a mailbox. Each lane builds its own table when the
+//! engine is built, node `i` at row `i / shards`, and keeps it for the
+//! engine's life. Nothing else is cached per lane: the option
+//! histogram and the bootstrapping gauge are counted from the tables
+//! once per tick.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use rand::rngs::SmallRng;
@@ -205,22 +189,6 @@ const SPARE_CAPACITY: usize = 256;
 /// semantic one). Overridable per runtime via
 /// [`EventRuntime::with_parallel_threshold`](crate::EventRuntime::with_parallel_threshold).
 pub(crate) const PARALLEL_WINDOW_EVENTS: usize = 2_048;
-
-/// The rebalance tolerance: lane boundaries move only when the
-/// heaviest lane's present load exceeds the mean by more than
-/// `1 / REBALANCE_SLACK` of the mean plus one node.
-///
-/// Every barrier waits for the heaviest lane, so the excess over the
-/// mean is what imbalance costs a block, and a rebalance — which copies
-/// the moving nodes' rows and calendar entries — is worth it only when
-/// that excess is real. A rolling restart moves well under 1% of a
-/// lane: at N = 1e5 on 8 lanes, rebalancing after each batch fired on
-/// half of all ticks and added about 3.4 ms to each of them (traced on
-/// perfbench's `fleet_async_churn`, 2-core host). A flash crowd landing
-/// in one lane or a region loss emptying one clears the tolerance and
-/// still rebalances. A partition never changes a trajectory, so the
-/// tolerance is a cost knob only.
-const REBALANCE_SLACK: usize = 32;
 
 /// Largest accepted lookahead `K` for
 /// [`EventRuntime::with_lookahead`](crate::EventRuntime::with_lookahead).
@@ -288,11 +256,12 @@ fn effective_threads(threads: usize) -> usize {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchedulerKind {
     /// The sharded calendar-queue engine of this module (one shard by
-    /// default). `shards` is clamped to the fleet size; randomness is
-    /// split into per-node streams, so results are byte-identical
-    /// across shard counts.
+    /// default). Node `i` lives in shard `i % shards`. `shards` is
+    /// clamped to the fleet size; randomness is split into per-node
+    /// streams, so results are byte-identical across shard counts.
     ShardedCalendar {
-        /// Number of destination-node-range shards (at least 1).
+        /// Number of shards (at least 1), each holding every
+        /// `shards`-th node.
         shards: usize,
     },
 }
@@ -465,30 +434,9 @@ impl<E> Calendar<E> {
         }
     }
 
-    /// Moves every pending entry for which `pick` returns true to the
-    /// end of `out`, in no particular order, and keeps the rest. Used
-    /// when shard ownership is rebalanced: a lane hands off the
-    /// entries of nodes it no longer owns and they are re-pushed into
-    /// their new owners' calendars. Push order is free: both
-    /// [`take_due`](Calendar::take_due) and the event engine's window
-    /// order derive the deterministic order from the intrinsic keys.
-    pub fn extract(&mut self, mut pick: impl FnMut(&Entry<E>) -> bool, out: &mut Vec<Entry<E>>) {
-        let before = out.len();
-        for bucket in &mut self.buckets {
-            let mut i = 0;
-            while i < bucket.len() {
-                if pick(&bucket[i]) {
-                    out.push(bucket.swap_remove(i));
-                } else {
-                    i += 1;
-                }
-            }
-        }
-        self.len -= out.len() - before;
-    }
-
     /// Every pending entry, in no particular order.
-    pub(crate) fn entries(&self) -> impl Iterator<Item = &Entry<E>> {
+    #[cfg(test)]
+    fn entries(&self) -> impl Iterator<Item = &Entry<E>> {
         self.buckets.iter().flatten()
     }
 
@@ -534,23 +482,23 @@ fn event_target(ev: &Event) -> u32 {
     }
 }
 
-/// The leading part of an event's handling order, `target << 1 |
-/// is_mail`: its target node, then whether it is mail from another node
-/// rather than a timer (`Wake`, `Timeout`) the target set for itself.
-fn target_then_mail(ev: &Event) -> u64 {
-    match *ev {
-        Event::Wake { node, .. } | Event::Timeout { node, .. } => u64::from(node) << 1,
-        Event::QueryArrive { to: node, .. } | Event::ReplyArrive { node, .. } => {
-            u64::from(node) << 1 | 1
-        }
-    }
+/// The leading part of an event's handling order in its lane, `row <<
+/// 1 | is_mail`: its target's row in the lane's table, then whether it
+/// is mail from another node rather than a timer (`Wake`, `Timeout`)
+/// the target set for itself.
+fn row_then_mail(ev: &Event, map: ShardMap) -> u64 {
+    let (node, mail) = match *ev {
+        Event::Wake { node, .. } | Event::Timeout { node, .. } => (node, 0),
+        Event::QueryArrive { to: node, .. } | Event::ReplyArrive { node, .. } => (node, 1),
+    };
+    (map.row_of(node) as u64) << 1 | mail
 }
 
 /// The buffers [`order_window`] fills, reused from window to window.
 #[derive(Debug, Clone, Default)]
 struct WindowOrder {
     /// The window in handling order, each entry with its
-    /// [`target_then_mail`] key relative to the lane base.
+    /// [`row_then_mail`] key.
     order: Vec<(u64, Entry<Event>)>,
     /// Each window entry's key, in window order.
     keys: Vec<u64>,
@@ -558,8 +506,8 @@ struct WindowOrder {
     starts: Vec<usize>,
 }
 
-/// Writes `window` — the entries due at one virtual time in a lane
-/// owning nodes `base..base + span` — to `buf.order` in handling order:
+/// Writes `window` — the entries due at one virtual time in a lane of
+/// `map` holding `rows` nodes — to `buf.order` in handling order:
 /// targets ascending; within a target, its timers by `seq` (a timer's
 /// `src` is its target), then its mail by `(src, seq)`.
 ///
@@ -570,13 +518,13 @@ struct WindowOrder {
 /// targets in ascending order walks the lane's [`Nodes`] columns front
 /// to back.
 ///
-/// One counting scatter on the high bits of `target - base`, into
+/// One counting scatter on the high bits of the target's row, into
 /// about one bucket per entry and never more than one per node, then
 /// one insertion pass. Buckets are in target order, so the pass only
 /// sorts within a bucket; a bucket holds about one entry, and a
 /// target only a few per window. Each entry's key is computed once,
 /// since matching on the event kind is the costly part of a key.
-fn order_window(window: &[Entry<Event>], base: u32, span: usize, buf: &mut WindowOrder) {
+fn order_window(window: &[Entry<Event>], map: ShardMap, rows: usize, buf: &mut WindowOrder) {
     let WindowOrder {
         order,
         keys,
@@ -586,17 +534,16 @@ fn order_window(window: &[Entry<Event>], base: u32, span: usize, buf: &mut Windo
     let Some(&first) = window.first() else {
         return;
     };
-    let span_bits = span.next_power_of_two().trailing_zeros();
+    let row_bits = rows.next_power_of_two().trailing_zeros();
     let bucket_bits = window
         .len()
         .next_power_of_two()
         .trailing_zeros()
-        .min(span_bits);
-    // A key's low bit is `is_mail`; the bits above it are `target - base`.
-    let shift = span_bits - bucket_bits + 1;
-    let lead = u64::from(base) << 1;
+        .min(row_bits);
+    // A key's low bit is `is_mail`; the bits above it are the row.
+    let shift = row_bits - bucket_bits + 1;
     keys.clear();
-    keys.extend(window.iter().map(|e| target_then_mail(&e.payload) - lead));
+    keys.extend(window.iter().map(|e| row_then_mail(&e.payload, map)));
     starts.clear();
     starts.resize((1 << bucket_bits) + 1, 0);
     for &k in keys.iter() {
@@ -623,121 +570,69 @@ fn order_window(window: &[Entry<Event>], base: u32, span: usize, buf: &mut Windo
     }
 }
 
-/// The node→shard partition: lane `k` owns the contiguous node range
-/// `bounds[k]..bounds[k + 1]`. Boundaries are chosen to even out the
-/// *present* node count per lane (absent nodes cost nothing — they
-/// schedule no events) and move when membership churn drifts the load
-/// past the [`REBALANCE_SLACK`] tolerance; the lane count itself is
-/// fixed at construction.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct ShardMap {
-    /// `lanes + 1` monotone boundaries; `bounds[0] == 0` and
-    /// `bounds[lanes] == n`. A lane's range may be empty when fewer
-    /// present nodes exist than lanes.
-    bounds: Vec<u32>,
-}
-
-/// The effective lane count for `shards` requested over `n` nodes.
-pub(crate) fn lane_count(n: usize, shards: usize) -> usize {
-    shards.clamp(1, n)
-}
-
-/// Appends the present-node load of each lane an engine of `shards`
-/// shards over `n` nodes starts with — what
-/// [`ShardedEngine::write_shard_loads`] will report once the engine is
-/// built.
-pub(crate) fn write_initial_shard_loads(
-    n: usize,
-    shards: usize,
-    members: &MembershipTracker,
-    out: &mut Vec<usize>,
-) {
-    ShardMap::balanced(n, lane_count(n, shards), members).write_loads(members, out);
+/// The node→lane partition: node `i` lives in lane `i % lanes`, at
+/// row `i / lanes` of that lane's [`Nodes`]. Fixed for the engine's
+/// life.
+///
+/// Striping keeps the lanes' loads even without moving anything: every
+/// churn pattern the [`FaultPlan`](crate::FaultPlan) bulk builders
+/// script covers a contiguous id range, and any contiguous range puts
+/// the same number of nodes, within one, in every lane. Peers are
+/// chosen uniformly, so no partition carries less cross-lane mail
+/// than another.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ShardMap {
+    lanes: u32,
 }
 
 impl ShardMap {
-    /// A partition of `n` nodes into `lanes` ranges balanced by
-    /// *present* node count: lane `k` owns the present nodes with
-    /// presence-rank in `[⌈alive·k/lanes⌉, ⌈alive·(k+1)/lanes⌉)`, so
-    /// per-lane present loads differ by at most one. Trailing absent
-    /// nodes land in the last lane.
-    fn balanced(n: usize, lanes: usize, members: &MembershipTracker) -> Self {
-        debug_assert!(lanes >= 1 && lanes <= n.max(1));
-        let alive = (0..n).filter(|&i| members.is_present(i)).count();
-        let mut bounds = vec![0u32; lanes + 1];
-        bounds[lanes] = index_u32(n);
-        let mut prefix = 0usize; // present nodes among 0..idx
-        let mut k = 1usize;
-        for idx in 0..n {
-            while k < lanes && prefix >= (alive * k).div_ceil(lanes) {
-                bounds[k] = index_u32(idx);
-                k += 1;
-            }
-            if members.is_present(idx) {
-                prefix += 1;
-            }
+    /// The partition of `n` nodes into `shards` lanes, clamped to
+    /// `1..=n`.
+    pub(crate) fn new(n: usize, shards: usize) -> Self {
+        ShardMap {
+            lanes: index_u32(shards.clamp(1, n)),
         }
-        while k < lanes {
-            bounds[k] = index_u32(n);
-            k += 1;
-        }
-        ShardMap { bounds }
     }
 
-    /// Number of lanes in the partition.
-    fn lanes(&self) -> usize {
-        self.bounds.len() - 1
+    /// Number of lanes.
+    pub(crate) fn lanes(self) -> usize {
+        self.lanes as usize
     }
 
-    /// The lane owning `node`: the last lane whose base is at or
-    /// below it. `O(log lanes)` over a handful of boundaries.
+    /// The lane holding `node`.
     #[inline]
-    fn shard_of(&self, node: usize) -> usize {
-        self.bounds.partition_point(|&b| b as usize <= node) - 1
+    fn lane_of(self, node: u32) -> usize {
+        (node % self.lanes) as usize
     }
 
-    /// The first node id of `lane`.
-    fn base_of(&self, lane: usize) -> usize {
-        self.bounds[lane] as usize
+    /// `node`'s row in its lane's table.
+    #[inline]
+    fn row_of(self, node: u32) -> usize {
+        (node / self.lanes) as usize
     }
 
-    /// One past the last node id of `lane`.
-    fn end_of(&self, lane: usize) -> usize {
-        self.bounds[lane + 1] as usize
+    /// The node at `row` of `lane`'s table.
+    #[inline]
+    fn node_at(self, lane: usize, row: usize) -> u32 {
+        index_u32(row) * self.lanes + index_u32(lane)
     }
 
-    /// Whether the heaviest lane's present load exceeds the mean by
-    /// more than the rebalance tolerance: `mean / REBALANCE_SLACK` plus
-    /// one node.
-    fn drifted(&self, members: &MembershipTracker) -> bool {
-        let mut loads = Vec::with_capacity(self.lanes());
-        self.write_loads(members, &mut loads);
-        let heaviest = loads.iter().copied().max().unwrap_or(0);
-        let alive: usize = loads.iter().sum();
-        // heaviest > mean + mean / SLACK + 1, scaled by lanes · SLACK.
-        heaviest * loads.len() * REBALANCE_SLACK
-            > alive * (REBALANCE_SLACK + 1) + loads.len() * REBALANCE_SLACK
-    }
-
-    /// Appends each lane's *present*-node count to `out`, in lane
+    /// Appends each lane's count of `present` nodes to `out`, in lane
     /// order.
-    fn write_loads(&self, members: &MembershipTracker, out: &mut Vec<usize>) {
-        let present = members.present();
-        for lane in 0..self.lanes() {
-            let load = present[self.base_of(lane)..self.end_of(lane)]
-                .iter()
-                .filter(|&&p| p)
-                .count();
-            out.push(load);
+    pub(crate) fn write_loads(self, present: &[bool], out: &mut Vec<usize>) {
+        let start = out.len();
+        out.resize(start + self.lanes(), 0);
+        for (node, &p) in present.iter().enumerate() {
+            out[start + self.lane_of(index_u32(node))] += usize::from(p);
         }
     }
 }
 
 /// Execution-tuning knobs the [`EventRuntime`](crate::EventRuntime)
-/// hands the engine each tick: none of them changes results, only
-/// where and in how large blocks the work runs (`lookahead` changes
-/// the trajectory — deliberately — but never varies with `threads`
-/// or `parallel_threshold`).
+/// hands the engine when it builds it: none of them changes results,
+/// only where and in how large blocks the work runs (`lookahead`
+/// changes the trajectory — deliberately — but never varies with
+/// `threads` or `parallel_threshold`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct ExecTuning {
     /// Block width K in windows; 1 = the classic per-window barrier.
@@ -767,10 +662,6 @@ struct Ctx {
     mode: Mode,
     n: usize,
     m: usize,
-    /// The node→shard partition (owns event routing). A per-tick
-    /// clone: rebalancing replaces the engine's map between ticks, so
-    /// the context pins the partition the whole tick routes through.
-    map: ShardMap,
     mu: f64,
     drop_prob: f64,
     has_faults: bool,
@@ -785,11 +676,11 @@ struct Ctx {
     present: Arc<Vec<bool>>,
 }
 
-/// The per-node state table: one `Vec` per field, all of the same
-/// length, indexed by node — global node id for a whole fleet,
-/// `global - base` inside a lane. Struct-of-arrays because a lane's
-/// sweeps touch a few fields of many nodes; one struct per node was
-/// measured slower on the churning async fleet.
+/// A lane's per-node state table: one `Vec` per field, all of the same
+/// length, indexed by the node's row ([`ShardMap::row_of`]).
+/// Struct-of-arrays because a lane's sweeps touch a few fields of many
+/// nodes; one struct per node was measured slower on the churning
+/// async fleet.
 #[derive(Debug, Clone, Default)]
 struct Nodes {
     choices: Vec<NodeState>,
@@ -815,71 +706,16 @@ impl Nodes {
     fn len(&self) -> usize {
         self.choices.len()
     }
-
-    /// Moves every node of `other` to the end of `self`, leaving
-    /// `other` empty.
-    fn append(&mut self, other: &mut Nodes) {
-        self.choices.append(&mut other.choices);
-        self.back.append(&mut other.back);
-        self.epochs.append(&mut other.epochs);
-        self.last_wake.append(&mut other.last_wake);
-        self.pending.append(&mut other.pending);
-        self.rngs.append(&mut other.rngs);
-        self.seqs.append(&mut other.seqs);
-        self.incs.append(&mut other.incs);
-        self.boot.append(&mut other.boot);
-    }
-
-    /// Splits the table at `at`: `self` keeps nodes `0..at` and the
-    /// rest are returned.
-    fn split_off(&mut self, at: usize) -> Nodes {
-        Nodes {
-            choices: self.choices.split_off(at),
-            back: self.back.split_off(at),
-            epochs: self.epochs.split_off(at),
-            last_wake: self.last_wake.split_off(at),
-            pending: self.pending.split_off(at),
-            rngs: self.rngs.split_off(at),
-            seqs: self.seqs.split_off(at),
-            incs: self.incs.split_off(at),
-            boot: self.boot.split_off(at),
-        }
-    }
 }
 
-/// Moves the rows of `runs` that lie before global node `until`, in
-/// order, to the end of `table`, splitting the run that crosses it.
-/// Each run is keyed by its first global node. A run that lands in an
-/// empty table is moved whole; only rows appended behind others are
-/// copied.
-fn take_runs(table: &mut Nodes, runs: &mut VecDeque<(usize, Nodes)>, until: usize) {
-    while let Some((first, run)) = runs.front_mut() {
-        if *first >= until {
-            return;
-        }
-        let mut taken = if *first + run.len() > until {
-            let rest = run.split_off(until - *first);
-            *first = until;
-            std::mem::replace(run, rest)
-        } else {
-            runs.pop_front().expect("front was just seen").1
-        };
-        if table.len() == 0 {
-            *table = taken;
-        } else {
-            table.append(&mut taken);
-        }
-    }
-}
-
-/// One shard: the [`Nodes`] of a contiguous node range, its calendar,
+/// One shard: the [`Nodes`] of its stripe of the fleet, its calendar,
 /// and one outbound and one inbound mailbox per peer shard.
 #[derive(Debug, Clone)]
 struct ShardLane {
     index: usize,
-    /// First global node id owned by this lane.
-    base: u32,
-    /// Per-node state, indexed by `global - base`.
+    /// The partition, to map node ids to rows and back.
+    map: ShardMap,
+    /// Per-node state, indexed by row.
     nodes: Nodes,
     calendar: Calendar<Event>,
     /// Per-destination-shard mail sent during the current block; the
@@ -900,52 +736,45 @@ struct ShardLane {
 }
 
 impl ShardLane {
-    /// Cuts a fleet's `nodes`, in global node order, into the lanes of
-    /// `map`, each with an empty calendar and empty mailboxes.
-    fn split(mut nodes: Nodes, map: &ShardMap) -> Vec<ShardLane> {
-        debug_assert_eq!(nodes.len(), map.end_of(map.lanes() - 1));
+    /// Lane `index` of `map` holding `nodes`, with an empty calendar
+    /// and empty mailboxes.
+    fn new(index: usize, map: ShardMap, nodes: Nodes) -> Self {
         let lanes = map.lanes();
-        let mut out: Vec<ShardLane> = (0..lanes)
-            .rev()
-            .map(|index| {
-                let base = map.base_of(index);
-                ShardLane {
-                    index,
-                    base: index_u32(base),
-                    nodes: nodes.split_off(base),
-                    calendar: Calendar::new(),
-                    outboxes: (0..lanes).map(|_| Vec::new()).collect(),
-                    outbox_at: vec![u64::MAX; lanes],
-                    inboxes: (0..lanes).map(|_| Vec::new()).collect(),
-                    inbox_at: u64::MAX,
-                    order: WindowOrder::default(),
-                    rm: RoundMetrics::default(),
-                }
-            })
-            .collect();
-        out.reverse();
-        out
+        ShardLane {
+            index,
+            map,
+            nodes,
+            calendar: Calendar::new(),
+            outboxes: (0..lanes).map(|_| Vec::new()).collect(),
+            outbox_at: vec![u64::MAX; lanes],
+            inboxes: (0..lanes).map(|_| Vec::new()).collect(),
+            inbox_at: u64::MAX,
+            order: WindowOrder::default(),
+            rm: RoundMetrics::default(),
+        }
+    }
+
+    /// The node at `row` of this lane's table.
+    fn node(&self, row: usize) -> u32 {
+        self.map.node_at(self.index, row)
     }
 
     /// Tags and routes an event produced by global node `src`: its own
     /// calendar when the target is local, the matching mailbox when it
     /// is not.
-    fn push_from(&mut self, src: u32, at: u64, ev: Event, ctx: &Ctx) {
+    fn push_from(&mut self, src: u32, at: u64, ev: Event) {
         let seq = self.next_seq(src);
-        self.route(
-            Entry {
-                at,
-                src,
-                seq,
-                payload: ev,
-            },
-            ctx,
-        );
+        self.route(Entry {
+            at,
+            src,
+            seq,
+            payload: ev,
+        });
     }
 
     /// Takes the next sequence number of local node `src`.
     fn next_seq(&mut self, src: u32) -> u32 {
-        let local = (src - self.base) as usize;
+        let local = self.map.row_of(src);
         let seq = self.nodes.seqs[local];
         self.nodes.seqs[local] = seq.wrapping_add(1);
         seq
@@ -954,8 +783,8 @@ impl ShardLane {
     /// Routes an already tagged entry: to this lane's calendar when
     /// its target is local, else to the matching outbox, whose earliest
     /// due time it keeps.
-    fn route(&mut self, entry: Entry<Event>, ctx: &Ctx) {
-        let shard = ctx.map.shard_of(event_target(&entry.payload) as usize);
+    fn route(&mut self, entry: Entry<Event>) {
+        let shard = self.map.lane_of(event_target(&entry.payload));
         if shard == self.index {
             self.calendar.push(entry);
         } else {
@@ -1046,16 +875,16 @@ impl ShardLane {
         // retry storm passes).
         let cadence = self.nodes.last_wake[local] + ASYNC_EPOCH_PERIOD;
         let at = cadence.max(now + 1) + self.nodes.rngs[local].gen_range(0..ASYNC_WAKE_JITTER);
-        let node = self.base + index_u32(local);
+        let node = self.node(local);
         let inc = self.nodes.incs[local];
-        self.push_from(node, at, Event::Wake { node, inc }, ctx);
+        self.push_from(node, at, Event::Wake { node, inc });
     }
 
     /// Issues query `attempt` for a node (or the uniform fallback once
     /// the retry budget is spent). `attempt == 1` is the stage-1 entry
     /// point and may take the µ-exploration branch instead.
     fn start_attempt(&mut self, local: usize, attempt: u32, now: u64, ctx: &Ctx) {
-        let node = self.base + index_u32(local);
+        let node = self.node(local);
         if attempt == 1 && self.nodes.rngs[local].gen_bool(ctx.mu) {
             self.rm.explorations += 1;
             let considered = index_u32(self.nodes.rngs[local].gen_range(0..ctx.m));
@@ -1101,7 +930,7 @@ impl ShardLane {
             },
         };
         if self.link_drops(local, ctx) {
-            self.route(timeout, ctx);
+            self.route(timeout);
             return;
         }
         let at = msg_at(now, self.latency(local), ctx);
@@ -1112,7 +941,7 @@ impl ShardLane {
             attempt: u8::try_from(attempt).expect("MAX_QUERY_RETRIES fits in a u8"),
             wait: u8::try_from(timeout.at - at).expect("RETRY_TIMEOUT fits in a u8"),
         };
-        self.push_from(node, at, query, ctx);
+        self.push_from(node, at, query);
     }
 
     /// Answers `from`'s query, tagged with the querier's local
@@ -1153,8 +982,8 @@ impl ShardLane {
             return false;
         }
         let at = msg_at(now, self.latency(local), ctx);
-        let node = self.base + index_u32(local);
-        self.push_from(node, at, Event::ReplyArrive { node: from, option }, ctx);
+        let node = self.node(local);
+        self.push_from(node, at, Event::ReplyArrive { node: from, option });
         true
     }
 
@@ -1167,7 +996,7 @@ impl ShardLane {
         debug_assert_eq!(self.pending(), 0, "previous epoch left events");
         for local in 0..self.nodes.len() {
             self.nodes.choices[local] = NO_CHOICE;
-            if !ctx.present[self.base as usize + local] {
+            if !ctx.present[self.node(local) as usize] {
                 // An absent node answers nothing: its snapshot slot is
                 // cleared so a query landing here finds no commitment.
                 self.nodes.back[local] = NO_CHOICE;
@@ -1184,11 +1013,11 @@ impl ShardLane {
     /// jittered time in `[0, WAKE_SPREAD)`.
     fn wake_present(&mut self, ctx: &Ctx) {
         for local in 0..self.nodes.len() {
-            let node = self.base + index_u32(local);
+            let node = self.node(local);
             if ctx.present[node as usize] {
                 let at = self.nodes.rngs[local].gen_range(0..WAKE_SPREAD);
                 let inc = self.nodes.incs[local];
-                self.push_from(node, at, Event::Wake { node, inc }, ctx);
+                self.push_from(node, at, Event::Wake { node, inc });
             }
         }
     }
@@ -1203,7 +1032,7 @@ impl ShardLane {
         let present = |node: u32| !ctx.has_faults || ctx.present[node as usize];
         match entry.payload {
             Event::Wake { node, inc } => {
-                let local = (node - self.base) as usize;
+                let local = self.map.row_of(node);
                 // The incarnation tag kills wake-ups scheduled before
                 // a leave: they are the only events whose horizon
                 // outlives a one-round absence.
@@ -1221,30 +1050,27 @@ impl ShardLane {
                 wait,
             } => {
                 let replied =
-                    present(to) && self.answer((to - self.base) as usize, from, epoch, now, ctx);
+                    present(to) && self.answer(self.map.row_of(to), from, epoch, now, ctx);
                 if !replied {
                     // No reply is coming: schedule the querier's
                     // timeout, the entry it would have pushed at send
                     // time. `RETRY_TIMEOUT` puts it past this lookahead
                     // block, so the barrier delivers a cross-lane one
                     // in time.
-                    self.route(
-                        Entry {
-                            at: now + u64::from(wait),
-                            src: from,
-                            seq: entry.seq.wrapping_sub(1),
-                            payload: Event::Timeout {
-                                node: from,
-                                attempt: u32::from(attempt),
-                                epoch,
-                            },
+                    self.route(Entry {
+                        at: now + u64::from(wait),
+                        src: from,
+                        seq: entry.seq.wrapping_sub(1),
+                        payload: Event::Timeout {
+                            node: from,
+                            attempt: u32::from(attempt),
+                            epoch,
                         },
-                        ctx,
-                    );
+                    });
                 }
             }
             Event::ReplyArrive { node, option } => {
-                let local = (node - self.base) as usize;
+                let local = self.map.row_of(node);
                 let resolved = self.nodes.pending[local].resolved;
                 // A reply always lands before its attempt's timeout,
                 // and nothing else resolves a node with a query out —
@@ -1260,7 +1086,7 @@ impl ShardLane {
                 attempt,
                 epoch,
             } => {
-                let local = (node - self.base) as usize;
+                let local = self.map.row_of(node);
                 let p = self.nodes.pending[local];
                 // The epoch tag rejects timeouts abandoned by an
                 // earlier local epoch.
@@ -1285,7 +1111,7 @@ impl ShardLane {
     fn run_window(&mut self, now: u64, ctx: &Ctx) {
         let window = self.calendar.take_window(now);
         let mut buf = std::mem::take(&mut self.order);
-        order_window(&window, self.base, self.nodes.len(), &mut buf);
+        order_window(&window, self.map, self.nodes.len(), &mut buf);
         self.calendar.recycle(window);
         for &(_, entry) in &buf.order {
             self.handle(entry, now, ctx);
@@ -1321,13 +1147,14 @@ impl ShardLane {
 /// tick and routes every tick here.
 #[derive(Debug, Clone)]
 pub(crate) struct ShardedEngine {
-    /// The balanced node→shard partition.
+    /// The striped node→lane partition.
     map: ShardMap,
     lanes: Vec<ShardLane>,
     /// Virtual time already consumed by async ticks.
     async_clock: u64,
-    /// Online rebalances that actually moved a lane boundary.
-    rebalances: u64,
+    /// The execution knobs, with `threads` resolved: never 0, and 1
+    /// for a one-lane engine, which never fans out.
+    tuning: ExecTuning,
     /// Persistent worker threads for dense blocks, created lazily at
     /// first fan-out (an `Arc` so a cloned engine — the twin-runtime
     /// test pattern — shares rather than respawns; the pool
@@ -1336,54 +1163,68 @@ pub(crate) struct ShardedEngine {
 }
 
 impl ShardedEngine {
-    /// Builds the engine: exactly `min(shards, n)` lanes over
-    /// contiguous node ranges balanced by round-1 presence, with one
-    /// RNG stream per node split from `seed`. Nodes outside the
-    /// initial fleet (join-scripted flash crowds) start with no
-    /// commitment.
+    /// Builds the engine: exactly `min(shards, n)` lanes, node `i` in
+    /// lane `i % lanes`, with one RNG stream per node split from
+    /// `seed`. Nodes outside the initial fleet (join-scripted flash
+    /// crowds) start with no commitment. The auto thread count is
+    /// resolved here, once: `available_parallelism` is an OS query.
     pub(crate) fn new(
         cfg: &DistConfig,
         seed: u64,
         shards: usize,
+        tuning: &ExecTuning,
         members: &MembershipTracker,
     ) -> Self {
         let n = cfg.num_nodes();
         let m = cfg.params().num_options();
-        let map = ShardMap::balanced(n, lane_count(n, shards), members);
-        let nodes = Nodes {
-            choices: (0..n)
-                .map(|i| {
-                    if members.in_initial_fleet(i) {
-                        crate::uniform_start_choice(i, m)
-                    } else {
-                        NO_CHOICE
-                    }
-                })
-                .collect(),
-            back: vec![NO_CHOICE; n],
-            epochs: vec![0; n],
-            last_wake: vec![0; n],
-            pending: vec![Pending::default(); n],
-            rngs: (0..n)
-                .map(|i| SmallRng::seed_from_u64(node_stream_seed(seed, i)))
-                .collect(),
-            seqs: vec![0; n],
-            incs: vec![0; n],
-            boot: vec![false; n],
+        let map = ShardMap::new(n, shards);
+        let lanes = (0..map.lanes())
+            .map(|index| {
+                let ids = (index..n).step_by(map.lanes());
+                let rows = ids.len();
+                let nodes = Nodes {
+                    choices: ids
+                        .clone()
+                        .map(|i| {
+                            if members.in_initial_fleet(i) {
+                                crate::uniform_start_choice(i, m)
+                            } else {
+                                NO_CHOICE
+                            }
+                        })
+                        .collect(),
+                    back: vec![NO_CHOICE; rows],
+                    epochs: vec![0; rows],
+                    last_wake: vec![0; rows],
+                    pending: vec![Pending::default(); rows],
+                    rngs: ids
+                        .map(|i| SmallRng::seed_from_u64(node_stream_seed(seed, i)))
+                        .collect(),
+                    seqs: vec![0; rows],
+                    incs: vec![0; rows],
+                    boot: vec![false; rows],
+                };
+                ShardLane::new(index, map, nodes)
+            })
+            .collect();
+        let threads = if map.lanes() > 1 {
+            effective_threads(tuning.threads)
+        } else {
+            1
         };
         ShardedEngine {
-            lanes: ShardLane::split(nodes, &map),
             map,
+            lanes,
             async_clock: 0,
-            rebalances: 0,
+            tuning: ExecTuning { threads, ..*tuning },
             pool: None,
         }
     }
 
     /// `node`'s completed local epoch counter.
     pub(crate) fn epoch_of(&self, node: usize) -> u64 {
-        let lane = &self.lanes[self.map.shard_of(node)];
-        lane.nodes.epochs[node - lane.base as usize]
+        let node = index_u32(node);
+        self.lanes[self.map.lane_of(node)].nodes.epochs[self.map.row_of(node)]
     }
 
     /// Max-minus-min completed local epoch over present nodes.
@@ -1393,7 +1234,7 @@ impl ShardedEngine {
         let mut any = false;
         for lane in &self.lanes {
             for (local, &e) in lane.nodes.epochs.iter().enumerate() {
-                if members.is_present(lane.base as usize + local) {
+                if members.is_present(lane.node(local) as usize) {
                     any = true;
                     lo = lo.min(e);
                     hi = hi.max(e);
@@ -1423,20 +1264,6 @@ impl ShardedEngine {
         out.copy_from_slice(&bins[..m]);
     }
 
-    /// Online rebalances performed so far (only those that actually
-    /// moved a lane boundary count — churn at an already-balanced
-    /// partition is free and unreported).
-    pub(crate) fn rebalances(&self) -> u64 {
-        self.rebalances
-    }
-
-    /// Appends each lane's *present*-node load to `out` in lane order
-    /// — the per-shard load a telemetry sink charts to see whether
-    /// the online rebalancer is keeping the partition even.
-    pub(crate) fn write_shard_loads(&self, members: &MembershipTracker, out: &mut Vec<usize>) {
-        self.map.write_loads(members, out);
-    }
-
     /// The earliest pending virtual time at or after `from`, across
     /// all lanes' calendars and inboxes. Each calendar is scanned only
     /// up to the earliest time found so far.
@@ -1460,7 +1287,7 @@ impl ShardedEngine {
     /// drained when it ran this block, so the barrier moves buffers,
     /// not entries. Each lane files its own inbound mail at the start
     /// of its next block, on whichever thread runs it.
-    fn run_block(&mut self, start: u64, block_end: u64, ctx: &Arc<Ctx>, tuning: &ExecTuning) {
+    fn run_block(&mut self, start: u64, block_end: u64, ctx: &Arc<Ctx>) {
         // The fan-out estimate counts calendars only: counting whole
         // inboxes as due would fan out blocks whose mail is mostly due
         // later, which costs small K = 1 fleets more than it saves.
@@ -1468,10 +1295,8 @@ impl ShardedEngine {
         if due == 0 && self.lanes.iter().all(|l| l.inbox_at >= block_end) {
             return;
         }
-        // `tuning.threads` arrives already resolved by `tick` —
-        // never 0 — so no OS query happens on the per-block path.
-        let threads = tuning.threads;
-        if self.lanes.len() > 1 && threads > 1 && due >= tuning.parallel_threshold {
+        let threads = self.tuning.threads;
+        if threads > 1 && due >= self.tuning.parallel_threshold {
             let pool = Arc::clone(
                 self.pool
                     .get_or_insert_with(|| Arc::new(WorkerPool::new(threads))),
@@ -1525,10 +1350,7 @@ impl ShardedEngine {
     }
 
     /// One tick under `mode`: a full epoch run to quiescence, or one
-    /// async epoch-period window of virtual time. A tick boundary
-    /// carrying membership transitions first rebalances shard
-    /// ownership to the new present-node load, if it drifted past the
-    /// tolerance.
+    /// async epoch-period window of virtual time.
     pub(crate) fn tick(
         &mut self,
         mode: Mode,
@@ -1536,37 +1358,20 @@ impl ShardedEngine {
         members: &MembershipTracker,
         t: u64,
         rewards: &[bool],
-        tuning: &ExecTuning,
     ) -> RoundMetrics {
-        if !members.recent().is_empty() && self.lanes.len() > 1 {
-            self.rebalance(members, cfg.num_nodes());
-        }
         let ctx = Arc::new(Ctx {
             params: *cfg.params(),
             mode,
             n: cfg.num_nodes(),
             m: cfg.params().num_options(),
-            map: self.map.clone(),
             mu: cfg.params().mu(),
             drop_prob: cfg.faults().drop_prob(),
             has_faults: members.any_scheduled(),
             t,
             rewards: rewards.to_vec(),
-            lookahead: tuning.lookahead,
+            lookahead: self.tuning.lookahead,
             present: Arc::clone(members.present()),
         });
-        // Resolve the auto thread knob exactly once per tick:
-        // `available_parallelism` is an OS query, far too expensive to
-        // repeat on the per-block path — and pointless for one lane,
-        // which never fans out.
-        let tuning = ExecTuning {
-            threads: if self.lanes.len() > 1 {
-                effective_threads(tuning.threads)
-            } else {
-                1
-            },
-            ..*tuning
-        };
         for lane in &mut self.lanes {
             lane.rm = RoundMetrics::default();
         }
@@ -1594,8 +1399,8 @@ impl ShardedEngine {
             // A lookahead block never reaches past the tick boundary:
             // events due in the next epoch period belong to the next
             // tick's metrics window.
-            let block_end = block_end_of(w, tuning.lookahead).min(end);
-            self.run_block(w, block_end, &ctx, &tuning);
+            let block_end = block_end_of(w, self.tuning.lookahead).min(end);
+            self.run_block(w, block_end, &ctx);
             cursor = block_end;
         }
         let mut rm = self.collect_rm(t);
@@ -1633,85 +1438,6 @@ impl ShardedEngine {
         rm
     }
 
-    /// Recomputes lane boundaries to even out *present* nodes and
-    /// migrates the full state of each node whose lane changes — its
-    /// [`Nodes`] row and its pending calendar entries — to its new
-    /// owner, but only when the heaviest lane's present load exceeds
-    /// the mean by more than the [`REBALANCE_SLACK`] tolerance. Only
-    /// the boundaries move. Each lane's table becomes one
-    /// run in node order; the lanes then take their new ranges back
-    /// from the runs, which are cut with `split_off` only where a new
-    /// boundary crosses them, so a lane keeps the buffer of the rows it
-    /// still owns unless rows now precede them. A lane whose range
-    /// moved hands off just the calendar entries of nodes it no longer
-    /// owns, and those are re-pushed to their new owners; calendars
-    /// otherwise stay with their lanes. Runs only between ticks, where
-    /// cross-shard outboxes are provably empty; mail waiting in an
-    /// inbox is filed into its lane's calendar first, so it moves with
-    /// its target and nothing is in flight mid-move. Per-node RNG
-    /// streams and intrinsic event keys make the new partition produce
-    /// byte-identical results.
-    fn rebalance(&mut self, members: &MembershipTracker, n: usize) {
-        if !self.map.drifted(members) {
-            return;
-        }
-        let new_map = ShardMap::balanced(n, self.lanes.len(), members);
-        if new_map == self.map {
-            return;
-        }
-        self.rebalances += 1;
-        let pending_before: usize = self.lanes.iter().map(ShardLane::pending).sum();
-        let mut runs: VecDeque<(usize, Nodes)> = VecDeque::new();
-        let mut handoff: Vec<Entry<Event>> = Vec::new();
-        for (k, lane) in self.lanes.iter_mut().enumerate() {
-            debug_assert!(
-                lane.outboxes.iter().all(Vec::is_empty),
-                "rebalance crossed a window with undelivered mail"
-            );
-            // Inbound mail is addressed by the old partition: file it
-            // first, so the hand-off below moves it with its target.
-            lane.take_inbound(self.async_clock);
-            runs.push_back((self.map.base_of(k), std::mem::take(&mut lane.nodes)));
-            let owned = new_map.base_of(k)..new_map.end_of(k);
-            if owned != (self.map.base_of(k)..self.map.end_of(k)) {
-                lane.calendar.extract(
-                    |e| !owned.contains(&(event_target(&e.payload) as usize)),
-                    &mut handoff,
-                );
-            }
-        }
-        for (k, lane) in self.lanes.iter_mut().enumerate() {
-            take_runs(&mut lane.nodes, &mut runs, new_map.end_of(k));
-            lane.base = index_u32(new_map.base_of(k));
-        }
-        self.map = new_map;
-        for entry in handoff {
-            let owner = self.map.shard_of(event_target(&entry.payload) as usize);
-            self.lanes[owner].calendar.push(entry);
-        }
-        debug_assert!(
-            self.lanes.iter().enumerate().all(|(k, lane)| {
-                lane.base as usize == self.map.base_of(k)
-                    && lane.nodes.len() == self.map.end_of(k) - self.map.base_of(k)
-            }),
-            "a lane's rows do not match its new range"
-        );
-        debug_assert!(
-            self.lanes.iter().all(|lane| {
-                let owned = lane.base as usize..lane.base as usize + lane.nodes.len();
-                lane.calendar
-                    .entries()
-                    .all(|e| owned.contains(&(event_target(&e.payload) as usize)))
-            }),
-            "a pending event sits in a lane that does not own its target"
-        );
-        debug_assert_eq!(
-            self.lanes.iter().map(ShardLane::pending).sum::<usize>(),
-            pending_before,
-            "rebalance lost or duplicated pending events"
-        );
-    }
-
     /// Opens an async tick: lands the tick boundary's membership
     /// transitions, in node order, with the join wake jitter drawn
     /// from the joining node's own stream so the draw is shard-count
@@ -1725,8 +1451,8 @@ impl ShardedEngine {
     /// then on each node perpetually re-schedules its own wake-ups.
     fn begin_async_tick(&mut self, ctx: &Ctx, members: &MembershipTracker) {
         for &(node, kind) in members.recent() {
-            let lane = &mut self.lanes[self.map.shard_of(node as usize)];
-            let local = (node - lane.base) as usize;
+            let lane = &mut self.lanes[self.map.lane_of(node)];
+            let local = self.map.row_of(node);
             let nodes = &mut lane.nodes;
             match kind {
                 Transition::Leave | Transition::Crash => {
@@ -1749,7 +1475,7 @@ impl ShardedEngine {
                     if ctx.t > 1 {
                         let at = self.async_clock + nodes.rngs[local].gen_range(0..WAKE_SPREAD);
                         let inc = nodes.incs[local];
-                        lane.push_from(node, at, Event::Wake { node, inc }, ctx);
+                        lane.push_from(node, at, Event::Wake { node, inc });
                     }
                 }
             }
@@ -1818,56 +1544,6 @@ mod tests {
         assert!(cal.is_empty());
     }
 
-    /// Pops every pending entry, window by window from `from`.
-    fn pop_all<E: Copy>(cal: &mut Calendar<E>, from: u64) -> Vec<Entry<E>> {
-        let mut out = Vec::new();
-        let mut cursor = from;
-        while let Some(t) = cal.next_time(cursor) {
-            let due = cal.take_due(t);
-            out.extend_from_slice(&due);
-            cal.recycle(due);
-            cursor = t + 1;
-        }
-        out
-    }
-
-    fn sorted(mut entries: Vec<Entry<u32>>) -> Vec<Entry<u32>> {
-        entries.sort_by_key(|e| (e.at, e.src, e.seq));
-        entries
-    }
-
-    #[test]
-    fn extract_moves_exactly_the_picked_entries_and_keeps_pop_order() {
-        let mut rng = SplitMix64::new(9);
-        let mut cal = Calendar::new();
-        let mut all = Vec::new();
-        let mut seqs = [0u32; 40];
-        for _ in 0..2_000 {
-            let src = (rng.next_u64() % 40) as u32;
-            let e = entry(rng.next_u64() % 100, src, seqs[src as usize]);
-            seqs[src as usize] += 1;
-            cal.push(e);
-            all.push(e);
-        }
-        let picked = |e: &Entry<u32>| e.src.is_multiple_of(3);
-        let mut out = vec![entry(0, 99, 0)];
-        cal.extract(picked, &mut out);
-        // Appended after what `out` already held.
-        assert_eq!(out.remove(0), entry(0, 99, 0));
-        assert!(out.iter().all(picked));
-        assert_eq!(out.len(), all.iter().filter(|e| picked(e)).count());
-        assert_eq!(cal.len() + out.len(), all.len());
-        assert_eq!(cal.entries().count(), cal.len());
-
-        let rest: Vec<_> = all.iter().copied().filter(|e| !picked(e)).collect();
-        assert_eq!(pop_all(&mut cal.clone(), 0), sorted(rest));
-        for e in out {
-            cal.push(e);
-        }
-        assert_eq!(pop_all(&mut cal, 0), sorted(all));
-        assert!(cal.is_empty());
-    }
-
     #[test]
     fn recycled_buckets_keep_bounded_capacity() {
         let capacity = |cal: &Calendar<u32>| {
@@ -1917,7 +1593,6 @@ mod tests {
     fn window_handles_timers_before_mail() {
         let engine = two_node_engine(1);
         let ctx = hand_ctx(
-            &engine,
             Mode::Async(crate::StalenessBound::Epochs(0)),
             0.0,
             vec![true; 2],
@@ -1959,22 +1634,26 @@ mod tests {
         assert_eq!(lane.nodes.epochs[1], 5);
     }
 
-    /// A two-node fleet on `shards` shards, ready to drive by hand.
+    /// A two-node fleet on `shards` shards and one thread, ready to
+    /// drive by hand.
     fn two_node_engine(shards: usize) -> ShardedEngine {
         let cfg = DistConfig::new(Params::new(2, 0.65).unwrap(), 2);
         let members = MembershipTracker::new(cfg.faults(), 2);
-        ShardedEngine::new(&cfg, 7, shards, &members)
+        let tuning = ExecTuning {
+            threads: 1,
+            ..ExecTuning::default()
+        };
+        ShardedEngine::new(&cfg, 7, shards, &tuning, &members)
     }
 
-    /// A tick context for driving `engine`'s lanes by hand.
-    fn hand_ctx(engine: &ShardedEngine, mode: Mode, drop_prob: f64, present: Vec<bool>) -> Ctx {
+    /// A tick context for driving a lane by hand.
+    fn hand_ctx(mode: Mode, drop_prob: f64, present: Vec<bool>) -> Ctx {
         let params = Params::new(2, 0.65).unwrap();
         Ctx {
             params,
             mode,
             n: present.len(),
             m: 2,
-            map: engine.map.clone(),
             mu: params.mu(),
             drop_prob,
             has_faults: present.contains(&false),
@@ -2038,12 +1717,7 @@ mod tests {
             } else {
                 0.0
             };
-            let ctx = hand_ctx(
-                &engine,
-                mode,
-                drop_prob,
-                vec![true, fate != ResponderAbsent],
-            );
+            let ctx = hand_ctx(mode, drop_prob, vec![true, fate != ResponderAbsent]);
             let mut lanes = engine.lanes;
             assert_eq!(lanes.len(), 2);
             // The query carries epoch 6. Quiesced, the responder serves
@@ -2117,11 +1791,7 @@ mod tests {
     #[test]
     fn mail_waiting_only_in_an_inbox_is_run_on_time() {
         let mut engine = two_node_engine(2);
-        let ctx = Arc::new(hand_ctx(&engine, Mode::Quiesced, 0.0, vec![true; 2]));
-        let tuning = ExecTuning {
-            threads: 1,
-            ..ExecTuning::default()
-        };
+        let ctx = Arc::new(hand_ctx(Mode::Quiesced, 0.0, vec![true; 2]));
         engine.lanes[1].nodes.back[0] = 1;
         engine.lanes[0].nodes.pending[0] = Pending {
             attempt: 1,
@@ -2144,7 +1814,7 @@ mod tests {
         // the block that ran and the mail its barrier handed over.
         let step = |engine: &mut ShardedEngine, from: u64| {
             let w = engine.next_window(from).expect("an event is pending");
-            engine.run_block(w, w + 1, &ctx, &tuning);
+            engine.run_block(w, w + 1, &ctx);
             let mail: Vec<_> = engine
                 .lanes
                 .iter()
@@ -2167,7 +1837,7 @@ mod tests {
 
         // A block that ends before the query is skipped and leaves the
         // mail where it is.
-        engine.run_block(w + 1, query.at, &ctx, &tuning);
+        engine.run_block(w + 1, query.at, &ctx);
         assert_eq!(engine.lanes[1].inbox_at, query.at);
 
         let (w, mail) = step(&mut engine, w + 1);
@@ -2198,25 +1868,27 @@ mod tests {
         (event_target(&e.payload), is_mail(e), e.src, e.seq)
     }
 
-    /// `len` random entries targeting nodes `base..base + span` (all
-    /// `base` when `one_target`): timers from their target, mail from
-    /// anywhere in a fleet four lanes wide, keys `(src, seq)` unique.
+    /// `len` random entries targeting rows `0..rows` of `lane` (all row
+    /// 0 when `one_target`): timers from their target, mail from
+    /// anywhere in the fleet, keys `(src, seq)` unique.
     fn random_window(
         rng: &mut SplitMix64,
         len: usize,
-        base: u32,
-        span: u32,
+        map: ShardMap,
+        lane: usize,
+        rows: usize,
         one_target: bool,
     ) -> Vec<Entry<Event>> {
-        let fleet = base + 4 * span;
+        let fleet = (map.lanes() * rows) as u64;
         (0..len)
             .map(|i| {
-                let node = if one_target {
-                    base
+                let row = if one_target {
+                    0
                 } else {
-                    base + (rng.next_u64() % u64::from(span)) as u32
+                    (rng.next_u64() % rows as u64) as usize
                 };
-                let sender = (rng.next_u64() % u64::from(fleet)) as u32;
+                let node = map.node_at(lane, row);
+                let sender = (rng.next_u64() % fleet) as u32;
                 let (src, payload) = match rng.next_u64() % 4 {
                     0 => (node, Event::Wake { node, inc: 0 }),
                     1 => (
@@ -2255,26 +1927,30 @@ mod tests {
     fn order_window_matches_the_reference_orders() {
         let mut rng = SplitMix64::new(23);
         let mut buf = WindowOrder::default();
-        // (window length, base, span, one target)
+        // (window length, lanes, lane, rows, one target)
         let shapes = [
-            (0, 0, 16, false),
-            (1, 0, 16, false),
-            (1, 40, 1, false),
-            (25, 0, 1, false),
-            (60, 3, 40, true),
-            (30, 1_000, 200, false),
-            (900, 12_500, 12_500, false),
-            (2_000, 0, 500, false),
-            (40, 7, 100_000, false),
+            (0, 1, 0, 16, false),
+            (1, 1, 0, 16, false),
+            (1, 41, 40, 1, false),
+            (25, 1, 0, 1, false),
+            (60, 4, 3, 40, true),
+            (30, 5, 1, 200, false),
+            (900, 8, 3, 12_500, false),
+            (2_000, 1, 0, 500, false),
+            (2_000, 3, 2, 500, false),
+            (40, 7, 6, 100_000, false),
         ];
-        for (len, base, span, one_target) in shapes {
+        for (len, lanes, lane, rows, one_target) in shapes {
+            let map = ShardMap::new(lanes * rows, lanes);
+            assert_eq!(map.lanes(), lanes);
             for _ in 0..10 {
-                let window = random_window(&mut rng, len, base, span, one_target);
-                order_window(&window, base, span as usize, &mut buf);
+                let window = random_window(&mut rng, len, map, lane, rows, one_target);
+                order_window(&window, map, rows, &mut buf);
                 let out: Vec<_> = buf.order.iter().map(|&(_, e)| e).collect();
                 let mut want = window.clone();
                 want.sort_by_key(reference_key);
-                assert_eq!(out, want, "len {len}, base {base}, span {span}");
+                let shape = format!("len {len}, lane {lane} of {lanes}, rows {rows}");
+                assert_eq!(out, want, "{shape}");
                 // Per target, the order of a timers-then-mail sweep of
                 // the window in `(src, seq)` order.
                 let mut by_key = window.clone();
@@ -2291,10 +1967,34 @@ mod tests {
                     let of = |e: &&Entry<Event>| event_target(&e.payload) == target;
                     assert!(
                         out.iter().filter(of).eq(sweep.iter().copied().filter(of)),
-                        "target {target}, len {len}, base {base}, span {span}"
+                        "target {target}, {shape}"
                     );
                 }
             }
+        }
+    }
+
+    /// Striping puts node `i` at row `i / lanes` of lane `i % lanes`,
+    /// and spreads any contiguous id range over the lanes within one
+    /// node of evenly.
+    #[test]
+    fn striping_maps_nodes_to_rows_and_balances_ranges() {
+        let map = ShardMap::new(100, 8);
+        for node in 0..100u32 {
+            let (lane, row) = (map.lane_of(node), map.row_of(node));
+            assert_eq!(map.node_at(lane, row), node);
+            assert_eq!(lane, node as usize % 8);
+        }
+        assert_eq!(ShardMap::new(3, 16).lanes(), 3, "clamped to the fleet");
+        assert_eq!(ShardMap::new(3, 0).lanes(), 1, "at least one lane");
+        for (lo, hi) in [(0, 100), (3, 4), (17, 60), (90, 100)] {
+            let present: Vec<bool> = (0..100).map(|i| (lo..hi).contains(&i)).collect();
+            let mut loads = vec![7];
+            map.write_loads(&present, &mut loads);
+            assert_eq!(loads.remove(0), 7, "appended after what `out` held");
+            assert_eq!(loads.iter().sum::<usize>(), hi - lo);
+            let spread = loads.iter().max().unwrap() - loads.iter().min().unwrap();
+            assert!(spread <= 1, "{lo}..{hi}: {loads:?}");
         }
     }
 

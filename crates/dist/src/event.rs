@@ -67,9 +67,7 @@
 use rand::RngCore;
 use sociolearn_core::GroupDynamics;
 
-use crate::calendar::{
-    lane_count, write_initial_shard_loads, ExecTuning, SchedulerKind, ShardedEngine, MAX_LOOKAHEAD,
-};
+use crate::calendar::{ExecTuning, SchedulerKind, ShardMap, ShardedEngine, MAX_LOOKAHEAD};
 use crate::{
     DistConfig, ExecutionModel, MembershipTracker, Metrics, NodeState, ProtocolRuntime,
     RoundMetrics,
@@ -231,8 +229,8 @@ pub(crate) struct Pending {
 /// `(time, src, seq)` event order and its leave/rejoin fencing. The
 /// pending-query slot and the wake anchor are transport bookkeeping
 /// with their own constant bounds; there is no mailbox, since a message
-/// is handled the moment it is due. Rebalancing hands this state across
-/// shards; nothing grows it.
+/// is handled the moment it is due. Nothing grows this state, and a
+/// node keeps it in one shard for the engine's life.
 pub const EVENT_NODE_STATE_BYTES: usize = 2 * std::mem::size_of::<NodeState>()
     + std::mem::size_of::<u64>()
     + 2 * std::mem::size_of::<u32>();
@@ -357,11 +355,11 @@ impl EventRuntime {
         self
     }
 
-    /// Sets the scheduler's shard count: per-node-range shards over
-    /// calendar queues, with per-node RNG streams split from the root
-    /// seed, so results are byte-identical for any shard count (the
-    /// default is one shard). Composes with every other builder in any
-    /// order.
+    /// Sets the scheduler's shard count: calendar-queue shards striped
+    /// over the node ids (node `i` in shard `i % shards`), with
+    /// per-node RNG streams split from the root seed, so results are
+    /// byte-identical for any shard count (the default is one shard).
+    /// Composes with every other builder in any order.
     ///
     /// # Panics
     ///
@@ -382,7 +380,7 @@ impl EventRuntime {
     /// count (clamped to the fleet size).
     pub fn scheduler(&self) -> SchedulerKind {
         SchedulerKind::ShardedCalendar {
-            shards: lane_count(self.cfg.num_nodes(), self.shards),
+            shards: ShardMap::new(self.cfg.num_nodes(), self.shards).lanes(),
         }
     }
 
@@ -565,17 +563,11 @@ impl EventRuntime {
                 &self.cfg,
                 self.seed,
                 self.shards,
+                &self.tuning,
                 &self.members,
             ))
         });
-        let rm = engine.tick(
-            self.mode,
-            &self.cfg,
-            &self.members,
-            t,
-            rewards,
-            &self.tuning,
-        );
+        let rm = engine.tick(self.mode, &self.cfg, &self.members, t, rewards);
         engine.write_counts(&mut self.counts);
         self.members.advance_to(t + 1);
         self.metrics.absorb(&rm);
@@ -653,16 +645,7 @@ impl ProtocolRuntime for EventRuntime {
     }
 
     fn write_shard_loads(&self, out: &mut Vec<usize>) {
-        match &self.engine {
-            Some(engine) => engine.write_shard_loads(&self.members, out),
-            None => {
-                write_initial_shard_loads(self.cfg.num_nodes(), self.shards, &self.members, out)
-            }
-        }
-    }
-
-    fn shard_rebalances(&self) -> u64 {
-        self.engine.as_ref().map_or(0, |e| e.rebalances())
+        ShardMap::new(self.cfg.num_nodes(), self.shards).write_loads(self.members.present(), out);
     }
 }
 
@@ -974,7 +957,7 @@ mod tests {
     }
 
     /// Per tick: the epoch spread and every node's local epoch — the
-    /// engine state a rebalance moves.
+    /// engine state each lane keeps for its stripe of the fleet.
     type EngineState = (u64, Vec<u64>);
 
     /// The full observable trajectory: per-tick distributions, round
@@ -982,13 +965,16 @@ mod tests {
     type Trajectory = (Vec<Vec<f64>>, Vec<RoundMetrics>, Vec<EngineState>, Metrics);
 
     /// Runs `ticks` rounds and returns the full observable trajectory.
-    fn drive(mut net: EventRuntime, ticks: u64) -> Trajectory {
-        run_ticks(&mut net, ticks)
+    fn drive(net: EventRuntime, ticks: u64) -> Trajectory {
+        drive_watching(net, ticks, |_| {})
     }
 
-    /// [`drive`] on a runtime the caller keeps, to read its engine
-    /// counters afterwards.
-    fn run_ticks(net: &mut EventRuntime, ticks: u64) -> Trajectory {
+    /// [`drive`], handing the runtime to `watch` after every tick.
+    fn drive_watching(
+        mut net: EventRuntime,
+        ticks: u64,
+        mut watch: impl FnMut(&EventRuntime),
+    ) -> Trajectory {
         let mut dists = Vec::new();
         let mut rms = Vec::new();
         let mut states = Vec::new();
@@ -997,6 +983,7 @@ mod tests {
             dists.push(net.distribution());
             let epochs = (0..net.num_nodes()).map(|i| net.local_epoch(i)).collect();
             states.push((net.epoch_spread(), epochs));
+            watch(&net);
         }
         (dists, rms, states, net.metrics())
     }
@@ -1128,8 +1115,13 @@ mod tests {
             .with_threads(2);
         assert_eq!(net.lookahead(), 4);
         assert_eq!(net.threads(), 2);
-        let default = EventRuntime::new(DistConfig::new(params(), 8), 1);
+        let mut default = EventRuntime::new(DistConfig::new(params(), 8), 1)
+            .with_scheduler(SchedulerKind::ShardedCalendar { shards: 4 });
         assert_eq!(default.lookahead(), 1);
+        assert_eq!(default.threads(), 0);
+        // The engine resolves the auto count when it is built; the
+        // knob still reports what was configured.
+        default.tick(&[true, false]);
         assert_eq!(default.threads(), 0);
     }
 
@@ -1168,8 +1160,8 @@ mod tests {
             SchedulerKind::ShardedCalendar { shards: 3 }
         );
         // An awkward split (9 nodes, 8 shards) still yields exactly 8
-        // lanes — the partition balances range sizes instead of
-        // rounding the lane count down.
+        // lanes: striping puts node 8 in lane 0 instead of rounding the
+        // lane count down.
         let mut awkward = EventRuntime::new(DistConfig::new(params(), 9), 1)
             .with_scheduler(SchedulerKind::ShardedCalendar { shards: 8 });
         assert_eq!(
@@ -1356,10 +1348,9 @@ mod tests {
     }
 
     #[test]
-    fn wholesale_rebalances_are_byte_identical_across_shards_and_threads() {
+    fn wholesale_churn_is_byte_identical_across_shards_and_threads() {
         // Half the fleet blinks out and a third of it arrives late, so
-        // most nodes change lane, most lanes keep none of their old
-        // rows, and runs of moving rows split across several lanes.
+        // every lane loses and gains nodes in bulk.
         let faults = FaultPlan::with_drop_prob(0.1)
             .unwrap()
             .region_loss(0..48, 3, 7)
@@ -1382,16 +1373,11 @@ mod tests {
             for lookahead in [1, 4] {
                 let baseline = drive_tuned(make, 1, lookahead, 1, 14);
                 for (shards, threads) in [(3, 1), (3, 2), (8, 1), (8, 2)] {
-                    let mut net = tuned(make, shards, lookahead, threads);
-                    let run = run_ticks(&mut net, 14);
+                    let run = drive_tuned(make, shards, lookahead, threads, 14);
                     assert_eq!(
                         baseline, run,
                         "trajectory diverged at bound={bound:?} K={lookahead} \
                          shards={shards} threads={threads}"
-                    );
-                    assert!(
-                        net.shard_rebalances() > 0,
-                        "no rebalance at bound={bound:?} K={lookahead} shards={shards}"
                     );
                 }
             }
@@ -1406,35 +1392,72 @@ mod tests {
             .with_async_epochs(StalenessBound::Unbounded)
     }
 
-    /// One leave in an 8-lane fleet of 4,096 nodes would move every
-    /// balanced boundary by a node, but leaves the heaviest lane within
-    /// the rebalance tolerance: the partition stays, the imbalance
-    /// persists, and the run replays the one-shard trajectory.
+    /// One leave in an 8-lane fleet of 4,096 nodes takes one node out
+    /// of its stripe's lane and moves no other: the partition stays,
+    /// and the run replays the one-shard trajectory.
     #[test]
     fn drift_within_the_rebalance_tolerance_keeps_the_partition() {
         let make = || gate_fleet(|plan| plan.leave(100, 3));
         let baseline = drive_tuned(make, 1, 4, 1, 8);
-        let mut net = tuned(make, 8, 4, 2);
-        let run = run_ticks(&mut net, 8);
+        let mut loads = Vec::new();
+        let run = drive_watching(tuned(make, 8, 4, 2), 8, |net| {
+            loads.clear();
+            net.write_shard_loads(&mut loads);
+        });
         assert_eq!(baseline, run);
         assert_eq!(run.1.iter().map(|rm| rm.leaves).sum::<u64>(), 1);
-        assert_eq!(net.shard_rebalances(), 0);
-        let mut loads = Vec::new();
-        net.write_shard_loads(&mut loads);
-        assert_eq!(loads, [511, 512, 512, 512, 512, 512, 512, 512]);
+        assert_eq!(loads, [512, 512, 512, 512, 511, 512, 512, 512]);
     }
 
-    /// A region loss that empties a lane clears the tolerance: the
-    /// partition moves when the region goes and again when it comes
+    /// A region loss of ids 0..512 would empty a lane of contiguous
+    /// blocks; striping takes 64 nodes from every lane instead, so the
+    /// loads stay equal while the region is gone and after it comes
     /// back, and the run replays the one-shard trajectory.
     #[test]
     fn region_loss_that_empties_a_lane_rebalances() {
         let make = || gate_fleet(|plan| plan.region_loss(0..512, 3, 6));
         let baseline = drive_tuned(make, 1, 4, 1, 8);
-        let mut net = tuned(make, 8, 4, 2);
-        let run = run_ticks(&mut net, 8);
+        let mut seen = Vec::new();
+        let mut loads = Vec::new();
+        let run = drive_watching(tuned(make, 8, 4, 2), 8, |net| {
+            loads.clear();
+            net.write_shard_loads(&mut loads);
+            assert!(loads.iter().all(|&l| l == loads[0]), "{loads:?}");
+            seen.push(loads[0]);
+        });
         assert_eq!(baseline, run);
-        assert_eq!(net.shard_rebalances(), 2);
+        assert!(seen.contains(&448), "{seen:?}");
+        assert_eq!(seen.last(), Some(&512), "{seen:?}");
+    }
+
+    /// Each bulk churn pattern takes out or brings in a contiguous id
+    /// range, which striping spreads evenly: on 8 lanes, every tick's
+    /// lane loads stay within one node of each other, although the
+    /// patterns move up to 700 nodes — more than a lane holds — and
+    /// the run replays the one-shard trajectory.
+    #[test]
+    fn bulk_churn_keeps_striped_lanes_within_one_node() {
+        type Churn = fn(FaultPlan) -> FaultPlan;
+        let patterns: [(&str, Churn); 2] = [
+            ("rolling restart", |plan| plan.rolling_restart(300, 2)),
+            ("flash crowd", |plan| plan.flash_crowd(700, 3)),
+        ];
+        for (name, churn) in patterns {
+            let make = || gate_fleet(churn);
+            let baseline = drive_tuned(make, 1, 4, 1, 8);
+            let mut spread = Vec::new();
+            let mut loads = Vec::new();
+            let run = drive_watching(tuned(make, 8, 4, 2), 8, |net| {
+                loads.clear();
+                net.write_shard_loads(&mut loads);
+                assert_eq!(loads.iter().sum::<usize>(), net.alive_count(), "{name}");
+                spread.push(loads.iter().max().unwrap() - loads.iter().min().unwrap());
+            });
+            assert_eq!(baseline, run, "{name}");
+            assert!(spread.iter().all(|&s| s <= 1), "{name}: {spread:?}");
+            let churned: u64 = run.1.iter().map(|rm| rm.joins + rm.leaves).sum();
+            assert!(churned >= 300, "{name}: only {churned} transitions");
+        }
     }
 
     #[test]

@@ -68,9 +68,10 @@
 //!   (arXiv:1802.08159).
 //!
 //! Both event-driven models run on one **scheduler**: the sharded
-//! calendar engine — per-node-range shards over O(1) [`Calendar`]
-//! queues with per-node RNG streams, one shard by default and more
-//! with [`EventRuntime::with_scheduler`] and
+//! calendar engine — shards striped over the node ids (node `i` in
+//! shard `i % shards`), each with an O(1) [`Calendar`] queue, and
+//! per-node RNG streams; one shard by default and more with
+//! [`EventRuntime::with_scheduler`] and
 //! [`SchedulerKind::ShardedCalendar`]. Its results are byte-identical
 //! across shard counts, lookahead-fixed across thread counts, and
 //! agree in law with `sociolearn_core::FinitePopulation`.
@@ -182,18 +183,6 @@ impl std::fmt::Display for FaultPlanError {
 
 impl std::error::Error for FaultPlanError {}
 
-/// One scripted membership transition kind. Internal: the public
-/// surface is the [`FaultPlan`] builders.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum MembershipKind {
-    /// First appearance of a node that starts *outside* the fleet.
-    Join,
-    /// A graceful departure (distinct from a crash in the metrics).
-    Leave,
-    /// Re-entry of a node that previously left.
-    Rejoin,
-}
-
 /// A bulk membership pattern, resolved against the concrete fleet size
 /// when a runtime is built (the plan itself is size-agnostic).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -261,8 +250,9 @@ pub struct FaultPlan {
     /// `(node, round)` pairs; a node dies at the *start* of its crash
     /// round (the earliest round wins if scheduled twice).
     crashes: Vec<(usize, u64)>,
-    /// Explicit membership transitions: `(node, round, kind)`.
-    events: Vec<(usize, u64, MembershipKind)>,
+    /// Explicit membership transitions: `(node, round, kind)`, each a
+    /// join, leave or rejoin.
+    events: Vec<(usize, u64, Transition)>,
     /// Bulk churn patterns, resolved against `n` at runtime build.
     bulk: Vec<BulkChurn>,
 }
@@ -314,7 +304,7 @@ impl FaultPlan {
     /// Panics if `round == 0` (membership rounds are 1-based).
     pub fn join(mut self, node: usize, round: u64) -> Self {
         assert!(round >= 1, "membership rounds are 1-based");
-        self.events.push((node, round, MembershipKind::Join));
+        self.events.push((node, round, Transition::Join));
         self
     }
 
@@ -329,7 +319,7 @@ impl FaultPlan {
     /// Panics if `round == 0` (membership rounds are 1-based).
     pub fn leave(mut self, node: usize, round: u64) -> Self {
         assert!(round >= 1, "membership rounds are 1-based");
-        self.events.push((node, round, MembershipKind::Leave));
+        self.events.push((node, round, Transition::Leave));
         self
     }
 
@@ -343,7 +333,7 @@ impl FaultPlan {
     /// Panics if `round == 0` (membership rounds are 1-based).
     pub fn rejoin(mut self, node: usize, round: u64) -> Self {
         assert!(round >= 1, "membership rounds are 1-based");
-        self.events.push((node, round, MembershipKind::Rejoin));
+        self.events.push((node, round, Transition::Rejoin));
         self
     }
 
@@ -404,9 +394,8 @@ impl FaultPlan {
             "region must rejoin strictly after it leaves"
         );
         for node in range {
-            self.events.push((node, round, MembershipKind::Leave));
-            self.events
-                .push((node, rejoin_round, MembershipKind::Rejoin));
+            self.events.push((node, round, Transition::Leave));
+            self.events.push((node, rejoin_round, Transition::Rejoin));
         }
         self
     }
@@ -668,15 +657,9 @@ impl MembershipTracker {
         let mut timeline: Vec<(u64, u32, Transition)> =
             Vec::with_capacity(faults.crashes.len() + faults.events.len() + 2 * faults.bulk.len());
         for &(node, round, kind) in &faults.events {
-            if node >= n {
-                continue;
+            if node < n {
+                timeline.push((round, index_u32(node), kind));
             }
-            let t = match kind {
-                MembershipKind::Join => Transition::Join,
-                MembershipKind::Leave => Transition::Leave,
-                MembershipKind::Rejoin => Transition::Rejoin,
-            };
-            timeline.push((round, index_u32(node), t));
         }
         for &(node, round) in &faults.crashes {
             if node < n {
@@ -1207,8 +1190,10 @@ pub trait ProtocolRuntime: GroupDynamics {
         out.push(self.alive_count());
     }
 
-    /// Online shard rebalances performed so far. 0 (the default) for
-    /// every runtime without a sharded scheduler.
+    /// Online shard rebalances performed so far: always 0, since no
+    /// runtime moves nodes between shards (the sharded calendar engine
+    /// stripes them, which keeps its shards balanced under churn).
+    /// Kept for callers that still chart it.
     fn shard_rebalances(&self) -> u64 {
         0
     }
@@ -1236,7 +1221,6 @@ pub trait ProtocolRuntime: GroupDynamics {
             num_nodes: self.num_nodes(),
             epoch_skew: self.epoch_skew(),
             shard_loads,
-            rebalances: self.shard_rebalances(),
         });
         rm
     }

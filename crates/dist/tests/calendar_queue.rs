@@ -6,8 +6,8 @@
 
 use proptest::prelude::*;
 use sociolearn_dist::{
-    Calendar, DistConfig, Entry, EventRuntime, FaultPlan, Metrics, ProtocolRuntime, RoundMetrics,
-    SchedulerKind, StalenessBound, MAX_LOOKAHEAD, RING_SLOTS,
+    Calendar, DistConfig, Entry, EventRuntime, FaultPlan, Metrics, RoundMetrics, SchedulerKind,
+    StalenessBound, MAX_LOOKAHEAD, RING_SLOTS,
 };
 
 use sociolearn_core::Params;
@@ -142,7 +142,7 @@ fn test_threads() -> usize {
 /// final cumulative metrics. The parallel threshold is pinned to 0 so
 /// `threads > 1` exercises the worker pool even at proptest-sized
 /// fleets.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::type_complexity, clippy::too_many_arguments)]
 fn run_observables(
     params: Params,
     n: usize,
@@ -153,31 +153,7 @@ fn run_observables(
     lookahead: u64,
     threads: usize,
     ticks: u64,
-) -> Observables {
-    observe(
-        params, n, faults, seed, bound, shards, lookahead, threads, ticks,
-    )
-    .0
-}
-
-/// Per-tick round metrics, per-tick distributions, and the final
-/// cumulative metrics of one run.
-type Observables = (Vec<RoundMetrics>, Vec<Vec<f64>>, Metrics);
-
-/// [`run_observables`], plus the number of online rebalances the run
-/// made.
-#[allow(clippy::too_many_arguments)]
-fn observe(
-    params: Params,
-    n: usize,
-    faults: FaultPlan,
-    seed: u64,
-    bound: Option<StalenessBound>,
-    shards: usize,
-    lookahead: u64,
-    threads: usize,
-    ticks: u64,
-) -> (Observables, u64) {
+) -> (Vec<RoundMetrics>, Vec<Vec<f64>>, Metrics) {
     use sociolearn_core::GroupDynamics;
     let mut net = EventRuntime::new(DistConfig::new(params, n).with_faults(faults), seed);
     if let Some(b) = bound {
@@ -196,8 +172,7 @@ fn observe(
         rms.push(net.tick(&rewards));
         dists.push(net.distribution());
     }
-    let rebalances = net.shard_rebalances();
-    ((rms, dists, EventRuntime::metrics(&net)), rebalances)
+    (rms, dists, EventRuntime::metrics(&net))
 }
 
 /// Builds a conflict-free membership script from raw proptest tuples:
@@ -274,6 +249,46 @@ proptest! {
         }
     }
 
+    /// Byte-identity survives active membership scripts: random
+    /// join/leave/rejoin schedules land on every lane at window
+    /// boundaries, and the results must still match across shard
+    /// counts {1, 2, 4} in both quiesced and async modes.
+    #[test]
+    fn sharded_churn_runs_are_identical_across_shard_counts(
+        seed in any::<u64>(),
+        n in 4usize..60,
+        m in 2usize..4,
+        drop_prob in 0.0f64..0.5,
+        flash in 0usize..5,
+        churn in proptest::collection::vec((0usize..1000, 1u64..12, 1u64..6), 1..8),
+        // 0 = epoch-quiesced; 1..=2 = async Epochs(k - 1).
+        mode_sel in 0u64..3,
+        ticks in 5u64..25,
+    ) {
+        let params = Params::new(m, 0.7).expect("valid params");
+        let plan = churn_plan(n, drop_prob, flash, &churn);
+        let bound = (mode_sel > 0).then(|| StalenessBound::Epochs(mode_sel - 1));
+        for lookahead in [1u64, 4] {
+            let reference = run_observables(
+                params, n, plan.clone(), seed, bound,
+                1, lookahead, 1, ticks,
+            );
+            for shards in [2usize, 4] {
+                for threads in [1usize, test_threads()] {
+                    let run = run_observables(
+                        params, n, plan.clone(), seed, bound,
+                        shards, lookahead, threads, ticks,
+                    );
+                    prop_assert_eq!(
+                        &reference, &run,
+                        "trajectory diverged at K={} shards={} threads={}",
+                        lookahead, shards, threads
+                    );
+                }
+            }
+        }
+    }
+
     /// The engine satisfies the protocol's per-tick invariants at any
     /// shard count, under arbitrary faults and bounds.
     #[test]
@@ -312,66 +327,6 @@ proptest! {
         }
         prop_assert_eq!(metrics.rounds, ticks);
     }
-}
-
-/// Byte-identity survives active membership scripts: random
-/// join/leave/rejoin schedules move shard ownership online at window
-/// boundaries, and the results must still match across shard counts
-/// {1, 2, 4} in both quiesced and async modes.
-///
-/// The cases come from proptest strategies but run in an explicit
-/// loop, so the test can also check that the scripts, taken together,
-/// do move ownership: a lane rebalances only past a load tolerance
-/// that no tiny fleet can reach, so no single case can be required to.
-#[test]
-fn sharded_churn_runs_are_identical_across_shard_counts() {
-    let cases = (
-        (any::<u64>(), 4usize..60, 2usize..4, 0.0f64..0.5),
-        (
-            0usize..5,
-            proptest::collection::vec((0usize..1000, 1u64..12, 1u64..6), 1..8),
-            // 0 = epoch-quiesced; 1..=2 = async Epochs(k - 1).
-            0u64..3,
-            5u64..25,
-        ),
-    );
-    let mut rng = proptest::new_test_rng(concat!(
-        module_path!(),
-        "::sharded_churn_runs_are_identical_across_shard_counts"
-    ));
-    let mut rebalances = 0;
-    for case in 0..24 {
-        let ((seed, n, m, drop_prob), (flash, churn, mode_sel, ticks)) = cases.generate(&mut rng);
-        let params = Params::new(m, 0.7).expect("valid params");
-        let plan = churn_plan(n, drop_prob, flash, &churn);
-        let bound = (mode_sel > 0).then(|| StalenessBound::Epochs(mode_sel - 1));
-        for lookahead in [1u64, 4] {
-            let (reference, _) =
-                observe(params, n, plan.clone(), seed, bound, 1, lookahead, 1, ticks);
-            for shards in [2usize, 4] {
-                for threads in [1usize, test_threads()] {
-                    let (run, moved) = observe(
-                        params,
-                        n,
-                        plan.clone(),
-                        seed,
-                        bound,
-                        shards,
-                        lookahead,
-                        threads,
-                        ticks,
-                    );
-                    assert_eq!(
-                        reference, run,
-                        "case {case}: trajectory diverged at K={lookahead} shards={shards} \
-                         threads={threads}"
-                    );
-                    rebalances += moved;
-                }
-            }
-        }
-    }
-    assert!(rebalances > 0, "no churn script moved a lane boundary");
 }
 
 /// The ring-horizon guard at the limit: at `K = MAX_LOOKAHEAD` the

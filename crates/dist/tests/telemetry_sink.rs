@@ -111,7 +111,7 @@ proptest! {
     }
 
     /// Fully-async sharded calendar engine (the model with the most
-    /// telemetry surface: epoch skew, shard loads, rebalances).
+    /// telemetry surface: epoch skew, shard loads).
     #[test]
     fn sink_is_invisible_async_sharded(
         params in params_strategy(),

@@ -290,8 +290,9 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
          converged share at the instant it lands (every newcomer is uncommitted) \
          and the gap closes within a handful of rounds. Message loss slows \
          re-convergence exactly as it slows first convergence; the sharded \
-         calendar engine rebalances node→shard ownership online at window \
-         boundaries and tracks the other models throughout.\n",
+         calendar engine stripes nodes across its shards, so churn of any \
+         contiguous id range leaves the shards balanced with no node moving, \
+         and it tracks the other models throughout.\n",
         n = n,
         m = m,
         horizon = horizon,

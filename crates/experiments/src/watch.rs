@@ -267,7 +267,6 @@ fn push_frame(reg: &mut SeriesRegistry, f: &TelemetryFrame) {
     let fallbacks = reg.counter("fallbacks", "/tick");
     let stale = reg.counter("stale replies", "/tick");
     let churn = reg.counter("churn events", "/tick");
-    let rebalances = reg.counter("rebalances", "/tick");
     let imbalance = reg.gauge("shard imbalance", "nodes");
     reg.push(alive, f.alive as f64);
     reg.push(commit, f.commit_fraction);
@@ -280,7 +279,6 @@ fn push_frame(reg: &mut SeriesRegistry, f: &TelemetryFrame) {
         churn,
         (f.delta.joins + f.delta.leaves + f.delta.rejoins) as f64,
     );
-    reg.push(rebalances, f.rebalances as f64);
     let lo = f.shard_loads.iter().min().copied().unwrap_or(0);
     let hi = f.shard_loads.iter().max().copied().unwrap_or(0);
     reg.push(imbalance, (hi - lo) as f64);

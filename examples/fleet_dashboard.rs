@@ -74,9 +74,8 @@ fn main() {
     std::fs::create_dir_all("results").expect("create results dir");
     svg.save(&path, &reg).expect("write svg");
     println!(
-        "best-option share {:.3} · {} rebalances · snapshot {}",
+        "best-option share {:.3} · snapshot {}",
         fleet.distribution()[0],
-        fleet.shard_rebalances(),
         path.display()
     );
 }

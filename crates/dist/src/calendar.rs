@@ -12,7 +12,10 @@
 //! megabytes, and they dominate the tick. The engine instead keeps a
 //! **calendar queue**: events are bucketed by virtual-time slot in a
 //! fixed ring ([`RING_SLOTS`] wide), so enqueue is an `O(1)` append and dequeue
-//! is a linear walk of one bucket. On top of the calendar, the fleet
+//! is a linear walk of one bucket. A slot holds one virtual time at a
+//! time, so it stores that time once and each of its items only
+//! `(src, seq, payload)`: 24 bytes for the engine's events, against the
+//! 32 of a full [`Entry`]. On top of the calendar, the fleet
 //! is **sharded** by striping: node `i` lives in shard `i % shards`.
 //! Each shard owns the per-node state of its stripe, receives every
 //! event targeted at one of its nodes, and advances its own local
@@ -131,9 +134,12 @@
 //! fixed width: a message is handled the moment it is due, so no
 //! node keeps a mailbox. Each lane builds its own table when the
 //! engine is built, node `i` at row `i / shards`, and keeps it for the
-//! engine's life. Nothing else is cached per lane: the option
-//! histogram and the bootstrapping gauge are counted from the tables
-//! once per tick.
+//! engine's life. Routing an event to its lane and row takes two
+//! multiplications by a reciprocal of the lane count that [`ShardMap`]
+//! computes once, not a division. Nothing else is cached per lane: the
+//! option histogram and the bootstrapping gauge are counted from the
+//! tables once per tick. What a node has in flight costs 24 bytes per
+//! event in a calendar slot and 32 in a mailbox.
 
 use std::sync::Arc;
 
@@ -165,15 +171,15 @@ const _: () = assert!(ASYNC_EPOCH_PERIOD + ASYNC_WAKE_JITTER < RING_SLOTS as u64
 const _: () = assert!(WAKE_SPREAD < RING_SLOTS as u64);
 const _: () = assert!(RETRY_TIMEOUT < RING_SLOTS as u64);
 
-/// Most entries a recycled bucket keeps as capacity: 10 KiB per slot
-/// for the engine's 40-byte `Entry<Event>`, so at most 1.25 MiB of
-/// idle capacity per [`RING_SLOTS`]-slot ring.
+/// Most items a recycled bucket keeps as capacity: 6 KiB per slot for
+/// the engine's 24-byte slot items, so at most 0.75 MiB of idle
+/// capacity per [`RING_SLOTS`]-slot ring.
 ///
-/// Windows of up to this many entries stay allocation-free. Larger
-/// ones regrow their slot: a lane of an 8-shard fleet at N = 1e5
-/// takes windows of about 1,240 entries, so its slot grows from 256
-/// to 2,048 entries, three regrowths per window. Measured on
-/// perfbench, 2-core host:
+/// Windows of up to this many items stay allocation-free. Larger ones
+/// regrow their slot: a lane of an 8-shard fleet at N = 1e5 takes
+/// windows of about 740 items, so its slot grows from 256 to 1,024
+/// items, two regrowths per window. Measured on perfbench, 2-core
+/// host, when a bucket held 40-byte entries:
 ///
 /// * Without the bound, taking a window hands every slot the previous
 ///   window's buffer in turn, so each ring ends up with window-sized
@@ -216,11 +222,15 @@ const _: () = assert!(2 * MAX_MESSAGE_LATENCY + 2 * DELIVER_DELAY < RETRY_TIMEOU
 // current lookahead block, so the block barrier delivers it to the
 // querier's lane in time.
 const _: () = assert!(RETRY_TIMEOUT >= MAX_MESSAGE_LATENCY + DELIVER_DELAY + MAX_LOOKAHEAD);
-// A query carries its attempt and its timeout's wait as `u8`s...
+// A query and a timeout carry their attempt, and a query its timeout's
+// wait, as `u8`s...
 const _: () = assert!(MAX_QUERY_RETRIES as u64 <= u8::MAX as u64);
 const _: () = assert!(RETRY_TIMEOUT <= u8::MAX as u64);
-// ...so the event stays 24 bytes and a calendar entry 40.
-const _: () = assert!(std::mem::size_of::<Entry<Event>>() == 40);
+// ...so the event stays 16 bytes, an entry in a mailbox 32, and an item
+// in a calendar slot, which leaves its time to the slot, 24.
+const _: () = assert!(std::mem::size_of::<Event>() == 16);
+const _: () = assert!(std::mem::size_of::<Entry<Event>>() == 32);
+const _: () = assert!(std::mem::size_of::<Item<Event>>() == 24);
 
 /// The absolute-time end of the lookahead block containing `now`:
 /// the next multiple of `lookahead` strictly after `now`.
@@ -289,29 +299,62 @@ pub struct Entry<E> {
     pub payload: E,
 }
 
-impl<E> Entry<E> {
+/// An [`Entry`] as a [`Calendar`] slot stores it: without its `at`,
+/// which the slot keeps once for all of its items.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Item<E> {
+    pub(crate) src: u32,
+    pub(crate) seq: u32,
+    pub(crate) payload: E,
+}
+
+impl<E> Item<E> {
     /// The packed `(src, seq)` tie-break key: within one time slot,
-    /// entries pop in ascending order of this key.
+    /// items pop in ascending order of this key.
     fn order_key(&self) -> u64 {
         (u64::from(self.src) << 32) | u64::from(self.seq)
     }
+
+    /// The entry this item stands for in a slot of time `at`.
+    fn at(self, at: u64) -> Entry<E> {
+        Entry {
+            at,
+            src: self.src,
+            seq: self.seq,
+            payload: self.payload,
+        }
+    }
+}
+
+/// One ring slot of a [`Calendar`]: the items due at one virtual time.
+#[derive(Debug, Clone)]
+struct Slot<E> {
+    /// The virtual time of `items`; left over from an earlier rotation
+    /// while `items` is empty.
+    at: u64,
+    items: Vec<Item<E>>,
 }
 
 /// A fixed-ring calendar queue: `O(1)` amortized enqueue, bucket-walk
 /// dequeue, deterministic `(time, src, seq)` pop order.
 ///
+/// Each ring slot stores its virtual time once, next to its items, so
+/// an item carries only `(src, seq, payload)`;
+/// [`take_due`](Calendar::take_due) hands the items back as full
+/// [`Entry`]s.
+///
 /// A window's vector handed back through [`recycle`](Calendar::recycle)
-/// becomes the storage of the next slot a window empties, shrunk to a
-/// capacity of at most 256 entries. Windows of up to 256 entries
-/// allocate nothing; a larger window regrows its slot as its entries
-/// arrive. So an empty slot never holds more than 256 entries of
+/// becomes the storage of the next window `take_due` returns, and a
+/// slot's own storage that of the next slot a window empties; each is
+/// shrunk to a capacity of at most 256 items first. Windows of up to
+/// 256 items allocate nothing; a larger window regrows its slot as its
+/// items arrive. So an empty slot never holds more than 256 items of
 /// capacity, however large an earlier window was.
 ///
 /// The caller must keep every pending entry within one ring rotation
 /// ([`RING_SLOTS`] virtual-time units) of the earliest pending entry —
 /// the event runtime guarantees this by construction (all protocol
-/// delays are shorter than the ring), and `push` checks it in debug
-/// builds.
+/// delays are shorter than the ring), and `push` checks it.
 ///
 /// # Example
 ///
@@ -328,13 +371,16 @@ impl<E> Entry<E> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Calendar<E> {
-    /// `RING_SLOTS` buckets indexed by `time % RING_SLOTS`; each holds
-    /// entries for exactly one virtual time at any moment.
-    buckets: Vec<Vec<Entry<E>>>,
-    /// Recycled bucket storage, at most [`SPARE_CAPACITY`] entries
-    /// wide, handed to the next slot a window empties.
-    spare: Vec<Entry<E>>,
-    /// Total pending entries.
+    /// `RING_SLOTS` slots indexed by `time % RING_SLOTS`; each holds
+    /// items for exactly one virtual time at any moment.
+    slots: Vec<Slot<E>>,
+    /// Recycled slot storage, at most [`SPARE_CAPACITY`] items wide,
+    /// handed to the next slot a window empties.
+    spare: Vec<Item<E>>,
+    /// Recycled [`take_due`](Calendar::take_due) storage, at most
+    /// [`SPARE_CAPACITY`] entries wide.
+    spare_due: Vec<Entry<E>>,
+    /// Total pending items.
     len: usize,
 }
 
@@ -344,12 +390,30 @@ impl<E> Default for Calendar<E> {
     }
 }
 
+/// Keeps `drained`'s storage as `spare` when it is larger, after
+/// shrinking it to at most [`SPARE_CAPACITY`] elements, so one large
+/// window cannot leave a window-sized buffer circulating through every
+/// ring slot.
+fn keep_spare<T>(spare: &mut Vec<T>, mut drained: Vec<T>) {
+    drained.clear();
+    drained.shrink_to(SPARE_CAPACITY);
+    if drained.capacity() > spare.capacity() {
+        *spare = drained;
+    }
+}
+
 impl<E> Calendar<E> {
     /// An empty calendar.
     pub fn new() -> Self {
         Calendar {
-            buckets: (0..RING_SLOTS).map(|_| Vec::new()).collect(),
+            slots: (0..RING_SLOTS)
+                .map(|_| Slot {
+                    at: 0,
+                    items: Vec::new(),
+                })
+                .collect(),
             spare: Vec::new(),
+            spare_due: Vec::new(),
             len: 0,
         }
     }
@@ -364,6 +428,11 @@ impl<E> Calendar<E> {
         self.len == 0
     }
 
+    /// The slot of virtual time `at`.
+    fn slot(&self, at: u64) -> &Slot<E> {
+        &self.slots[(at as usize) & (RING_SLOTS - 1)]
+    }
+
     /// Schedules `entry`. `O(1)`: one append to the slot
     /// `entry.at % RING_SLOTS`.
     ///
@@ -373,25 +442,32 @@ impl<E> Calendar<E> {
     /// already occupying its ring slot — i.e. the caller violated the
     /// one-rotation window contract. A silent collision would corrupt
     /// the queue (mixed-time buckets, misreported `next_time`), so the
-    /// single-comparison guard stays on in release builds.
+    /// guard, one comparison against the slot's time, stays on in
+    /// release builds.
     pub fn push(&mut self, entry: Entry<E>) {
-        let slot = (entry.at as usize) & (RING_SLOTS - 1);
-        let bucket = &mut self.buckets[slot];
+        let Entry {
+            at,
+            src,
+            seq,
+            payload,
+        } = entry;
+        let index = (at as usize) & (RING_SLOTS - 1);
+        let slot = &mut self.slots[index];
         assert!(
-            bucket.first().is_none_or(|e| e.at == entry.at),
-            "calendar ring collision: slot {slot} holds t={} but got t={}",
-            bucket.first().map_or(0, |e| e.at),
-            entry.at,
+            slot.items.is_empty() || slot.at == at,
+            "calendar ring collision: slot {index} holds t={} but got t={at}",
+            slot.at,
         );
-        bucket.push(entry);
+        slot.at = at;
+        slot.items.push(Item { src, seq, payload });
         self.len += 1;
     }
 
     /// Entries due exactly at `now`, without removing them.
     pub fn due_len(&self, now: u64) -> usize {
-        let bucket = &self.buckets[(now as usize) & (RING_SLOTS - 1)];
-        if bucket.first().is_some_and(|e| e.at == now) {
-            bucket.len()
+        let slot = self.slot(now);
+        if slot.at == now {
+            slot.items.len()
         } else {
             0
         }
@@ -403,41 +479,53 @@ impl<E> Calendar<E> {
     /// [`recycle`](Calendar::recycle) so windows of up to 256 entries
     /// allocate nothing.
     pub fn take_due(&mut self, now: u64) -> Vec<Entry<E>> {
-        let mut due = self.take_window(now);
-        due.sort_unstable_by_key(Entry::order_key);
+        let mut items = self.take_window(now);
+        if items.is_empty() {
+            return Vec::new();
+        }
+        items.sort_unstable_by_key(Item::order_key);
+        let mut due = std::mem::take(&mut self.spare_due);
+        due.extend(items.drain(..).map(|item| item.at(now)));
+        self.recycle_window(items);
         due
     }
 
-    /// [`take_due`](Calendar::take_due) without the sort: the entries
-    /// due at `now` in push order, for a caller that imposes its own
-    /// order.
-    pub(crate) fn take_window(&mut self, now: u64) -> Vec<Entry<E>> {
-        let slot = (now as usize) & (RING_SLOTS - 1);
-        if self.buckets[slot].first().is_none_or(|e| e.at != now) {
+    /// The items due at `now` in push order, for a caller that imposes
+    /// its own order; empty when nothing is due. Hand the vector back
+    /// through [`recycle_window`](Calendar::recycle_window).
+    pub(crate) fn take_window(&mut self, now: u64) -> Vec<Item<E>> {
+        let slot = &mut self.slots[(now as usize) & (RING_SLOTS - 1)];
+        if slot.items.is_empty() || slot.at != now {
             return Vec::new();
         }
-        let due = std::mem::replace(&mut self.buckets[slot], std::mem::take(&mut self.spare));
+        let due = std::mem::replace(&mut slot.items, std::mem::take(&mut self.spare));
         self.len -= due.len();
         due
     }
 
     /// Returns a drained vector from [`take_due`](Calendar::take_due)
-    /// so a later window reuses its storage. The vector is cleared and
-    /// shrunk to a capacity of at most 256 entries first, so one large
-    /// window cannot leave a window-sized buffer circulating through
-    /// every ring slot.
-    pub fn recycle(&mut self, mut bucket: Vec<Entry<E>>) {
-        bucket.clear();
-        bucket.shrink_to(SPARE_CAPACITY);
-        if bucket.capacity() > self.spare.capacity() {
-            self.spare = bucket;
-        }
+    /// so a later `take_due` reuses its storage. The vector is cleared
+    /// and shrunk to a capacity of at most 256 entries first.
+    pub fn recycle(&mut self, due: Vec<Entry<E>>) {
+        keep_spare(&mut self.spare_due, due);
+    }
+
+    /// [`recycle`](Calendar::recycle) for a vector from
+    /// [`take_window`](Calendar::take_window): it becomes the storage
+    /// of the next slot a window empties.
+    pub(crate) fn recycle_window(&mut self, window: Vec<Item<E>>) {
+        keep_spare(&mut self.spare, window);
     }
 
     /// Every pending entry, in no particular order.
     #[cfg(test)]
-    fn entries(&self) -> impl Iterator<Item = &Entry<E>> {
-        self.buckets.iter().flatten()
+    fn entries(&self) -> impl Iterator<Item = Entry<E>> + '_
+    where
+        E: Copy,
+    {
+        self.slots
+            .iter()
+            .flat_map(|slot| slot.items.iter().map(|item| item.at(slot.at)))
     }
 
     /// The earliest pending virtual time at or after `from`, scanning
@@ -455,9 +543,9 @@ impl<E> Calendar<E> {
         }
         for offset in 0..until.saturating_sub(from).min(RING_SLOTS as u64) {
             let t = from + offset;
-            let bucket = &self.buckets[(t as usize) & (RING_SLOTS - 1)];
-            if let Some(first) = bucket.first() {
-                debug_assert_eq!(first.at, t, "pending entry outside the ring window");
+            let slot = self.slot(t);
+            if !slot.items.is_empty() {
+                debug_assert_eq!(slot.at, t, "pending entry outside the ring window");
                 return Some(t);
             }
         }
@@ -494,22 +582,27 @@ fn row_then_mail(ev: &Event, map: ShardMap) -> u64 {
     (map.row_of(node) as u64) << 1 | mail
 }
 
+/// The low half of an [`order_window`] word: the item's index in its
+/// window.
+const INDEX_MASK: u64 = (1 << 32) - 1;
+
 /// The buffers [`order_window`] fills, reused from window to window.
 #[derive(Debug, Clone, Default)]
 struct WindowOrder {
-    /// The window in handling order, each entry with its
-    /// [`row_then_mail`] key.
-    order: Vec<(u64, Entry<Event>)>,
-    /// Each window entry's key, in window order.
-    keys: Vec<u64>,
+    /// The window in handling order, one `key << 32 | index` word per
+    /// item: its [`row_then_mail`] key and its index in the window.
+    order: Vec<u64>,
+    /// Each item's word, in window order.
+    words: Vec<u64>,
     /// Bucket offsets of the counting scatter.
     starts: Vec<usize>,
 }
 
-/// Writes `window` — the entries due at one virtual time in a lane of
-/// `map` holding `rows` nodes — to `buf.order` in handling order:
-/// targets ascending; within a target, its timers by `seq` (a timer's
-/// `src` is its target), then its mail by `(src, seq)`.
+/// Writes `window` — the items due at one virtual time in a lane of
+/// `map` holding `rows` nodes — to `buf.order` in handling order, as
+/// `key << 32 | index` words that point into the window: targets
+/// ascending; within a target, its timers by `seq` (a timer's `src` is
+/// its target), then its mail by `(src, seq)`.
 ///
 /// Each target sees its own events in the order a timers-then-mail,
 /// `(src, seq)`-ordered sweep of the window gives it, which is all
@@ -519,54 +612,72 @@ struct WindowOrder {
 /// to back.
 ///
 /// One counting scatter on the high bits of the target's row, into
-/// about one bucket per entry and never more than one per node, then
-/// one insertion pass. Buckets are in target order, so the pass only
-/// sorts within a bucket; a bucket holds about one entry, and a
-/// target only a few per window. Each entry's key is computed once,
-/// since matching on the event kind is the costly part of a key.
-fn order_window(window: &[Entry<Event>], map: ShardMap, rows: usize, buf: &mut WindowOrder) {
+/// about one bucket per item and never more than one per node, then
+/// one insertion pass over 8-byte words. Buckets are in target order,
+/// so the pass only sorts within a bucket; a bucket holds about one
+/// item, and a target only a few per window. Only words with equal
+/// keys look at their items, for the `(src, seq)` tie-break. Each
+/// item's key is computed once, since matching on the event kind is
+/// the costly part of a key.
+fn order_window(window: &[Item<Event>], map: ShardMap, rows: usize, buf: &mut WindowOrder) {
     let WindowOrder {
         order,
-        keys,
+        words,
         starts,
     } = buf;
     order.clear();
-    let Some(&first) = window.first() else {
+    if window.is_empty() {
         return;
-    };
+    }
+    // A key, `row << 1 | is_mail`, and an index share one word.
+    assert!(
+        rows <= 1 << 31 && window.len() as u64 <= INDEX_MASK + 1,
+        "a window of {} items over {rows} rows overflows its order words",
+        window.len(),
+    );
     let row_bits = rows.next_power_of_two().trailing_zeros();
     let bucket_bits = window
         .len()
         .next_power_of_two()
         .trailing_zeros()
         .min(row_bits);
-    // A key's low bit is `is_mail`; the bits above it are the row.
-    let shift = row_bits - bucket_bits + 1;
-    keys.clear();
-    keys.extend(window.iter().map(|e| row_then_mail(&e.payload, map)));
+    // Above the index, a word's low bit is `is_mail`; the bits above
+    // that are the row.
+    let shift = 32 + row_bits - bucket_bits + 1;
+    words.clear();
+    words.extend(
+        window
+            .iter()
+            .enumerate()
+            .map(|(i, e)| row_then_mail(&e.payload, map) << 32 | i as u64),
+    );
     starts.clear();
     starts.resize((1 << bucket_bits) + 1, 0);
-    for &k in keys.iter() {
-        starts[(k >> shift) as usize + 1] += 1;
+    for &w in words.iter() {
+        starts[(w >> shift) as usize + 1] += 1;
     }
     for b in 1..starts.len() {
         starts[b] += starts[b - 1];
     }
-    order.resize(window.len(), (0, first));
-    for (&k, &e) in keys.iter().zip(window) {
-        let slot = &mut starts[(k >> shift) as usize];
-        order[*slot] = (k, e);
+    order.resize(window.len(), 0);
+    for &w in words.iter() {
+        let slot = &mut starts[(w >> shift) as usize];
+        order[*slot] = w;
         *slot += 1;
     }
-    let key = |(k, e): &(u64, Entry<Event>)| (*k, e.order_key());
+    let tie_key = |w: u64| window[(w & INDEX_MASK) as usize].order_key();
+    let after = |a: u64, b: u64| {
+        let (ka, kb) = (a >> 32, b >> 32);
+        ka > kb || (ka == kb && tie_key(a) > tie_key(b))
+    };
     for i in 1..order.len() {
-        let item = order[i];
+        let w = order[i];
         let mut j = i;
-        while j > 0 && key(&order[j - 1]) > key(&item) {
+        while j > 0 && after(order[j - 1], w) {
             order[j] = order[j - 1];
             j -= 1;
         }
-        order[j] = item;
+        order[j] = w;
     }
 }
 
@@ -580,18 +691,31 @@ fn order_window(window: &[Entry<Event>], map: ShardMap, rows: usize, buf: &mut W
 /// the same number of nodes, within one, in every lane. Peers are
 /// chosen uniformly, so no partition carries less cross-lane mail
 /// than another.
+///
+/// Every event is routed by its target's lane and handled at its row,
+/// so the map divides by the lane count several times per event. It
+/// does so without a division instruction: Lemire, Kaser and Kurz's
+/// direct remainder and quotient ("Faster Remainder by Direct
+/// Computation", 2019) multiply by `ceil(2^64 / lanes)` and are exact
+/// for every `u32` node id and lane count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct ShardMap {
     lanes: u32,
+    /// `ceil(2^64 / lanes)`; 0 for one lane, whose map is the identity.
+    recip: u64,
 }
 
 impl ShardMap {
     /// The partition of `n` nodes into `shards` lanes, clamped to
     /// `1..=n`.
     pub(crate) fn new(n: usize, shards: usize) -> Self {
-        ShardMap {
-            lanes: index_u32(shards.clamp(1, n)),
-        }
+        let lanes = index_u32(shards.clamp(1, n));
+        let recip = if lanes == 1 {
+            0
+        } else {
+            u64::MAX / u64::from(lanes) + 1
+        };
+        ShardMap { lanes, recip }
     }
 
     /// Number of lanes.
@@ -599,16 +723,25 @@ impl ShardMap {
         self.lanes as usize
     }
 
-    /// The lane holding `node`.
+    /// The lane holding `node`: `node % lanes`.
     #[inline]
     fn lane_of(self, node: u32) -> usize {
-        (node % self.lanes) as usize
+        if self.lanes == 1 {
+            return 0;
+        }
+        // The fraction `node / lanes - row` in 64 bits, scaled by the
+        // lane count.
+        let fraction = self.recip.wrapping_mul(u64::from(node));
+        ((u128::from(fraction) * u128::from(self.lanes)) >> 64) as usize
     }
 
-    /// `node`'s row in its lane's table.
+    /// `node`'s row in its lane's table: `node / lanes`.
     #[inline]
     fn row_of(self, node: u32) -> usize {
-        (node / self.lanes) as usize
+        if self.lanes == 1 {
+            return node as usize;
+        }
+        ((u128::from(self.recip) * u128::from(node)) >> 64) as usize
     }
 
     /// The node at `row` of `lane`'s table.
@@ -718,9 +851,10 @@ struct ShardLane {
     /// Per-node state, indexed by row.
     nodes: Nodes,
     calendar: Calendar<Event>,
-    /// Per-destination-shard mail sent during the current block; the
-    /// block barrier swaps each non-empty one with the destination's
-    /// drained inbox.
+    /// Per-destination-shard mail sent during the current block, as
+    /// full entries: mail of many due times shares a box, and filing
+    /// it needs each one's time. The block barrier swaps each non-empty
+    /// one with the destination's drained inbox.
     outboxes: Vec<Vec<Entry<Event>>>,
     /// The earliest `at` in each outbox; `u64::MAX` when it is empty.
     outbox_at: Vec<u64>,
@@ -900,6 +1034,7 @@ impl ShardLane {
             return;
         }
         self.nodes.pending[local].attempt = attempt;
+        let attempt = u8::try_from(attempt).expect("MAX_QUERY_RETRIES fits in a u8");
         self.rm.queries_sent += 1;
         // Ask a uniformly random *other* node what it used last epoch.
         let g = node as usize;
@@ -935,10 +1070,9 @@ impl ShardLane {
         }
         let at = msg_at(now, self.latency(local), ctx);
         let query = Event::QueryArrive {
-            from: node,
             to: index_u32(peer),
             epoch,
-            attempt: u8::try_from(attempt).expect("MAX_QUERY_RETRIES fits in a u8"),
+            attempt,
             wait: u8::try_from(timeout.at - at).expect("RETRY_TIMEOUT fits in a u8"),
         };
         self.push_from(node, at, query);
@@ -1028,9 +1162,9 @@ impl ShardLane {
     /// wake-ups and timeouts lapse. Quiesced membership changes only
     /// at epoch boundaries, so there the checks only ever swallow
     /// queries to absent peers.
-    fn handle(&mut self, entry: Entry<Event>, now: u64, ctx: &Ctx) {
+    fn handle(&mut self, item: Item<Event>, now: u64, ctx: &Ctx) {
         let present = |node: u32| !ctx.has_faults || ctx.present[node as usize];
-        match entry.payload {
+        match item.payload {
             Event::Wake { node, inc } => {
                 let local = self.map.row_of(node);
                 // The incarnation tag kills wake-ups scheduled before
@@ -1043,12 +1177,13 @@ impl ShardLane {
                 }
             }
             Event::QueryArrive {
-                from,
                 to,
                 epoch,
                 attempt,
                 wait,
             } => {
+                // A node sends only its own queries.
+                let from = item.src;
                 let replied =
                     present(to) && self.answer(self.map.row_of(to), from, epoch, now, ctx);
                 if !replied {
@@ -1060,10 +1195,10 @@ impl ShardLane {
                     self.route(Entry {
                         at: now + u64::from(wait),
                         src: from,
-                        seq: entry.seq.wrapping_sub(1),
+                        seq: item.seq.wrapping_sub(1),
                         payload: Event::Timeout {
                             node: from,
-                            attempt: u32::from(attempt),
+                            attempt,
                             epoch,
                         },
                     });
@@ -1092,10 +1227,10 @@ impl ShardLane {
                 // earlier local epoch.
                 if present(node)
                     && !p.resolved
-                    && p.attempt == attempt
+                    && p.attempt == u32::from(attempt)
                     && self.nodes.epochs[local] + 1 == epoch
                 {
-                    self.start_attempt(local, attempt + 1, now, ctx);
+                    self.start_attempt(local, p.attempt + 1, now, ctx);
                 }
             }
         }
@@ -1112,10 +1247,10 @@ impl ShardLane {
         let window = self.calendar.take_window(now);
         let mut buf = std::mem::take(&mut self.order);
         order_window(&window, self.map, self.nodes.len(), &mut buf);
-        self.calendar.recycle(window);
-        for &(_, entry) in &buf.order {
-            self.handle(entry, now, ctx);
+        for &w in &buf.order {
+            self.handle(window[(w & INDEX_MASK) as usize], now, ctx);
         }
+        self.calendar.recycle_window(window);
         self.order = buf;
     }
 
@@ -1511,13 +1646,26 @@ mod tests {
         assert_eq!(cal.len(), 4);
         assert_eq!(cal.next_time(0), Some(3));
         let due = cal.take_due(3);
-        assert_eq!(due.len(), 1);
+        assert_eq!(due, [entry(3, 9, 1)]);
         cal.recycle(due);
         assert_eq!(cal.next_time(4), Some(5));
         let due = cal.take_due(5);
         let keys: Vec<(u32, u32)> = due.iter().map(|e| (e.src, e.seq)).collect();
         assert_eq!(keys, vec![(1, 7), (2, 0), (2, 1)]);
+        assert!(due.iter().all(|e| e.at == 5), "{due:?}");
+        assert!(due.iter().all(|e| e.payload == e.src * 1000 + e.seq));
         assert!(cal.is_empty());
+    }
+
+    /// The one-rotation contract is checked, in release builds too: an
+    /// entry whose slot still holds another time panics instead of
+    /// joining that time's window.
+    #[test]
+    #[should_panic(expected = "calendar ring collision")]
+    fn calendar_push_one_rotation_ahead_collides() {
+        let mut cal = Calendar::new();
+        cal.push(entry(9, 0, 0));
+        cal.push(entry(9 + RING_SLOTS as u64, 0, 1));
     }
 
     #[test]
@@ -1546,8 +1694,11 @@ mod tests {
 
     #[test]
     fn recycled_buckets_keep_bounded_capacity() {
+        // Item storage in the slots and their spare; the recycled
+        // `take_due` storage is bounded on its own.
         let capacity = |cal: &Calendar<u32>| {
-            cal.buckets.iter().map(Vec::capacity).sum::<usize>() + cal.spare.capacity()
+            assert!(cal.spare_due.capacity() <= SPARE_CAPACITY);
+            cal.slots.iter().map(|s| s.items.capacity()).sum::<usize>() + cal.spare.capacity()
         };
         let bound = (RING_SLOTS + 1) * SPARE_CAPACITY;
         let mut cal = Calendar::new();
@@ -1607,11 +1758,11 @@ mod tests {
         let at = 10;
         let timeout = Event::Timeout {
             node: 1,
-            attempt: MAX_QUERY_RETRIES,
+            attempt: u8::try_from(MAX_QUERY_RETRIES).unwrap(),
             epoch: 5,
         };
+        // From node 0, the entry's `src`.
         let query = Event::QueryArrive {
-            from: 0,
             to: 1,
             epoch: 6,
             attempt: 1,
@@ -1671,11 +1822,10 @@ mod tests {
             .flat_map(|lane| {
                 lane.calendar
                     .entries()
-                    .chain(lane.outboxes.iter().flatten())
-                    .chain(lane.inboxes.iter().flatten())
+                    .chain(lane.outboxes.iter().flatten().copied())
+                    .chain(lane.inboxes.iter().flatten().copied())
             })
             .filter(|e| matches!(e.payload, Event::Timeout { .. }))
-            .copied()
             .collect()
     }
 
@@ -1727,7 +1877,7 @@ mod tests {
             lanes[1].nodes.epochs[0] = if fate == Stale { 3 } else { 5 };
             lanes[1].nodes.choices[0] = 1;
             lanes[1].nodes.back[0] = if fate == NoChoice { NO_CHOICE } else { 1 };
-            let (now, attempt) = (10, 2);
+            let (now, attempt) = (10, 2u8);
             let seq = lanes[0].nodes.seqs[0];
             let at_send = Entry {
                 at: now + RETRY_TIMEOUT,
@@ -1741,14 +1891,13 @@ mod tests {
             };
             if fate == ReplyDropped {
                 // Total loss would drop the query too: hand over the
-                // query the querier sends on a clean link.
+                // query the querier, node 0, sends on a clean link.
                 let at = now + 4;
                 lanes[1].calendar.push(Entry {
                     at,
                     src: 0,
                     seq: seq + 1,
                     payload: Event::QueryArrive {
-                        from: 0,
                         to: 1,
                         epoch: 6,
                         attempt: 2,
@@ -1756,7 +1905,7 @@ mod tests {
                     },
                 });
             } else {
-                lanes[0].start_attempt(0, attempt, now, &ctx);
+                lanes[0].start_attempt(0, u32::from(attempt), now, &ctx);
                 for entry in std::mem::take(&mut lanes[0].outboxes[1]) {
                     lanes[1].calendar.push(entry);
                 }
@@ -1777,9 +1926,9 @@ mod tests {
             let routed = if fate == QueryDropped {
                 lanes[0].calendar.entries().next()
             } else {
-                lanes[1].outboxes[0].first()
+                lanes[1].outboxes[0].first().copied()
             };
-            assert_eq!(routed, Some(&at_send), "{fate:?}");
+            assert_eq!(routed, Some(at_send), "{fate:?}");
         }
     }
 
@@ -1856,7 +2005,7 @@ mod tests {
         assert_eq!(engine.next_window(w + 1), None);
     }
 
-    fn is_mail(e: &Entry<Event>) -> bool {
+    fn is_mail(e: &Item<Event>) -> bool {
         matches!(
             e.payload,
             Event::QueryArrive { .. } | Event::ReplyArrive { .. }
@@ -1864,13 +2013,13 @@ mod tests {
     }
 
     /// The explicit handling key `(target, is_mail, src, seq)`.
-    fn reference_key(e: &Entry<Event>) -> (u32, bool, u32, u32) {
+    fn reference_key(e: &Item<Event>) -> (u32, bool, u32, u32) {
         (event_target(&e.payload), is_mail(e), e.src, e.seq)
     }
 
-    /// `len` random entries targeting rows `0..rows` of `lane` (all row
-    /// 0 when `one_target`): timers from their target, mail from
-    /// anywhere in the fleet, keys `(src, seq)` unique.
+    /// `len` random window items targeting rows `0..rows` of `lane`
+    /// (all row 0 when `one_target`): timers from their target, mail
+    /// from anywhere in the fleet, keys `(src, seq)` unique.
     fn random_window(
         rng: &mut SplitMix64,
         len: usize,
@@ -1878,7 +2027,7 @@ mod tests {
         lane: usize,
         rows: usize,
         one_target: bool,
-    ) -> Vec<Entry<Event>> {
+    ) -> Vec<Item<Event>> {
         let fleet = (map.lanes() * rows) as u64;
         (0..len)
             .map(|i| {
@@ -1902,7 +2051,6 @@ mod tests {
                     2 => (
                         sender,
                         Event::QueryArrive {
-                            from: sender,
                             to: node,
                             epoch: 1,
                             attempt: 1,
@@ -1913,12 +2061,7 @@ mod tests {
                 };
                 // Random high bits, unique low bits.
                 let seq = (rng.next_u64() as u32 & !0xFFFF) | i as u32;
-                Entry {
-                    at: 7,
-                    src,
-                    seq,
-                    payload,
-                }
+                Item { src, seq, payload }
             })
             .collect()
     }
@@ -1946,7 +2089,16 @@ mod tests {
             for _ in 0..10 {
                 let window = random_window(&mut rng, len, map, lane, rows, one_target);
                 order_window(&window, map, rows, &mut buf);
-                let out: Vec<_> = buf.order.iter().map(|&(_, e)| e).collect();
+                // Every word keys the item it points at.
+                for &w in &buf.order {
+                    let item = &window[(w & INDEX_MASK) as usize];
+                    assert_eq!(w >> 32, row_then_mail(&item.payload, map));
+                }
+                let out: Vec<_> = buf
+                    .order
+                    .iter()
+                    .map(|&w| window[(w & INDEX_MASK) as usize])
+                    .collect();
                 let mut want = window.clone();
                 want.sort_by_key(reference_key);
                 let shape = format!("len {len}, lane {lane} of {lanes}, rows {rows}");
@@ -1964,7 +2116,7 @@ mod tests {
                 targets.sort_unstable();
                 targets.dedup();
                 for target in targets {
-                    let of = |e: &&Entry<Event>| event_target(&e.payload) == target;
+                    let of = |e: &&Item<Event>| event_target(&e.payload) == target;
                     assert!(
                         out.iter().filter(of).eq(sweep.iter().copied().filter(of)),
                         "target {target}, {shape}"
@@ -1976,7 +2128,8 @@ mod tests {
 
     /// Striping puts node `i` at row `i / lanes` of lane `i % lanes`,
     /// and spreads any contiguous id range over the lanes within one
-    /// node of evenly.
+    /// node of evenly. The reciprocal maps agree with `%` and `/` at
+    /// the edges of every lane count up to 64 and on random ids.
     #[test]
     fn striping_maps_nodes_to_rows_and_balances_ranges() {
         let map = ShardMap::new(100, 8);
@@ -1984,6 +2137,19 @@ mod tests {
             let (lane, row) = (map.lane_of(node), map.row_of(node));
             assert_eq!(map.node_at(lane, row), node);
             assert_eq!(lane, node as usize % 8);
+        }
+        let mut rng = SplitMix64::new(64);
+        for lanes in 1..=64u32 {
+            let map = ShardMap::new(u32::MAX as usize, lanes as usize);
+            assert_eq!(map.lanes(), lanes as usize);
+            let edges = [0, 1, lanes - 1, lanes, lanes + 1, u32::MAX - 1, u32::MAX];
+            let random = (0..1_000).map(|_| rng.next_u64() as u32);
+            for node in edges.into_iter().chain(random) {
+                let (lane, row) = (map.lane_of(node), map.row_of(node));
+                assert_eq!(lane, (node % lanes) as usize, "{node} % {lanes}");
+                assert_eq!(row, (node / lanes) as usize, "{node} / {lanes}");
+                assert_eq!(map.node_at(lane, row), node, "{node} on {lanes} lanes");
+            }
         }
         assert_eq!(ShardMap::new(3, 16).lanes(), 3, "clamped to the fleet");
         assert_eq!(ShardMap::new(3, 0).lanes(), 1, "at least one lane");

@@ -176,17 +176,16 @@ pub(crate) enum Event {
     /// everything else expires within one tick window). Quiesced mode
     /// clears the schedule every tick, so the tag is inert there.
     Wake { node: u32, inc: u32 },
-    /// A query from `from` reaches `to`, which answers it on the spot
-    /// (link loss already resolved at send time). `epoch` is the
-    /// sender's local epoch at send time — the staleness reference in
-    /// async mode, ignored in quiesced mode. The query also carries
-    /// the [`Event::Timeout`] its sender did not schedule: its
-    /// `attempt`, and `wait`, the ticks from this arrival to the
-    /// timeout's due time; the timeout's `seq` is the query's
-    /// `seq - 1`. If `to` sends no reply, it schedules that timeout
-    /// for `from`.
+    /// A query reaches `to`, which answers it on the spot (link loss
+    /// already resolved at send time). The querier is the entry's
+    /// `src`: a node sends its own queries. `epoch` is the querier's
+    /// local epoch at send time — the staleness reference in async
+    /// mode, ignored in quiesced mode. The query also carries the
+    /// [`Event::Timeout`] its sender did not schedule: its `attempt`,
+    /// and `wait`, the ticks from this arrival to the timeout's due
+    /// time; the timeout's `seq` is the query's `seq - 1`. If `to`
+    /// sends no reply, it schedules that timeout for the querier.
     QueryArrive {
-        from: u32,
         to: u32,
         epoch: u64,
         attempt: u8,
@@ -206,7 +205,7 @@ pub(crate) enum Event {
     /// whichever side first learns that no reply is coming: the
     /// querier when the link drops its query, else the responder when
     /// it sends none.
-    Timeout { node: u32, attempt: u32, epoch: u64 },
+    Timeout { node: u32, attempt: u8, epoch: u64 },
 }
 
 /// Per-node transport bookkeeping for the current epoch. This is

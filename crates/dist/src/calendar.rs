@@ -50,7 +50,9 @@
 //! partition: for a fixed K the results stay byte-identical across
 //! shard counts and thread counts. At the default `K = 1`,
 //! `block_end(now) = now + 1 <= now + l`, so the adjustment is the
-//! identity and existing seeds replay bit-for-bit.
+//! identity and existing seeds replay bit-for-bit. A lane computes its
+//! window's block end once, when it opens the window, and `msg_at`
+//! reads it from the lane, so no message divides by K.
 //! `K` is capped at [`MAX_LOOKAHEAD`]`= MAX_MESSAGE_LATENCY`, which
 //! keeps two invariants intact: no adjusted delay exceeds the
 //! protocol's existing latency ceiling (so the calendar ring horizon
@@ -62,6 +64,12 @@
 //! block is a pure function of the lane and the shared tick context,
 //! so the thread count only changes where work runs, never what it
 //! computes.
+//!
+//! A one-lane engine has no barrier: no other lane sends it mail, so
+//! it runs each tick as one block. Its windows still run in time order
+//! and `msg_at` still defers every message to its K-block end, so its
+//! trajectory is the one K-window blocks give at any lane count, even
+//! where a tick ends inside a block.
 //!
 //! [`EventRuntime::with_lookahead(K)`]: crate::EventRuntime::with_lookahead
 //! [`with_threads`]: crate::EventRuntime::with_threads
@@ -136,10 +144,14 @@
 //! engine is built, node `i` at row `i / shards`, and keeps it for the
 //! engine's life. Routing an event to its lane and row takes two
 //! multiplications by a reciprocal of the lane count that [`ShardMap`]
-//! computes once, not a division. Nothing else is cached per lane: the
+//! computes once, not a division, and a message's due time reads the
+//! window's block end from the lane, so scheduling an event divides by
+//! nothing. Apart from that block end, nothing is cached per lane: the
 //! option histogram and the bootstrapping gauge are counted from the
 //! tables once per tick. What a node has in flight costs 24 bytes per
-//! event in a calendar slot and 32 in a mailbox.
+//! event in a calendar slot and 32 in a mailbox; a handler stores
+//! those bytes straight from registers, since the routing path is
+//! forced inline (see `ShardLane::route`).
 
 use std::sync::Arc;
 
@@ -237,17 +249,6 @@ const _: () = assert!(std::mem::size_of::<Item<Event>>() == 24);
 #[inline]
 fn block_end_of(now: u64, lookahead: u64) -> u64 {
     (now / lookahead + 1) * lookahead
-}
-
-/// The time a message sent at `now` with `latency` is handled at its
-/// receiver: its link arrival, deferred to the sender's block boundary
-/// under lookahead (the identity when `lookahead == 1`, since
-/// `latency >= 1`), plus [`DELIVER_DELAY`]. Partition-independent —
-/// it applies whether or not the message crosses shards — which is
-/// what keeps trajectories byte-identical across shard counts.
-#[inline]
-fn msg_at(now: u64, latency: u64, ctx: &Ctx) -> u64 {
-    (now + latency).max(block_end_of(now, ctx.lookahead)) + DELIVER_DELAY
 }
 
 /// Resolves the `threads` knob: `0` means "ask the OS", anything else
@@ -444,6 +445,13 @@ impl<E> Calendar<E> {
     /// the queue (mixed-time buckets, misreported `next_time`), so the
     /// guard, one comparison against the slot's time, stays on in
     /// release builds.
+    //
+    // Forced inline so the engine's handlers store an entry straight
+    // from registers: out of line, the caller spills it field by field
+    // and this reloads it in wider words that cannot be forwarded from
+    // those stores, a stall on every scheduled event (see
+    // `ShardLane::route`).
+    #[inline(always)]
     pub fn push(&mut self, entry: Entry<E>) {
         let Entry {
             at,
@@ -865,6 +873,11 @@ struct ShardLane {
     inbox_at: u64,
     /// The current window in handling order.
     order: WindowOrder,
+    /// The unclipped end of the lookahead block holding the window
+    /// being handled, which [`msg_at`](ShardLane::msg_at) defers every
+    /// message to: set once per window, so no message divides by K.
+    /// 0, never a block end, between windows.
+    window_block_end: u64,
     /// This tick's counter contributions (summed across lanes).
     rm: RoundMetrics,
 }
@@ -884,6 +897,7 @@ impl ShardLane {
             inboxes: (0..lanes).map(|_| Vec::new()).collect(),
             inbox_at: u64::MAX,
             order: WindowOrder::default(),
+            window_block_end: 0,
             rm: RoundMetrics::default(),
         }
     }
@@ -896,6 +910,10 @@ impl ShardLane {
     /// Tags and routes an event produced by global node `src`: its own
     /// calendar when the target is local, the matching mailbox when it
     /// is not.
+    ///
+    /// Forced inline, like [`route`](ShardLane::route) and
+    /// [`Calendar::push`], for the reason `route` gives.
+    #[inline(always)]
     fn push_from(&mut self, src: u32, at: u64, ev: Event) {
         let seq = self.next_seq(src);
         self.route(Entry {
@@ -917,6 +935,19 @@ impl ShardLane {
     /// Routes an already tagged entry: to this lane's calendar when
     /// its target is local, else to the matching outbox, whose earliest
     /// due time it keeps.
+    ///
+    /// Forced inline, with [`push_from`](ShardLane::push_from) and
+    /// [`Calendar::push`], so an entry goes from the handler's registers
+    /// straight into its slot or outbox. Out of line, the handler
+    /// writes the entry to the stack field by field (a tag byte, `u32`s,
+    /// `u8`s) and the callee reloads it with 8- and 16-byte loads, which
+    /// the CPU cannot forward from the narrower pending stores: every
+    /// scheduled event stalls on its own stores. In a sampling profile
+    /// that reload was the hottest instruction of both the churning
+    /// 1e5-node fleet and a 256-node one-lane fleet, at about 8% of
+    /// samples each. A plain `#[inline]` hint left `route` out of line
+    /// and the stall in place.
+    #[inline(always)]
     fn route(&mut self, entry: Entry<Event>) {
         let shard = self.map.lane_of(event_target(&entry.payload));
         if shard == self.index {
@@ -951,6 +982,24 @@ impl ShardLane {
     fn pending(&self) -> usize {
         let mail = |boxes: &[Vec<Entry<Event>>]| boxes.iter().map(Vec::len).sum::<usize>();
         self.calendar.len() + mail(&self.outboxes) + mail(&self.inboxes)
+    }
+
+    /// The time a message sent at `now` with `latency` is handled at
+    /// its receiver: its link arrival, deferred to the end of the
+    /// sender's lookahead block (the identity when `lookahead == 1`,
+    /// since `latency >= 1`), plus [`DELIVER_DELAY`].
+    /// Partition-independent — it applies whether or not the message
+    /// crosses shards — which is what keeps trajectories byte-identical
+    /// across shard counts. Only a handler sends messages, so `now` is
+    /// the window being handled and the block end is the lane's.
+    #[inline]
+    fn msg_at(&self, now: u64, latency: u64, ctx: &Ctx) -> u64 {
+        debug_assert_eq!(
+            self.window_block_end,
+            block_end_of(now, ctx.lookahead),
+            "message sent outside the window being handled"
+        );
+        (now + latency).max(self.window_block_end) + DELIVER_DELAY
     }
 
     /// One latency draw from the sender's stream.
@@ -1068,7 +1117,8 @@ impl ShardLane {
             self.route(timeout);
             return;
         }
-        let at = msg_at(now, self.latency(local), ctx);
+        let latency = self.latency(local);
+        let at = self.msg_at(now, latency, ctx);
         let query = Event::QueryArrive {
             to: index_u32(peer),
             epoch,
@@ -1115,7 +1165,8 @@ impl ShardLane {
         if option == NO_CHOICE || self.link_drops(local, ctx) {
             return false;
         }
-        let at = msg_at(now, self.latency(local), ctx);
+        let latency = self.latency(local);
+        let at = self.msg_at(now, latency, ctx);
         let node = self.node(local);
         self.push_from(node, at, Event::ReplyArrive { node: from, option });
         true
@@ -1247,9 +1298,11 @@ impl ShardLane {
         let window = self.calendar.take_window(now);
         let mut buf = std::mem::take(&mut self.order);
         order_window(&window, self.map, self.nodes.len(), &mut buf);
+        self.window_block_end = block_end_of(now, ctx.lookahead);
         for &w in &buf.order {
             self.handle(window[(w & INDEX_MASK) as usize], now, ctx);
         }
+        self.window_block_end = 0;
         self.calendar.recycle_window(window);
         self.order = buf;
     }
@@ -1258,8 +1311,11 @@ impl ShardLane {
     /// every window in `[start, block_end)` this lane has events for,
     /// touching nothing outside the lane — the unit of work a worker
     /// thread executes between barriers. Sound because the `msg_at`
-    /// deferral guarantees no event produced inside the block (by any
-    /// lane) is due before `block_end`.
+    /// deferral guarantees no event another lane produces inside the
+    /// block is due before `block_end`. The lane's own events are
+    /// filed straight into its calendar, so the time-ordered walk finds
+    /// those due inside the block: that is how a one-lane engine runs
+    /// a whole tick as one block.
     fn run_block(&mut self, start: u64, block_end: u64, ctx: &Ctx) {
         self.take_inbound(start);
         let mut cursor = start;
@@ -1423,6 +1479,14 @@ impl ShardedEngine {
     /// not entries. Each lane files its own inbound mail at the start
     /// of its next block, on whichever thread runs it.
     fn run_block(&mut self, start: u64, block_end: u64, ctx: &Arc<Ctx>) {
+        // One lane sends no cross-lane mail and never fans out, so its
+        // block needs neither the estimate nor the barrier: the block
+        // may be a whole tick, up to `u64::MAX` for a quiesced one, and
+        // no per-slot walk may span it.
+        if let [lane] = &mut self.lanes[..] {
+            lane.run_block(start, block_end, ctx);
+            return;
+        }
         // The fan-out estimate counts calendars only: counting whole
         // inboxes as due would fan out blocks whose mail is mostly due
         // later, which costs small K = 1 fleets more than it saves.
@@ -1533,8 +1597,14 @@ impl ShardedEngine {
             }
             // A lookahead block never reaches past the tick boundary:
             // events due in the next epoch period belong to the next
-            // tick's metrics window.
-            let block_end = block_end_of(w, self.tuning.lookahead).min(end);
+            // tick's metrics window. One lane has no barrier to hold,
+            // so its block is the rest of the tick (see "Lookahead" in
+            // the module docs).
+            let block_end = if self.lanes.len() == 1 {
+                end
+            } else {
+                block_end_of(w, self.tuning.lookahead).min(end)
+            };
             self.run_block(w, block_end, &ctx);
             cursor = block_end;
         }
@@ -1905,6 +1975,9 @@ mod tests {
                     },
                 });
             } else {
+                // Sent from inside the window at `now`, as `run_window`
+                // opens it.
+                lanes[0].window_block_end = block_end_of(now, ctx.lookahead);
                 lanes[0].start_attempt(0, u32::from(attempt), now, &ctx);
                 for entry in std::mem::take(&mut lanes[0].outboxes[1]) {
                     lanes[1].calendar.push(entry);

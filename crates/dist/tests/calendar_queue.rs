@@ -201,11 +201,15 @@ proptest! {
 
     /// The headline engine guarantee: for any valid deployment — fault
     /// plan, staleness bound, seed — and any lookahead block width K in
-    /// {1, 2, 4}, the sharded scheduler produces byte-identical metrics
-    /// and distributions for shard counts {1, 2, 4, 8} crossed with
-    /// worker-thread counts {1, `test_threads()`}. (Different K values
-    /// are *different* trajectories by design; identity is over the
-    /// partition and the thread count, never the block width.)
+    /// {1, 2, 3, 4, `MAX_LOOKAHEAD`}, the sharded scheduler produces
+    /// byte-identical metrics and distributions for shard counts
+    /// {1, 2, 4, 8} crossed with worker-thread counts
+    /// {1, `test_threads()`}. (Different K values are *different*
+    /// trajectories by design; identity is over the partition and the
+    /// thread count, never the block width.) K = 3 and K = 8 do not
+    /// divide `ASYNC_EPOCH_PERIOD`, so an async tick there ends inside a
+    /// block: one lane runs each tick as one block, several lanes clip
+    /// their last block at the tick's end, and the two must agree.
     #[test]
     fn sharded_runs_are_identical_across_shard_counts(
         seed in any::<u64>(),
@@ -228,7 +232,7 @@ proptest! {
             4 => Some(StalenessBound::Unbounded),
             k => Some(StalenessBound::Epochs(k - 1)),
         };
-        for lookahead in [1u64, 2, 4] {
+        for lookahead in [1u64, 2, 3, 4, MAX_LOOKAHEAD] {
             let reference = run_observables(
                 params, n, faults.clone(), seed, bound,
                 1, lookahead, 1, ticks,
@@ -252,7 +256,8 @@ proptest! {
     /// Byte-identity survives active membership scripts: random
     /// join/leave/rejoin schedules land on every lane at window
     /// boundaries, and the results must still match across shard
-    /// counts {1, 2, 4} in both quiesced and async modes.
+    /// counts {1, 2, 4} in both quiesced and async modes, at lookahead
+    /// K in {1, 3, 4} (3 does not divide `ASYNC_EPOCH_PERIOD`).
     #[test]
     fn sharded_churn_runs_are_identical_across_shard_counts(
         seed in any::<u64>(),
@@ -268,7 +273,7 @@ proptest! {
         let params = Params::new(m, 0.7).expect("valid params");
         let plan = churn_plan(n, drop_prob, flash, &churn);
         let bound = (mode_sel > 0).then(|| StalenessBound::Epochs(mode_sel - 1));
-        for lookahead in [1u64, 4] {
+        for lookahead in [1u64, 3, 4] {
             let reference = run_observables(
                 params, n, plan.clone(), seed, bound,
                 1, lookahead, 1, ticks,

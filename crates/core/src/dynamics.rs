@@ -50,6 +50,46 @@ pub trait GroupDynamics {
     }
 }
 
+/// Forwards to `D`: a caller can lend a population to a driver that
+/// takes its dynamics by value (such as `sociolearn_sim::run_one`) and
+/// read the population's own state afterwards.
+impl<D: GroupDynamics + ?Sized> GroupDynamics for &mut D {
+    fn num_options(&self) -> usize {
+        (**self).num_options()
+    }
+
+    fn write_distribution(&self, out: &mut [f64]) {
+        (**self).write_distribution(out)
+    }
+
+    fn step(&mut self, rewards: &[bool], rng: &mut dyn RngCore) {
+        (**self).step(rewards, rng)
+    }
+
+    fn label(&self) -> &str {
+        (**self).label()
+    }
+}
+
+/// Forwards to `D`, so a boxed trait object runs as it is.
+impl<D: GroupDynamics + ?Sized> GroupDynamics for Box<D> {
+    fn num_options(&self) -> usize {
+        (**self).num_options()
+    }
+
+    fn write_distribution(&self, out: &mut [f64]) {
+        (**self).write_distribution(out)
+    }
+
+    fn step(&mut self, rewards: &[bool], rng: &mut dyn RngCore) {
+        (**self).step(rewards, rng)
+    }
+
+    fn label(&self) -> &str {
+        (**self).label()
+    }
+}
+
 /// Asserts the basic distribution invariants (non-negative, sums to 1
 /// within `tol`). Used by tests and debug assertions across the
 /// workspace.
@@ -99,6 +139,50 @@ mod tests {
         let mut rng = rand::rngs::mock::StepRng::new(0, 1);
         d.step(&[true, false], &mut rng);
         assert_eq!(d.num_options(), 2);
+    }
+
+    /// Counts its steps; its distribution moves with the count so a
+    /// forwarded `step` shows in the forwarded `write_distribution`.
+    struct Counter(u32);
+    impl GroupDynamics for Counter {
+        fn num_options(&self) -> usize {
+            3
+        }
+        fn write_distribution(&self, out: &mut [f64]) {
+            let moved = f64::from(self.0.min(2)) * 0.25;
+            out.copy_from_slice(&[0.5 - moved, 0.25, 0.25 + moved]);
+        }
+        fn step(&mut self, _rewards: &[bool], _rng: &mut dyn RngCore) {
+            self.0 += 1;
+        }
+        fn label(&self) -> &str {
+            "counter"
+        }
+    }
+
+    fn check_forwarding(d: &mut impl GroupDynamics) {
+        let mut rng = rand::rngs::mock::StepRng::new(0, 1);
+        assert_eq!(d.num_options(), 3);
+        assert_eq!(d.label(), "counter");
+        assert_eq!(d.distribution(), vec![0.5, 0.25, 0.25]);
+        d.step(&[true, false, false], &mut rng);
+        let mut out = [0.0; 3];
+        d.write_distribution(&mut out);
+        assert_eq!(out, [0.25, 0.25, 0.5]);
+    }
+
+    #[test]
+    fn mut_ref_forwards_everything() {
+        let mut c = Counter(0);
+        check_forwarding(&mut &mut c);
+        // The step landed on the lent population itself.
+        assert_eq!(c.0, 1);
+    }
+
+    #[test]
+    fn boxed_trait_object_forwards_everything() {
+        let mut d: Box<dyn GroupDynamics> = Box::new(Counter(0));
+        check_forwarding(&mut d);
     }
 
     #[test]

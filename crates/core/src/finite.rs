@@ -144,7 +144,7 @@ impl FinitePopulation {
     ///
     /// If nobody is committed (everyone sat out last step — an event of
     /// probability at most `(1 - (1-β)µ/m)^N`), the popularity term
-    /// falls back to uniform, as documented in DESIGN.md.
+    /// falls back to uniform.
     pub fn write_sampling_distribution(&self, out: &mut [f64]) {
         let m = self.params.num_options();
         assert_eq!(

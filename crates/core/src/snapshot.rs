@@ -1,9 +1,7 @@
 //! Trajectory recording: downsampled snapshots of the option
 //! distribution over a run.
 
-/// Records the option distribution every `stride` steps (plus step 0),
-/// tracking the minimum popularity along the way — the quantity the
-/// popularity-floor experiments monitor.
+/// Records the option distribution every `stride` steps (plus step 0).
 ///
 /// # Example
 ///
@@ -22,8 +20,6 @@ pub struct History {
     stride: u64,
     times: Vec<u64>,
     dists: Vec<Vec<f64>>,
-    min_popularity: f64,
-    min_popularity_step: u64,
 }
 
 impl History {
@@ -38,20 +34,12 @@ impl History {
             stride,
             times: Vec::new(),
             dists: Vec::new(),
-            min_popularity: f64::INFINITY,
-            min_popularity_step: 0,
         }
     }
 
     /// Offers a snapshot at step `t`; it is stored only if `t` is a
-    /// multiple of the stride, but the running minimum popularity is
-    /// updated regardless.
+    /// multiple of the stride.
     pub fn record(&mut self, t: u64, dist: &[f64]) {
-        let min = dist.iter().copied().fold(f64::INFINITY, f64::min);
-        if min < self.min_popularity {
-            self.min_popularity = min;
-            self.min_popularity_step = t;
-        }
         if t.is_multiple_of(self.stride) {
             self.times.push(t);
             self.dists.push(dist.to_vec());
@@ -88,12 +76,6 @@ impl History {
     pub fn series(&self, j: usize) -> Vec<f64> {
         self.dists.iter().map(|d| d[j]).collect()
     }
-
-    /// The smallest popularity seen at *any* offered step (not just
-    /// stored ones), with the step it occurred at.
-    pub fn min_popularity(&self) -> (f64, u64) {
-        (self.min_popularity, self.min_popularity_step)
-    }
 }
 
 #[cfg(test)]
@@ -109,18 +91,6 @@ mod tests {
         assert_eq!(h.times(), &[0, 3, 6, 9]);
         assert_eq!(h.len(), 4);
         assert!(!h.is_empty());
-    }
-
-    #[test]
-    fn min_tracks_all_steps() {
-        let mut h = History::new(100);
-        h.record(0, &[0.5, 0.5]);
-        h.record(7, &[0.99, 0.01]); // not stored, but min must see it
-        h.record(100, &[0.6, 0.4]);
-        let (min, at) = h.min_popularity();
-        assert_eq!(min, 0.01);
-        assert_eq!(at, 7);
-        assert_eq!(h.len(), 2);
     }
 
     #[test]

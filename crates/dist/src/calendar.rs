@@ -1491,9 +1491,6 @@ impl ShardedEngine {
         // inboxes as due would fan out blocks whose mail is mostly due
         // later, which costs small K = 1 fleets more than it saves.
         let due: usize = self.lanes.iter().map(|l| l.due_in(start, block_end)).sum();
-        if due == 0 && self.lanes.iter().all(|l| l.inbox_at >= block_end) {
-            return;
-        }
         let threads = self.tuning.threads;
         if threads > 1 && due >= self.tuning.parallel_threshold {
             let pool = Arc::clone(
@@ -2056,11 +2053,6 @@ mod tests {
         assert!(query.at > w + 1);
         assert_eq!(engine.lanes[1].inbox_at, query.at);
         assert_eq!(engine.lanes[0].inbox_at, u64::MAX);
-
-        // A block that ends before the query is skipped and leaves the
-        // mail where it is.
-        engine.run_block(w + 1, query.at, &ctx);
-        assert_eq!(engine.lanes[1].inbox_at, query.at);
 
         let (w, mail) = step(&mut engine, w + 1);
         assert_eq!(w, query.at);

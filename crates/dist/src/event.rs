@@ -1395,7 +1395,7 @@ mod tests {
     /// of its stripe's lane and moves no other: the partition stays,
     /// and the run replays the one-shard trajectory.
     #[test]
-    fn drift_within_the_rebalance_tolerance_keeps_the_partition() {
+    fn one_leave_takes_one_node_from_its_stripe() {
         let make = || gate_fleet(|plan| plan.leave(100, 3));
         let baseline = drive_tuned(make, 1, 4, 1, 8);
         let mut loads = Vec::new();
@@ -1413,7 +1413,7 @@ mod tests {
     /// loads stay equal while the region is gone and after it comes
     /// back, and the run replays the one-shard trajectory.
     #[test]
-    fn region_loss_that_empties_a_lane_rebalances() {
+    fn region_loss_keeps_striped_lanes_equal() {
         let make = || gate_fleet(|plan| plan.region_loss(0..512, 3, 6));
         let baseline = drive_tuned(make, 1, 4, 1, 8);
         let mut seen = Vec::new();

@@ -3,11 +3,9 @@
 //! step (the fact that makes the epoch restarts possible).
 
 use crate::{verdict, ExpContext, ExperimentReport};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
-use sociolearn_core::{BernoulliRewards, FinitePopulation, GroupDynamics, Params, RewardModel};
+use sociolearn_core::{BernoulliRewards, FinitePopulation, Params};
 use sociolearn_plot::{fmt_sig, CsvWriter, MarkdownTable, Series, SvgPlot};
-use sociolearn_sim::{replicate, SeedTree};
+use sociolearn_sim::{replicate, run_observed, RunConfig, SeedTree};
 use sociolearn_stats::BinomialTest;
 
 pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
@@ -19,6 +17,7 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
     let horizon = ctx.pick(500u64, 2_000);
     let reps = ctx.pick(8u64, 16);
     let tree = SeedTree::new(ctx.seed);
+    let cfg = RunConfig::new(horizon);
 
     let mut table = MarkdownTable::new(&[
         "m",
@@ -39,16 +38,13 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
 
         let per_rep: Vec<(u64, Vec<f64>)> =
             replicate(reps, tree.subtree(i as u64).root(), |seed| {
-                let mut rng = SmallRng::seed_from_u64(seed);
-                let mut pop = FinitePopulation::new(params, n);
-                let mut env = env.clone();
-                let mut rewards = vec![false; m];
                 let mut violations = 0u64;
                 let mut min_curve = Vec::new();
-                for t in 1..=horizon {
-                    env.sample(t, &mut rng, &mut rewards);
-                    pop.step(&rewards, &mut rng);
-                    let q = pop.distribution();
+                let pop = FinitePopulation::new(params, n);
+                run_observed(pop, env.clone(), &cfg, seed, |t, q| {
+                    if t == 0 {
+                        return;
+                    }
                     let min = q.iter().copied().fold(f64::INFINITY, f64::min);
                     if min < zeta {
                         violations += 1;
@@ -56,7 +52,7 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
                     if t % (horizon / 100).max(1) == 0 {
                         min_curve.push(min);
                     }
-                }
+                });
                 (violations, min_curve)
             });
 

@@ -99,20 +99,6 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
     let mut hedge_final = f64::NAN;
     let mut uniform_final = f64::NAN;
 
-    // A wrapper making Box<dyn GroupDynamics> usable by run_one.
-    struct Boxed(Box<dyn GroupDynamics>);
-    impl GroupDynamics for Boxed {
-        fn num_options(&self) -> usize {
-            self.0.num_options()
-        }
-        fn write_distribution(&self, out: &mut [f64]) {
-            self.0.write_distribution(out)
-        }
-        fn step(&mut self, rewards: &[bool], rng: &mut dyn rand::RngCore) {
-            self.0.step(rewards, rng)
-        }
-    }
-
     for (a, (label, factory)) in algorithms.iter().enumerate() {
         let mut cells = vec![label.to_string()];
         let mut fig_pts = Vec::new();
@@ -120,8 +106,7 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
             let cfg = RunConfig::new(t);
             let sub = tree.subtree((a * horizons.len() + h) as u64);
             let finals = replicate(reps, sub.root(), |seed| {
-                let dynamics = Boxed(factory(t));
-                run_one(dynamics, env.clone(), &cfg, seed)
+                run_one(factory(t), env.clone(), &cfg, seed)
                     .tracker
                     .average_regret()
             });

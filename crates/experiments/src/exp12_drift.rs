@@ -3,12 +3,10 @@
 //! abandon the stale consensus and re-converge.
 
 use crate::{ExpContext, ExperimentReport};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
-use sociolearn_core::{FinitePopulation, GroupDynamics, Params, RewardModel};
+use sociolearn_core::{FinitePopulation, Params};
 use sociolearn_env::swap_best;
 use sociolearn_plot::{fmt_sig, CsvWriter, MarkdownTable, Series, SvgPlot};
-use sociolearn_sim::{replicate, SeedTree};
+use sociolearn_sim::{replicate, run_observed, RunConfig, SeedTree};
 use sociolearn_stats::Summary;
 
 pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
@@ -20,6 +18,7 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
     let mus: Vec<f64> = ctx.pick(vec![0.01, 0.1], vec![0.002, 0.01, 0.027, 0.1, 0.25]);
     let reps = ctx.pick(8u64, 24);
     let tree = SeedTree::new(ctx.seed);
+    let cfg = RunConfig::new(horizon);
 
     let mut table = MarkdownTable::new(&[
         "mu",
@@ -35,18 +34,16 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
         let params = Params::with_all(m, 0.65, 0.35, mu).expect("valid params");
         let outcomes: Vec<(f64, f64, f64, Vec<f64>)> =
             replicate(reps, tree.subtree(i as u64).root(), |seed| {
-                let mut rng = SmallRng::seed_from_u64(seed);
-                let mut env = swap_best(etas.clone(), swap_at, 1).expect("valid schedule");
-                let mut pop = FinitePopulation::new(params, n);
-                let mut rewards = vec![false; m];
+                let env = swap_best(etas.clone(), swap_at, 1).expect("valid schedule");
+                let pop = FinitePopulation::new(params, n);
                 let mut share_before = 0.0;
                 let mut recovery: Option<u64> = None;
                 let mut share_end = 0.0;
                 let mut traj = Vec::new();
-                for t in 1..=horizon {
-                    env.sample(t, &mut rng, &mut rewards);
-                    pop.step(&rewards, &mut rng);
-                    let q = pop.distribution();
+                run_observed(pop, env, &cfg, seed, |t, q| {
+                    if t == 0 {
+                        return;
+                    }
                     if t % (horizon / 100).max(1) == 0 {
                         traj.push(q[1]); // share of the *post-swap* best
                     }
@@ -59,7 +56,7 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
                     if t == horizon {
                         share_end = q[1];
                     }
-                }
+                });
                 (
                     share_before,
                     recovery.map_or(horizon as f64, |r| r as f64),

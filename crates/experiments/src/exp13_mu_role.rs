@@ -5,11 +5,9 @@
 //! regret.
 
 use crate::{ExpContext, ExperimentReport};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
-use sociolearn_core::{BernoulliRewards, FinitePopulation, GroupDynamics, Params, RewardModel};
+use sociolearn_core::{BernoulliRewards, FinitePopulation, Params};
 use sociolearn_plot::{fmt_sig, CsvWriter, MarkdownTable, Series, SvgPlot};
-use sociolearn_sim::{replicate, SeedTree};
+use sociolearn_sim::{replicate, run_observed, RunConfig, SeedTree};
 use sociolearn_stats::Summary;
 
 pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
@@ -26,6 +24,7 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
     );
     let reps = ctx.pick(48u64, 96);
     let tree = SeedTree::new(ctx.seed);
+    let cfg = RunConfig::new(horizon);
 
     let mut table = MarkdownTable::new(&[
         "mu",
@@ -40,27 +39,20 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
         let params = Params::with_all(m, 0.65, 0.35, mu).expect("valid params");
         let outcomes: Vec<(bool, f64, f64)> =
             replicate(reps, tree.subtree(i as u64).root(), |seed| {
-                let mut rng = SmallRng::seed_from_u64(seed);
-                let mut env = env.clone();
                 let mut pop = FinitePopulation::new(params, n);
-                let mut rewards = vec![false; m];
-                let mut extinct_at_end = false;
                 let mut share_sum = 0.0;
                 let mut reward_sum = 0.0;
-                for t in 1..=horizon {
-                    let q = pop.distribution();
-                    share_sum += q[0];
-                    reward_sum += q[0] * etas[0] + q[1] * etas[1];
-                    env.sample(t, &mut rng, &mut rewards);
-                    pop.step(&rewards, &mut rng);
-                    if t == horizon {
-                        // With mu = 0 a zero count is absorbing; report
-                        // whether the best option died.
-                        extinct_at_end = pop.counts()[0] == 0;
+                // Sums the shares each step starts from, `Q^0..Q^{T-1}`.
+                run_observed(&mut pop, env.clone(), &cfg, seed, |t, q| {
+                    if t < horizon {
+                        share_sum += q[0];
+                        reward_sum += q[0] * etas[0] + q[1] * etas[1];
                     }
-                }
+                });
                 (
-                    extinct_at_end,
+                    // With mu = 0 a zero count is absorbing; report
+                    // whether the best option died.
+                    pop.counts()[0] == 0,
                     share_sum / horizon as f64,
                     etas[0] - reward_sum / horizon as f64,
                 )

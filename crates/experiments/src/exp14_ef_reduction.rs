@@ -6,10 +6,10 @@
 use crate::{verdict, ExpContext, ExperimentReport};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use sociolearn_core::{FinitePopulation, GroupDynamics, Params, RewardModel};
+use sociolearn_core::{FinitePopulation, Params};
 use sociolearn_env::{BestOfTwoRewards, DuelPopulation, ShockDuel};
 use sociolearn_plot::{fmt_sig, CsvWriter, MarkdownTable};
-use sociolearn_sim::{replicate, SeedTree};
+use sociolearn_sim::{replicate, run_observed, RunConfig, SeedTree};
 use sociolearn_stats::{ks_two_sample, Summary};
 
 pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
@@ -23,6 +23,7 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
     let reps = ctx.pick(16u64, 48);
     let mc_samples = ctx.pick(50_000u32, 400_000);
     let tree = SeedTree::new(ctx.seed);
+    let cfg = RunConfig::new(horizon);
 
     let mut table = MarkdownTable::new(&[
         "p (=eta1)",
@@ -74,22 +75,17 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
         let params = Params::with_all(2, beta_cf, 1.0 - beta_cf, mu).expect("valid params");
         let reduced_outcomes: Vec<(f64, f64)> =
             replicate(reps, tree.subtree(i as u64).child(2), |seed| {
-                let mut rng = SmallRng::seed_from_u64(seed);
-                let mut env = BestOfTwoRewards::new(p).expect("valid env");
-                let mut pop = FinitePopulation::new(params, n);
-                let mut rewards = vec![false; 2];
+                let env = BestOfTwoRewards::new(p).expect("valid env");
+                let pop = FinitePopulation::new(params, n);
                 let mut sum = 0.0;
                 let tail = horizon / 2;
                 let mut final_share = 0.0;
-                for t in 1..=horizon {
-                    env.sample(t, &mut rng, &mut rewards);
-                    pop.step(&rewards, &mut rng);
-                    let q = pop.distribution();
+                run_observed(pop, env, &cfg, seed, |t, q| {
                     if t > horizon - tail {
                         sum += q[0];
                     }
                     final_share = q[0];
-                }
+                });
                 (sum / tail as f64, final_share)
             });
 

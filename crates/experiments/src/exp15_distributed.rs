@@ -7,7 +7,7 @@
 //! overlapping-epoch mode — are driven through the shared
 //! [`ProtocolRuntime`] surface and measured side by side.
 
-use crate::{verdict, ExpContext, ExperimentReport};
+use crate::{column_means, verdict, ExpContext, ExperimentReport};
 use sociolearn_core::{BernoulliRewards, FinitePopulation, Params};
 use sociolearn_dist::{
     DistConfig, EventRuntime, FaultPlan, ProtocolRuntime, Runtime, StalenessBound, NODE_STATE_BYTES,
@@ -17,57 +17,32 @@ use sociolearn_sim::{replicate, run_one, RunConfig, SeedTree};
 use sociolearn_stats::Summary;
 
 /// Mean (regret, best-option share, msgs/round, fallbacks/round) of a
-/// fleet built by `make` over `reps` replications — the one code path
-/// both runtimes are measured through. The snapshot/sample/step/record
-/// ordering stays in lockstep with `sociolearn_sim::run_one`, or E15's
-/// regret becomes incomparable with the other experiments (run_one
-/// can't be reused here: it consumes the dynamics, and the message
-/// metrics live on the runtime).
+/// fleet built by `make` over `reps` replications, each lent to
+/// [`run_one`] so its regret is accounted exactly as the in-memory
+/// dynamics' are.
 fn measure_fleet<Rt: ProtocolRuntime>(
     make: impl Fn(u64) -> Rt + Sync,
     env: &BernoulliRewards,
-    m: usize,
     horizon: u64,
     reps: u64,
     seed: u64,
-) -> (f64, f64, f64, f64) {
-    use sociolearn_core::{RegretTracker, RewardModel};
-    let outcomes: Vec<(f64, f64, f64, f64)> = replicate(reps, seed, |seed| {
+) -> [f64; 4] {
+    let cfg = RunConfig::new(horizon);
+    let outcomes = replicate(reps, seed, |seed| {
         // The runtime seed is salted: both runtimes ignore the caller
         // RNG, so an unsalted seed would make the protocol's internal
-        // stream bit-identical to the reward stream below.
+        // stream bit-identical to the reward stream.
         let mut net = make(seed ^ 0xD157_5EED);
-        let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(seed);
-        let mut env2 = env.clone();
-        let best_index = env2.best_index().unwrap_or(0);
-        let best_quality = env2.best_quality().unwrap_or(1.0).clamp(0.0, 1.0);
-        let mut tracker = RegretTracker::new(best_quality, best_index);
-        let mut rewards = vec![false; m];
-        let mut before = vec![0.0; m];
-        for t in 1..=horizon {
-            net.write_distribution(&mut before);
-            env2.sample(t, &mut rng, &mut rewards);
-            net.round(&rewards);
-            tracker.record(&before, &rewards, env2.qualities().as_deref());
-        }
+        let tracker = run_one(&mut net, env.clone(), &cfg, seed).tracker;
         let metrics = net.metrics();
-        (
+        [
             tracker.average_regret(),
             tracker.average_best_share(),
             metrics.messages_per_round(),
             metrics.fallbacks as f64 / metrics.rounds as f64,
-        )
+        ]
     });
-    let mean = |k: usize| {
-        Summary::from_slice(
-            &outcomes
-                .iter()
-                .map(|o| [o.0, o.1, o.2, o.3][k])
-                .collect::<Vec<_>>(),
-        )
-        .mean()
-    };
-    (mean(0), mean(1), mean(2), mean(3))
+    column_means(&outcomes)
 }
 
 pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
@@ -118,18 +93,10 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
         let seed = tree.subtree(10 + 200 * runtime_idx as u64 + salt).root();
         let cfg = DistConfig::new(params, n).with_faults(fault);
         match runtime_idx {
-            0 => measure_fleet(
-                |s| Runtime::new(cfg.clone(), s),
-                &env,
-                m,
-                horizon,
-                reps,
-                seed,
-            ),
+            0 => measure_fleet(|s| Runtime::new(cfg.clone(), s), &env, horizon, reps, seed),
             1 => measure_fleet(
                 |s| EventRuntime::new(cfg.clone(), s),
                 &env,
-                m,
                 horizon,
                 reps,
                 seed,
@@ -137,7 +104,6 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
             _ => measure_fleet(
                 |s| EventRuntime::new(cfg.clone(), s).with_async_epochs(StalenessBound::Unbounded),
                 &env,
-                m,
                 horizon,
                 reps,
                 seed,
@@ -162,7 +128,7 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
             } else {
                 FaultPlan::with_drop_prob(drop).expect("valid drop rate")
             };
-            let (regret, share, msgs, fallbacks) = run_condition(runtime_idx, fault, i as u64);
+            let [regret, share, msgs, fallbacks] = run_condition(runtime_idx, fault, i as u64);
             let ok = if drop == 0.0 {
                 clean_regret[runtime_idx] = regret;
                 // Clean network must match the in-memory dynamics
@@ -194,7 +160,7 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
             ]);
         }
 
-        let (regret, share, msgs, fallbacks) = run_condition(runtime_idx, crash_fault.clone(), 100);
+        let [regret, share, msgs, fallbacks] = run_condition(runtime_idx, crash_fault.clone(), 100);
         let crash_ok = share > 0.6;
         all_ok &= crash_ok;
         table.add_row(&[

@@ -6,71 +6,11 @@
 //! against the staleness bound and the message-loss rate, with the
 //! round-synchronous runtime as the reference curve.
 
-use crate::{verdict, ExpContext, ExperimentReport};
-use sociolearn_core::{BernoulliRewards, Params, RewardModel};
-use sociolearn_dist::{
-    DistConfig, EventRuntime, FaultPlan, ProtocolRuntime, Runtime, StalenessBound,
-};
+use crate::{converge_stats, verdict, ExpContext, ExperimentReport, CONVERGED_SHARE};
+use sociolearn_core::{BernoulliRewards, Params};
+use sociolearn_dist::{DistConfig, EventRuntime, FaultPlan, Runtime, StalenessBound};
 use sociolearn_plot::{fmt_sig, CsvWriter, MarkdownTable, Series, SvgPlot};
-use sociolearn_sim::{replicate, SeedTree};
-use sociolearn_stats::Summary;
-
-/// The best-option share a fleet must reach to count as converged.
-const CONVERGED_SHARE: f64 = 0.75;
-
-/// Drives one fleet to the convergence threshold, returning per-rep
-/// means of (rounds to threshold — censored at `horizon` when never
-/// reached, share over the back half of the run, stale replies per
-/// round). One code path measures every execution model, through the
-/// shared [`ProtocolRuntime`] surface.
-fn converge_stats<Rt: ProtocolRuntime>(
-    make: impl Fn(u64) -> Rt + Sync,
-    env: &BernoulliRewards,
-    m: usize,
-    horizon: u64,
-    reps: u64,
-    seed: u64,
-) -> (f64, f64, f64) {
-    let outcomes: Vec<(f64, f64, f64)> = replicate(reps, seed, |seed| {
-        // Salted like E15: the runtimes ignore the caller RNG, so an
-        // unsalted seed would alias the protocol stream with the
-        // reward stream below.
-        let mut net = make(seed ^ 0xD157_5EED);
-        let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(seed);
-        let mut env2 = env.clone();
-        let mut rewards = vec![false; m];
-        let mut dist = vec![0.0; m];
-        let mut first_hit: Option<u64> = None;
-        let mut tail_share = 0.0;
-        for t in 1..=horizon {
-            env2.sample(t, &mut rng, &mut rewards);
-            net.round(&rewards);
-            net.write_distribution(&mut dist);
-            if first_hit.is_none() && dist[0] >= CONVERGED_SHARE {
-                first_hit = Some(t);
-            }
-            if t > horizon / 2 {
-                tail_share += dist[0];
-            }
-        }
-        let metrics = net.metrics();
-        (
-            first_hit.unwrap_or(horizon) as f64,
-            tail_share / (horizon - horizon / 2) as f64,
-            metrics.stale_replies as f64 / metrics.rounds as f64,
-        )
-    });
-    let mean = |k: usize| {
-        Summary::from_slice(
-            &outcomes
-                .iter()
-                .map(|o| [o.0, o.1, o.2][k])
-                .collect::<Vec<_>>(),
-        )
-        .mean()
-    };
-    (mean(0), mean(1), mean(2))
-}
+use sociolearn_sim::SeedTree;
 
 pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
     let m = 2;
@@ -129,13 +69,14 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
         // deployment (same N, same fault plan).
         let sync_seed = tree.subtree(1_000 + drop_pct as u64).root();
         let sync_cfg = cfg.clone();
-        let (sync_time, sync_share, _) = converge_stats(
+        let [sync_time, sync_share, _] = converge_stats(
             |s| Runtime::new(sync_cfg.clone(), s),
             &env,
-            m,
+            0,
             horizon,
             reps,
             sync_seed,
+            |metrics| metrics.stale_replies,
         );
         let sync_ok = sync_share > 0.55;
         all_ok &= sync_ok;
@@ -163,13 +104,14 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
             let sb = bound.map_or(StalenessBound::Unbounded, StalenessBound::Epochs);
             let seed = tree.subtree(10 + 100 * drop_pct as u64 + bi as u64).root();
             let async_cfg = cfg.clone();
-            let (time, share, stale) = converge_stats(
+            let [time, share, stale] = converge_stats(
                 |s| EventRuntime::new(async_cfg.clone(), s).with_async_epochs(sb),
                 &env,
-                m,
+                0,
                 horizon,
                 reps,
                 seed,
+                |metrics| metrics.stale_replies,
             );
             // The fleet must keep learning under every bound × loss
             // condition; a clean network must also stay within a small

@@ -9,17 +9,13 @@
 //! cohort's tail share against churn scenario × message loss ×
 //! execution model.
 
-use crate::{verdict, ExpContext, ExperimentReport};
-use sociolearn_core::{BernoulliRewards, Params, RewardModel};
+use crate::{converge_stats, verdict, ExpContext, ExperimentReport, CONVERGED_SHARE};
+use sociolearn_core::{BernoulliRewards, Params};
 use sociolearn_dist::{
-    DistConfig, EventRuntime, FaultPlan, ProtocolRuntime, Runtime, SchedulerKind, StalenessBound,
+    DistConfig, EventRuntime, FaultPlan, Metrics, Runtime, SchedulerKind, StalenessBound,
 };
 use sociolearn_plot::{fmt_sig, CsvWriter, MarkdownTable, Series, SvgPlot};
-use sociolearn_sim::{replicate, SeedTree};
-use sociolearn_stats::Summary;
-
-/// The best-option share a fleet must reach to count as converged.
-const CONVERGED_SHARE: f64 = 0.75;
+use sociolearn_sim::SeedTree;
 
 /// A membership scenario: how to extend a base fault plan, and the
 /// first round at which the script has fully quiesced (every scheduled
@@ -67,60 +63,9 @@ fn scenarios(n: usize, quick: bool) -> Vec<Scenario> {
     out
 }
 
-/// Drives one fleet through the scenario, returning per-rep means of
-/// (rounds from `resume` to the convergence threshold — censored at
-/// `horizon` when never reached, share over the back half of the run,
-/// membership events per round). One code path measures every
-/// execution model through the shared [`ProtocolRuntime`] surface.
-fn reconverge_stats<Rt: ProtocolRuntime>(
-    make: impl Fn(u64) -> Rt + Sync,
-    env: &BernoulliRewards,
-    m: usize,
-    resume: u64,
-    horizon: u64,
-    reps: u64,
-    seed: u64,
-) -> (f64, f64, f64) {
-    let outcomes: Vec<(f64, f64, f64)> = replicate(reps, seed, |seed| {
-        // Salted like E15/E17: the runtimes ignore the caller RNG, so
-        // an unsalted seed would alias the protocol stream with the
-        // reward stream below.
-        let mut net = make(seed ^ 0xD157_5EED);
-        let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(seed);
-        let mut env2 = env.clone();
-        let mut rewards = vec![false; m];
-        let mut dist = vec![0.0; m];
-        let mut first_hit: Option<u64> = None;
-        let mut tail_share = 0.0;
-        for t in 1..=horizon {
-            env2.sample(t, &mut rng, &mut rewards);
-            net.round(&rewards);
-            net.write_distribution(&mut dist);
-            if t >= resume && first_hit.is_none() && dist[0] >= CONVERGED_SHARE {
-                first_hit = Some(t);
-            }
-            if t > horizon / 2 {
-                tail_share += dist[0];
-            }
-        }
-        let metrics = net.metrics();
-        let churn_events = metrics.joins + metrics.leaves + metrics.rejoins;
-        (
-            (first_hit.unwrap_or(horizon).saturating_sub(resume)) as f64,
-            tail_share / (horizon - horizon / 2) as f64,
-            churn_events as f64 / metrics.rounds as f64,
-        )
-    });
-    let mean = |k: usize| {
-        Summary::from_slice(
-            &outcomes
-                .iter()
-                .map(|o| [o.0, o.1, o.2][k])
-                .collect::<Vec<_>>(),
-        )
-        .mean()
-    };
-    (mean(0), mean(1), mean(2))
+/// Membership events a fleet saw: every join, leave and rejoin.
+fn churn_events(metrics: &Metrics) -> u64 {
+    metrics.joins + metrics.leaves + metrics.rejoins
 }
 
 pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
@@ -175,55 +120,55 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
             // The three execution models on the identical deployment:
             // round-synchronous, event-driven quiesced on four
             // calendar shards, and fully-async on the default one.
-            let mut rows: Vec<(&str, (f64, f64, f64))> = Vec::new();
+            let mut rows: Vec<(&str, [f64; 3])> = Vec::new();
             let salt = 100 * drop_pct as u64 + 10 * si as u64;
             let sync_cfg = cfg.clone();
             rows.push((
                 "round-sync",
-                reconverge_stats(
+                converge_stats(
                     |s| Runtime::new(sync_cfg.clone(), s),
                     &env,
-                    m,
                     scen.resume,
                     horizon,
                     reps,
                     tree.subtree(1_000 + salt).root(),
+                    churn_events,
                 ),
             ));
             let sharded_cfg = cfg.clone();
             rows.push((
                 "event ×4 shards",
-                reconverge_stats(
+                converge_stats(
                     |s| {
                         EventRuntime::new(sharded_cfg.clone(), s)
                             .with_scheduler(SchedulerKind::ShardedCalendar { shards: 4 })
                     },
                     &env,
-                    m,
                     scen.resume,
                     horizon,
                     reps,
                     tree.subtree(2_000 + salt).root(),
+                    churn_events,
                 ),
             ));
             let async_cfg = cfg.clone();
             rows.push((
                 "fully-async",
-                reconverge_stats(
+                converge_stats(
                     |s| {
                         EventRuntime::new(async_cfg.clone(), s)
                             .with_async_epochs(StalenessBound::Epochs(2))
                     },
                     &env,
-                    m,
                     scen.resume,
                     horizon,
                     reps,
                     tree.subtree(3_000 + salt).root(),
+                    churn_events,
                 ),
             ));
 
-            for (mi, (exec, (time, share, churn))) in rows.into_iter().enumerate() {
+            for (mi, (exec, [time, share, churn])) in rows.into_iter().enumerate() {
                 // Every scenario × loss × model must keep learning;
                 // on a clean network the fleet must actually cross
                 // the threshold after the script quiesces, and the

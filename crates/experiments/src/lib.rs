@@ -2,9 +2,9 @@
 //!
 //! The reproduction suite: every theorem, lemma, proposition, ablation
 //! claim and future-work direction in the paper becomes a numbered
-//! experiment that regenerates the corresponding table/figure. See
-//! `DESIGN.md` §4 for the experiment ↔ claim index and
-//! `EXPERIMENTS.md` for recorded results.
+//! experiment that regenerates the corresponding table/figure. The
+//! README's "The E1–E19 reproduction suite" indexes experiments by
+//! claim, and `list` prints the same index.
 //!
 //! Run from the workspace root:
 //!
@@ -47,6 +47,10 @@ mod exp17_async_staleness;
 mod exp19_churn;
 pub mod watch;
 
+use sociolearn_core::BernoulliRewards;
+use sociolearn_dist::{Metrics, ProtocolRuntime};
+use sociolearn_sim::{replicate, run_observed, RunConfig};
+use sociolearn_stats::Summary;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -287,6 +291,58 @@ pub(crate) fn pm(mean: f64, half: f64) -> String {
         sociolearn_plot::fmt_sig(mean, 4),
         sociolearn_plot::fmt_sig(half, 2)
     )
+}
+
+/// Per-column means of per-replication outcome rows.
+pub(crate) fn column_means<const K: usize>(rows: &[[f64; K]]) -> [f64; K] {
+    std::array::from_fn(|k| {
+        Summary::from_slice(&rows.iter().map(|r| r[k]).collect::<Vec<_>>()).mean()
+    })
+}
+
+/// The best-option share a fleet must reach to count as converged.
+pub(crate) const CONVERGED_SHARE: f64 = 0.75;
+
+/// Drives `reps` fleets built by `make` through [`run_observed`] and
+/// returns per-rep means of (rounds from `resume` to the first round at
+/// or after it with best-option share ≥ [`CONVERGED_SHARE`] — censored
+/// at `horizon` when never reached, share over the back half of the
+/// run, `count` of the fleet's metrics per round). One code path
+/// measures every execution model through the shared
+/// [`ProtocolRuntime`] surface (E17 and E19).
+pub(crate) fn converge_stats<Rt: ProtocolRuntime>(
+    make: impl Fn(u64) -> Rt + Sync,
+    env: &BernoulliRewards,
+    resume: u64,
+    horizon: u64,
+    reps: u64,
+    seed: u64,
+    count: impl Fn(&Metrics) -> u64 + Sync,
+) -> [f64; 3] {
+    let cfg = RunConfig::new(horizon);
+    let outcomes = replicate(reps, seed, |seed| {
+        // The runtime seed is salted: the runtimes ignore the caller
+        // RNG, so an unsalted seed would alias the protocol stream with
+        // the reward stream.
+        let mut net = make(seed ^ 0xD157_5EED);
+        let mut first_hit: Option<u64> = None;
+        let mut tail_share = 0.0;
+        run_observed(&mut net, env.clone(), &cfg, seed, |t, dist| {
+            if t >= resume.max(1) && first_hit.is_none() && dist[0] >= CONVERGED_SHARE {
+                first_hit = Some(t);
+            }
+            if t > horizon / 2 {
+                tail_share += dist[0];
+            }
+        });
+        let metrics = net.metrics();
+        [
+            first_hit.unwrap_or(horizon).saturating_sub(resume) as f64,
+            tail_share / (horizon - horizon / 2) as f64,
+            count(&metrics) as f64 / metrics.rounds as f64,
+        ]
+    });
+    column_means(&outcomes)
 }
 
 #[cfg(test)]

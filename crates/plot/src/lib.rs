@@ -7,7 +7,8 @@
 //! * [`AsciiChart`] — multi-series line charts for terminal output,
 //! * [`SvgPlot`] — standalone SVG figures (axes, ticks, legends),
 //! * [`CsvWriter`] — raw data series for external tooling,
-//! * [`MarkdownTable`] — the tables embedded in `EXPERIMENTS.md`,
+//! * [`MarkdownTable`] — the tables in each experiment's report
+//!   under `results/`,
 //! * [`telemetry`] — live-fleet dashboards: [`SampleRing`] windows in
 //!   a [`SeriesRegistry`], rendered incrementally by [`LiveTerm`]
 //!   (ANSI in-place redraw) and [`LiveSvg`] (self-contained SVG

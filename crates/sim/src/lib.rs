@@ -5,8 +5,17 @@
 //! of regret/share curves with confidence intervals.
 //!
 //! Everything in the reproduction suite is driven from explicit `u64`
-//! seeds through [`SeedTree`], so every number in `EXPERIMENTS.md` is
-//! reproducible from the seed printed next to it.
+//! seeds through [`SeedTree`], so every number the suite writes to
+//! `results/` is reproducible from the seed printed next to it.
+//!
+//! [`run_one`] is the suite's one replication loop: observe the
+//! popularity `Q^t`, draw the signals `R^{t+1}`, step, and account
+//! regret. [`run_observed`] is the same loop with a callback that sees
+//! the distribution after every step, for measurements the
+//! [`Replication`] does not keep (first threshold crossings, tail
+//! shares, per-step minima). Both take the dynamics by value, and
+//! `&mut D` and `Box<dyn GroupDynamics>` are dynamics too, so a caller
+//! can lend a runtime to the loop and read its own counters afterwards.
 //!
 //! # Example
 //!
@@ -41,6 +50,6 @@ mod sweep;
 pub use measure::{aggregate_curves, final_values, AggregatedCurve, CurvePoints};
 pub use parallel::{parallel_map, replicate};
 pub use pool::WorkerPool;
-pub use runner::{run_one, Replication, RunConfig};
+pub use runner::{run_observed, run_one, Replication, RunConfig};
 pub use seeds::{SeedTree, SplitMix64};
 pub use sweep::{grid2, grid3};

@@ -67,11 +67,39 @@ pub struct Replication {
 /// benchmark of the realized best-option frequency — callers that
 /// care should compute their own benchmark.
 ///
+/// To lend a population and read its state afterwards, pass
+/// `&mut population`; to watch every step, use [`run_observed`].
+///
 /// # Panics
 ///
 /// Panics if the dynamics and environment disagree on the number of
 /// options.
-pub fn run_one<D, M>(mut dynamics: D, mut env: M, cfg: &RunConfig, seed: u64) -> Replication
+pub fn run_one<D, M>(dynamics: D, env: M, cfg: &RunConfig, seed: u64) -> Replication
+where
+    D: GroupDynamics,
+    M: RewardModel,
+{
+    run_observed(dynamics, env, cfg, seed, |_, _| {})
+}
+
+/// [`run_one`], calling `observe(t, dist)` with the distribution after
+/// every step `t` (`t = 0` is the start, before any step).
+///
+/// The observer sees each step's distribution whether or not the step
+/// is recorded, and draws nothing: the run consumes exactly the random
+/// numbers [`run_one`] does, so both return equal replications.
+///
+/// # Panics
+///
+/// Panics if the dynamics and environment disagree on the number of
+/// options.
+pub fn run_observed<D, M>(
+    mut dynamics: D,
+    mut env: M,
+    cfg: &RunConfig,
+    seed: u64,
+    mut observe: impl FnMut(u64, &[f64]),
+) -> Replication
 where
     D: GroupDynamics,
     M: RewardModel,
@@ -91,23 +119,25 @@ where
     let mut best_share_curve = RegretCurve::new();
     let mut history = History::new(cfg.record_stride);
 
-    let mut before = vec![0.0; m];
+    // `dist` holds `Q^{t-1}` going into step `t` and `Q^t` after it.
+    let mut dist = vec![0.0; m];
     let mut rewards = vec![false; m];
-    dynamics.write_distribution(&mut before);
-    history.record(0, &before);
+    dynamics.write_distribution(&mut dist);
+    history.record(0, &dist);
+    observe(0, &dist);
 
     for t in 1..=cfg.horizon {
-        dynamics.write_distribution(&mut before);
         env.sample(t, &mut rng, &mut rewards);
         dynamics.step(&rewards, &mut rng);
         let qualities = env.qualities();
-        tracker.record(&before, &rewards, qualities.as_deref());
+        tracker.record(&dist, &rewards, qualities.as_deref());
+        dynamics.write_distribution(&mut dist);
         if t % cfg.record_stride == 0 || t == cfg.horizon {
             curve.push(t, tracker.average_regret());
             best_share_curve.push(t, tracker.average_best_share());
-            dynamics.write_distribution(&mut before);
-            history.record(t, &before);
+            history.record(t, &dist);
         }
+        observe(t, &dist);
     }
 
     Replication {
@@ -201,6 +231,66 @@ mod tests {
             rep.tracker.average_regret(),
             p.regret_bound_infinite()
         );
+    }
+
+    #[test]
+    fn observer_sees_every_step_in_order() {
+        let cfg = RunConfig::new(30).with_stride(7);
+        let mut seen = Vec::new();
+        let rep = run_observed(
+            FinitePopulation::new(params(), 300),
+            BernoulliRewards::one_good(3, 0.9).unwrap(),
+            &cfg,
+            5,
+            |t, dist| seen.push((t, dist.to_vec())),
+        );
+        assert_eq!(
+            seen.iter().map(|(t, _)| *t).collect::<Vec<_>>(),
+            (0..=30).collect::<Vec<_>>()
+        );
+        // At the recorded steps the observer saw the stored snapshots.
+        let at_recorded: Vec<Vec<f64>> = rep
+            .history
+            .times()
+            .iter()
+            .map(|&t| seen[t as usize].1.clone())
+            .collect();
+        assert_eq!(rep.history.times(), &[0, 7, 14, 21, 28]);
+        assert_eq!(at_recorded, rep.history.snapshots());
+    }
+
+    #[test]
+    fn observing_changes_nothing() {
+        let cfg = RunConfig::new(60).with_stride(4);
+        let make = || {
+            (
+                FinitePopulation::new(params(), 400),
+                BernoulliRewards::one_good(3, 0.8).unwrap(),
+            )
+        };
+        let (pop, env) = make();
+        let plain = run_one(pop, env, &cfg, 9);
+        let (pop, env) = make();
+        let mut steps = 0;
+        let observed = run_observed(pop, env, &cfg, 9, |_, _| steps += 1);
+        assert_eq!(steps, 61);
+        assert_eq!(plain.tracker, observed.tracker);
+        assert_eq!(plain.curve, observed.curve);
+        assert_eq!(plain.best_share_curve, observed.best_share_curve);
+        assert_eq!(plain.history, observed.history);
+    }
+
+    #[test]
+    fn lent_population_keeps_its_state() {
+        let cfg = RunConfig::new(20);
+        let mut pop = FinitePopulation::new(params(), 200);
+        let rep = run_one(
+            &mut pop,
+            BernoulliRewards::one_good(3, 0.9).unwrap(),
+            &cfg,
+            4,
+        );
+        assert_eq!(rep.history.snapshots().last(), Some(&pop.distribution()));
     }
 
     #[test]

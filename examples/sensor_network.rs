@@ -14,12 +14,12 @@
 
 #![forbid(unsafe_code)]
 
-use rand::SeedableRng;
-use sociolearn::core::{BernoulliRewards, Params, RewardModel};
+use sociolearn::core::{BernoulliRewards, Params};
 use sociolearn::dist::{
     DistConfig, EventRuntime, FaultPlan, ProtocolRuntime, Runtime, StalenessBound, NODE_STATE_BYTES,
 };
 use sociolearn::plot::MarkdownTable;
+use sociolearn::sim::{run_observed, RunConfig};
 
 /// Drives any [`ProtocolRuntime`] through one fleet scenario and
 /// returns (mean clean-channel share over the back half, msgs/round,
@@ -30,17 +30,13 @@ fn run_fleet<Rt: ProtocolRuntime>(
     env: &BernoulliRewards,
     rounds: u64,
 ) -> (f64, f64, f64) {
-    let mut env = env.clone();
-    let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
-    let mut rewards = vec![false; net.num_options()];
+    let cfg = RunConfig::new(rounds);
     let mut share = 0.0;
-    for t in 1..=rounds {
-        env.sample(t, &mut rng, &mut rewards);
-        net.round(&rewards);
+    run_observed(&mut net, env.clone(), &cfg, 7, |t, dist| {
         if t > rounds / 2 {
-            share += net.distribution()[0];
+            share += dist[0];
         }
-    }
+    });
     share /= (rounds / 2) as f64;
     let metrics = net.metrics();
     (

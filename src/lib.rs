@@ -53,8 +53,9 @@
 //! # Ok::<(), sociolearn::core::ParamsError>(())
 //! ```
 //!
-//! See `examples/` for runnable scenarios and `DESIGN.md` /
-//! `EXPERIMENTS.md` for the reproduction index.
+//! See `examples/` for runnable scenarios, and the README's "The
+//! E1–E19 reproduction suite" for the reproduction index; the suite
+//! writes its tables and figures to `results/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

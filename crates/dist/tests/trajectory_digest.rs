@@ -18,10 +18,16 @@
 //! node, which the 48-node grid rarely produces, so the row also
 //! referees the order in which one node's events within a window are
 //! handled.
+//!
+//! Three more rows pin the round-synchronous [`Runtime`] on the same
+//! 48-node fleet: a clean network, 10% loss with a rolling restart,
+//! and a crash schedule. Both runtimes share their stage-1 sampling
+//! and round bookkeeping, so a change there must leave these rows
+//! untouched too.
 
 use sociolearn_core::Params;
 use sociolearn_dist::{
-    DistConfig, EventRuntime, FaultPlan, RoundMetrics, SchedulerKind, StalenessBound,
+    DistConfig, EventRuntime, FaultPlan, RoundMetrics, Runtime, SchedulerKind, StalenessBound,
 };
 
 /// The worker-thread count the sharded runs also use, besides 1: 2 by
@@ -59,6 +65,14 @@ const EXPECTED: [(&str, u64); 12] = [
 const FLEET_NODES: usize = 2_000;
 const FLEET_TICKS: u64 = 20;
 const FLEET_EXPECTED: u64 = 0x6217643eb5588292;
+
+/// The recorded round-synchronous digests, in [`round_sync_cases`]
+/// order.
+const ROUND_SYNC_EXPECTED: [(&str, u64); 3] = [
+    ("round-sync/clean", 0x451a063d08899a67),
+    ("round-sync/loss+restart", 0x1ac5846d033e572f),
+    ("round-sync/crashes", 0x90ece4fbcbb10bd2),
+];
 
 /// One grid point of the pinned suite.
 struct Case {
@@ -98,6 +112,28 @@ fn cases() -> Vec<Case> {
         }
     }
     out
+}
+
+/// The round-synchronous rows, in [`ROUND_SYNC_EXPECTED`] order.
+fn round_sync_cases() -> Vec<(&'static str, FaultPlan)> {
+    vec![
+        ("round-sync/clean", FaultPlan::none()),
+        (
+            "round-sync/loss+restart",
+            FaultPlan::with_drop_prob(0.1)
+                .unwrap()
+                .rolling_restart(2, 3),
+        ),
+        (
+            "round-sync/crashes",
+            FaultPlan::none().crash(3, 5).crash(20, 5).crash(41, 17),
+        ),
+    ]
+}
+
+/// The reward signals of tick `t`, the same in every row.
+fn rewards(t: u64) -> [bool; 3] {
+    [t % 2 == 0, t % 3 == 0, t % 5 == 1]
 }
 
 /// FNV-1a over little-endian `u64` words: stable across platforms and
@@ -179,13 +215,50 @@ fn digest_fleet(case: &Case, nodes: usize, ticks: u64, shards: usize, threads: u
         .with_parallel_threshold(0);
     let mut h = Fnv::new();
     for t in 0..ticks {
-        let rm = net.tick(&[t % 2 == 0, t % 3 == 0, t % 5 == 1]);
-        h.round(&rm);
+        h.round(&net.tick(&rewards(t)));
     }
     for &c in net.counts() {
         h.word(c);
     }
     h.0
+}
+
+/// Runs the round-synchronous runtime under `faults` for [`TICKS`]
+/// rounds and digests its trajectory like [`digest_fleet`].
+fn digest_round_sync(faults: &FaultPlan) -> u64 {
+    let params = Params::new(3, 0.65).unwrap();
+    let mut net = Runtime::new(
+        DistConfig::new(params, NODES).with_faults(faults.clone()),
+        SEED,
+    );
+    let mut h = Fnv::new();
+    for t in 0..TICKS {
+        h.round(&net.round(&rewards(t)));
+    }
+    for &c in net.counts() {
+        h.word(c);
+    }
+    h.0
+}
+
+#[test]
+fn round_sync_trajectories_match_the_recorded_digests() {
+    let actual: Vec<(&str, u64)> = round_sync_cases()
+        .iter()
+        .map(|(name, faults)| (*name, digest_round_sync(faults)))
+        .collect();
+    let table: String = actual
+        .iter()
+        .map(|(name, d)| format!("    (\"{name}\", {d:#018x}),\n"))
+        .collect();
+    assert_eq!(actual.len(), ROUND_SYNC_EXPECTED.len());
+    for ((name, d), (want_name, want)) in actual.iter().zip(ROUND_SYNC_EXPECTED) {
+        assert_eq!(*name, want_name, "case order drifted");
+        assert_eq!(
+            *d, want,
+            "trajectory of {name} moved; the full current table is:\n{table}"
+        );
+    }
 }
 
 #[test]

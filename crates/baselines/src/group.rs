@@ -3,7 +3,7 @@
 
 use crate::bandit::BanditPolicy;
 use rand::RngCore;
-use sociolearn_core::GroupDynamics;
+use sociolearn_core::{write_shares, GroupDynamics};
 
 /// `N` agents each running a private copy of a bandit policy,
 /// observing only their own pulled arm's reward bit.
@@ -79,11 +79,7 @@ impl<P: BanditPolicy> GroupDynamics for IndependentBanditGroup<P> {
     }
 
     fn write_distribution(&self, out: &mut [f64]) {
-        assert_eq!(out.len(), self.counts.len(), "buffer length mismatch");
-        let total: u64 = self.counts.iter().sum();
-        for (slot, &c) in out.iter_mut().zip(&self.counts) {
-            *slot = c as f64 / total as f64;
-        }
+        write_shares(&self.counts, out);
     }
 
     fn step(&mut self, rewards: &[bool], rng: &mut dyn RngCore) {

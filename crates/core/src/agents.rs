@@ -1,6 +1,6 @@
 //! The finite-population dynamics in explicit per-agent form.
 
-use crate::dynamics::GroupDynamics;
+use crate::dynamics::{write_shares, GroupDynamics};
 use crate::params::Params;
 use crate::scratch::write_adopt_probs;
 use rand::{Rng, RngCore};
@@ -136,20 +136,7 @@ impl GroupDynamics for AgentPopulation {
     }
 
     fn write_distribution(&self, out: &mut [f64]) {
-        let m = self.params.num_options();
-        assert_eq!(
-            out.len(),
-            m,
-            "buffer length must equal the number of options"
-        );
-        let total: u64 = self.counts.iter().sum();
-        if total == 0 {
-            out.fill(1.0 / m as f64);
-            return;
-        }
-        for (slot, &c) in out.iter_mut().zip(&self.counts) {
-            *slot = c as f64 / total as f64;
-        }
+        write_shares(&self.counts, out);
     }
 
     fn step(&mut self, rewards: &[bool], rng: &mut dyn RngCore) {

@@ -90,6 +90,30 @@ impl<D: GroupDynamics + ?Sized> GroupDynamics for Box<D> {
     }
 }
 
+/// Writes the popularity distribution of per-option `counts` into
+/// `out`: each option's share of the committed total, or the uniform
+/// distribution when nothing is committed (the distribution the next
+/// sampling stage uses then).
+///
+/// # Panics
+///
+/// Panics if `out.len() != counts.len()`.
+pub fn write_shares(counts: &[u64], out: &mut [f64]) {
+    assert_eq!(
+        out.len(),
+        counts.len(),
+        "buffer length must equal the number of options"
+    );
+    let total: u64 = counts.iter().sum();
+    if total == 0 {
+        out.fill(1.0 / counts.len() as f64);
+        return;
+    }
+    for (slot, &c) in out.iter_mut().zip(counts) {
+        *slot = c as f64 / total as f64;
+    }
+}
+
 /// Asserts the basic distribution invariants (non-negative, sums to 1
 /// within `tol`). Used by tests and debug assertions across the
 /// workspace.
@@ -131,6 +155,21 @@ mod tests {
         let d = Fixed(vec![0.25; 4]);
         assert_eq!(d.distribution(), vec![0.25; 4]);
         assert_eq!(d.label(), "dynamics");
+    }
+
+    #[test]
+    fn shares_divide_counts_and_fall_back_to_uniform() {
+        let mut out = [0.0; 3];
+        write_shares(&[1, 0, 3], &mut out);
+        assert_eq!(out, [0.25, 0.0, 0.75]);
+        write_shares(&[0, 0, 0], &mut out);
+        assert_eq!(out, [1.0 / 3.0; 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "buffer length")]
+    fn shares_reject_a_short_buffer() {
+        write_shares(&[1, 2, 3], &mut [0.0; 2]);
     }
 
     #[test]

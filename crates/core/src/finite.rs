@@ -1,7 +1,7 @@
 //! The finite-population distributed learning dynamics (the paper's
 //! primary object of study), in its exact collective-statistic form.
 
-use crate::dynamics::GroupDynamics;
+use crate::dynamics::{write_shares, GroupDynamics};
 use crate::params::Params;
 use crate::sampling::{sample_binomial, sample_multinomial};
 use crate::scratch::{mix_popularity, write_adopt_probs, StepScratch};
@@ -222,22 +222,7 @@ impl GroupDynamics for FinitePopulation {
     }
 
     fn write_distribution(&self, out: &mut [f64]) {
-        let m = self.params.num_options();
-        assert_eq!(
-            out.len(),
-            m,
-            "buffer length must equal the number of options"
-        );
-        let total: u64 = self.counts.iter().sum();
-        if total == 0 {
-            // Popularity is undefined when everyone sat out; report the
-            // uniform distribution the next sampling stage will use.
-            out.fill(1.0 / m as f64);
-            return;
-        }
-        for (slot, &c) in out.iter_mut().zip(&self.counts) {
-            *slot = c as f64 / total as f64;
-        }
+        write_shares(&self.counts, out);
     }
 
     fn step(&mut self, rewards: &[bool], rng: &mut dyn RngCore) {

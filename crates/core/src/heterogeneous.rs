@@ -10,7 +10,7 @@
 //! means `ᾱ, β̄`: tests pin the heterogeneous dynamics against the
 //! homogeneous one at `(ᾱ, β̄)`.
 
-use crate::dynamics::GroupDynamics;
+use crate::dynamics::{write_shares, GroupDynamics};
 use crate::error::ParamsError;
 use rand::{Rng, RngCore};
 
@@ -163,19 +163,7 @@ impl GroupDynamics for HeterogeneousPopulation {
     }
 
     fn write_distribution(&self, out: &mut [f64]) {
-        assert_eq!(
-            out.len(),
-            self.m,
-            "buffer length must equal the number of options"
-        );
-        let total: u64 = self.counts.iter().sum();
-        if total == 0 {
-            out.fill(1.0 / self.m as f64);
-            return;
-        }
-        for (slot, &c) in out.iter_mut().zip(&self.counts) {
-            *slot = c as f64 / total as f64;
-        }
+        write_shares(&self.counts, out);
     }
 
     fn step(&mut self, rewards: &[bool], rng: &mut dyn RngCore) {

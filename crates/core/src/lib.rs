@@ -47,12 +47,11 @@
 //! let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
 //!
 //! let mut rewards = vec![false; 5];
-//! let qualities = env.qualities();
 //! for t in 1..=params.min_horizon() {
 //!     let before = group.distribution();
 //!     env.sample(t, &mut rng, &mut rewards);
 //!     group.step(&rewards, &mut rng);
-//!     tracker.record(&before, &rewards, qualities.as_deref());
+//!     tracker.record(&before, &rewards, env.qualities());
 //! }
 //! // Theorem 4.4: average regret at most 6δ (w.h.p. for large N).
 //! assert!(tracker.average_regret() < params.regret_bound_finite());
@@ -80,7 +79,7 @@ mod snapshot;
 
 pub use agents::AgentPopulation;
 pub use coupling::{ratio_deviation, tv_distance, CoupledRun, CouplingTrace};
-pub use dynamics::{assert_distribution, GroupDynamics};
+pub use dynamics::{assert_distribution, write_shares, GroupDynamics};
 pub use epoch::{EpochRegret, EpochSchedule};
 pub use error::{ParamsError, RegimeViolation};
 pub use finite::{FinitePopulation, StepRecord};

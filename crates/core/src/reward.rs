@@ -31,7 +31,7 @@ pub trait RewardModel {
     /// Current expected quality per option (`eta_j` at time `t`), if
     /// the environment knows it. Used for Rao–Blackwellized regret
     /// estimates; return `None` for trace/adversarial environments.
-    fn qualities(&self) -> Option<Vec<f64>> {
+    fn qualities(&self) -> Option<&[f64]> {
         None
     }
 
@@ -172,8 +172,8 @@ impl RewardModel for BernoulliRewards {
         }
     }
 
-    fn qualities(&self) -> Option<Vec<f64>> {
-        Some(self.etas.clone())
+    fn qualities(&self) -> Option<&[f64]> {
+        Some(&self.etas)
     }
 }
 

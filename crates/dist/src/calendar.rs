@@ -165,10 +165,8 @@ use crate::event::{
     Event, Mode, Pending, ASYNC_EPOCH_PERIOD, ASYNC_WAKE_JITTER, DELIVER_DELAY,
     MAX_MESSAGE_LATENCY, RETRY_TIMEOUT, WAKE_SPREAD,
 };
-use crate::{
-    DistConfig, MembershipTracker, NodeState, RoundMetrics, Transition, MAX_QUERY_RETRIES,
-    NO_CHOICE,
-};
+use crate::shell::{stage_one, RoundShell, Sample};
+use crate::{MembershipTracker, NodeState, RoundMetrics, Transition, MAX_QUERY_RETRIES, NO_CHOICE};
 
 /// Number of time slots in a [`Calendar`] ring. A power of two, and
 /// strictly larger than the longest delay the protocol ever schedules
@@ -802,8 +800,6 @@ struct Ctx {
     params: Params,
     mode: Mode,
     n: usize,
-    m: usize,
-    mu: f64,
     drop_prob: f64,
     has_faults: bool,
     /// The 1-based runtime round (the membership clock).
@@ -1063,34 +1059,18 @@ impl ShardLane {
         self.push_from(node, at, Event::Wake { node, inc });
     }
 
-    /// Issues query `attempt` for a node (or the uniform fallback once
-    /// the retry budget is spent). `attempt == 1` is the stage-1 entry
-    /// point and may take the µ-exploration branch instead.
+    /// Runs [`stage_one`] for a node at query `attempt`: decides on an
+    /// explored or fallback option at once, or sends the query to the
+    /// drawn peer. `attempt == 1` is the stage-1 entry point.
     fn start_attempt(&mut self, local: usize, attempt: u32, now: u64, ctx: &Ctx) {
         let node = self.node(local);
-        if attempt == 1 && self.nodes.rngs[local].gen_bool(ctx.mu) {
-            self.rm.explorations += 1;
-            let considered = index_u32(self.nodes.rngs[local].gen_range(0..ctx.m));
-            self.decide(local, considered, now, ctx);
-            return;
-        }
-        if attempt > MAX_QUERY_RETRIES || ctx.n == 1 {
-            // Retry budget spent (or no peers to ask at all): uniform
-            // fallback, exactly as in the round-synchronous runtime.
-            self.rm.fallbacks += 1;
-            let considered = index_u32(self.nodes.rngs[local].gen_range(0..ctx.m));
-            self.decide(local, considered, now, ctx);
-            return;
-        }
+        let (rng, rm) = (&mut self.nodes.rngs[local], &mut self.rm);
+        let peer = match stage_one(rng, &ctx.params, ctx.n, node as usize, attempt, rm) {
+            Sample::Consider(option) => return self.decide(local, option, now, ctx),
+            Sample::Ask(peer) => peer,
+        };
         self.nodes.pending[local].attempt = attempt;
         let attempt = u8::try_from(attempt).expect("MAX_QUERY_RETRIES fits in a u8");
-        self.rm.queries_sent += 1;
-        // Ask a uniformly random *other* node what it used last epoch.
-        let g = node as usize;
-        let mut peer = self.nodes.rngs[local].gen_range(0..ctx.n - 1);
-        if peer >= g {
-            peer += 1;
-        }
         // Query and timeout carry the local epoch that issues them: an
         // async calendar is never cleared, so a timeout abandoned by an
         // earlier epoch may surface later, and the responder measures
@@ -1354,36 +1334,20 @@ pub(crate) struct ShardedEngine {
 }
 
 impl ShardedEngine {
-    /// Builds the engine: exactly `min(shards, n)` lanes, node `i` in
-    /// lane `i % lanes`, with one RNG stream per node split from
-    /// `seed`. Nodes outside the initial fleet (join-scripted flash
-    /// crowds) start with no commitment. The auto thread count is
-    /// resolved here, once: `available_parallelism` is an OS query.
-    pub(crate) fn new(
-        cfg: &DistConfig,
-        seed: u64,
-        shards: usize,
-        tuning: &ExecTuning,
-        members: &MembershipTracker,
-    ) -> Self {
-        let n = cfg.num_nodes();
-        let m = cfg.params().num_options();
+    /// Builds the engine for `shell`'s fleet: exactly `min(shards, n)`
+    /// lanes, node `i` in lane `i % lanes` holding its
+    /// [`start_choice`](RoundShell::start_choice), with one RNG stream
+    /// per node split from `seed`. The auto thread count is resolved
+    /// here, once: `available_parallelism` is an OS query.
+    pub(crate) fn new(shell: &RoundShell, seed: u64, shards: usize, tuning: &ExecTuning) -> Self {
+        let n = shell.cfg.num_nodes();
         let map = ShardMap::new(n, shards);
         let lanes = (0..map.lanes())
             .map(|index| {
                 let ids = (index..n).step_by(map.lanes());
                 let rows = ids.len();
                 let nodes = Nodes {
-                    choices: ids
-                        .clone()
-                        .map(|i| {
-                            if members.in_initial_fleet(i) {
-                                crate::uniform_start_choice(i, m)
-                            } else {
-                                NO_CHOICE
-                            }
-                        })
-                        .collect(),
+                    choices: ids.clone().map(|i| shell.start_choice(i)).collect(),
                     back: vec![NO_CHOICE; rows],
                     epochs: vec![0; rows],
                     last_wake: vec![0; rows],
@@ -1528,12 +1492,8 @@ impl ShardedEngine {
         }
     }
 
-    /// Sums the lanes' per-tick counters into one report.
-    fn collect_rm(&self, t: u64) -> RoundMetrics {
-        let mut rm = RoundMetrics {
-            round: t,
-            ..RoundMetrics::default()
-        };
+    /// Adds the lanes' per-tick counters to `rm`.
+    fn collect_rm(&self, rm: &mut RoundMetrics) {
         for lane in &self.lanes {
             rm.committed += lane.rm.committed;
             rm.queries_sent += lane.rm.queries_sent;
@@ -1542,28 +1502,28 @@ impl ShardedEngine {
             rm.explorations += lane.rm.explorations;
             rm.stale_replies += lane.rm.stale_replies;
         }
-        rm
     }
 
-    /// One tick under `mode`: a full epoch run to quiescence, or one
-    /// async epoch-period window of virtual time.
+    /// One tick under `mode`, the round `rm` was opened for by `shell`:
+    /// a full epoch run to quiescence, or one async epoch-period window
+    /// of virtual time. Adds the tick's protocol counters to `rm`, and
+    /// in async mode replaces its barriered bootstrapping gauge with
+    /// the nodes still bootstrapping.
     pub(crate) fn tick(
         &mut self,
         mode: Mode,
-        cfg: &DistConfig,
-        members: &MembershipTracker,
-        t: u64,
+        shell: &RoundShell,
         rewards: &[bool],
-    ) -> RoundMetrics {
+        rm: &mut RoundMetrics,
+    ) {
+        let members = &shell.members;
         let ctx = Arc::new(Ctx {
-            params: *cfg.params(),
+            params: *shell.cfg.params(),
             mode,
-            n: cfg.num_nodes(),
-            m: cfg.params().num_options(),
-            mu: cfg.params().mu(),
-            drop_prob: cfg.faults().drop_prob(),
+            n: shell.cfg.num_nodes(),
+            drop_prob: shell.cfg.faults().drop_prob(),
             has_faults: members.any_scheduled(),
-            t,
+            t: rm.round,
             rewards: rewards.to_vec(),
             lookahead: self.tuning.lookahead,
             present: Arc::clone(members.present()),
@@ -1605,29 +1565,17 @@ impl ShardedEngine {
             self.run_block(w, block_end, &ctx);
             cursor = block_end;
         }
-        let mut rm = self.collect_rm(t);
-        rm.alive = members.alive();
-        for &(_, kind) in members.recent() {
-            match kind {
-                Transition::Join => rm.joins += 1,
-                Transition::Leave => rm.leaves += 1,
-                Transition::Rejoin => rm.rejoins += 1,
-                Transition::Crash => {}
-            }
-        }
+        self.collect_rm(rm);
         match mode {
-            Mode::Quiesced => {
-                debug_assert!(
-                    self.lanes
-                        .iter()
-                        .all(|lane| lane.nodes.pending.iter().all(|p| p.resolved)),
-                    "epoch ended with unresolved nodes"
-                );
-                // With the quiescence barrier, every (re)join
-                // bootstraps and resolves within this very epoch: the
-                // gauge is the inflow.
-                rm.bootstrapping = rm.joins + rm.rejoins;
-            }
+            // With the quiescence barrier, every (re)join bootstraps
+            // and resolves within this very epoch: the shell's gauge
+            // stands.
+            Mode::Quiesced => debug_assert!(
+                self.lanes
+                    .iter()
+                    .all(|lane| lane.nodes.pending.iter().all(|p| p.resolved)),
+                "epoch ended with unresolved nodes"
+            ),
             Mode::Async(_) => {
                 self.async_clock = end;
                 rm.bootstrapping = self
@@ -1637,7 +1585,6 @@ impl ShardedEngine {
                     .sum();
             }
         }
-        rm
     }
 
     /// Opens an async tick: lands the tick boundary's membership
@@ -1693,6 +1640,7 @@ impl ShardedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DistConfig;
 
     fn entry(at: u64, src: u32, seq: u32) -> Entry<u32> {
         Entry {
@@ -1855,13 +1803,12 @@ mod tests {
     /// A two-node fleet on `shards` shards and one thread, ready to
     /// drive by hand.
     fn two_node_engine(shards: usize) -> ShardedEngine {
-        let cfg = DistConfig::new(Params::new(2, 0.65).unwrap(), 2);
-        let members = MembershipTracker::new(cfg.faults(), 2);
+        let shell = RoundShell::new(DistConfig::new(Params::new(2, 0.65).unwrap(), 2));
         let tuning = ExecTuning {
             threads: 1,
             ..ExecTuning::default()
         };
-        ShardedEngine::new(&cfg, 7, shards, &tuning, &members)
+        ShardedEngine::new(&shell, 7, shards, &tuning)
     }
 
     /// A tick context for driving a lane by hand.
@@ -1871,8 +1818,6 @@ mod tests {
             params,
             mode,
             n: present.len(),
-            m: 2,
-            mu: params.mu(),
             drop_prob,
             has_faults: present.contains(&false),
             t: 1,

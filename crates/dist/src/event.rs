@@ -68,10 +68,8 @@ use rand::RngCore;
 use sociolearn_core::GroupDynamics;
 
 use crate::calendar::{ExecTuning, SchedulerKind, ShardMap, ShardedEngine, MAX_LOOKAHEAD};
-use crate::{
-    DistConfig, ExecutionModel, MembershipTracker, Metrics, NodeState, ProtocolRuntime,
-    RoundMetrics,
-};
+use crate::shell::RoundShell;
+use crate::{DistConfig, ExecutionModel, Metrics, NodeState, ProtocolRuntime, RoundMetrics};
 
 /// Upper bound on the per-message latency jitter, in scheduler ticks;
 /// each delivery draws uniformly from `1..=MAX_MESSAGE_LATENCY`.
@@ -278,7 +276,10 @@ const _: () = assert!(std::mem::size_of::<Pending>() <= 2 * crate::NODE_STATE_BY
 /// ```
 #[derive(Debug, Clone)]
 pub struct EventRuntime {
-    cfg: DistConfig,
+    /// Configuration, membership, the counts cache (this epoch's in
+    /// quiesced mode; the current commitments in async mode, synced
+    /// from the engine every tick), the epoch counter and metrics.
+    shell: RoundShell,
     mode: Mode,
     /// The root seed the engine splits its per-node streams from.
     seed: u64,
@@ -290,16 +291,6 @@ pub struct EventRuntime {
     /// The engine, owning all per-node state; `None` until the first
     /// tick builds it.
     engine: Option<Box<ShardedEngine>>,
-    /// Crash + membership schedule with O(1) presence checks and an
-    /// O(1) alive counter.
-    members: MembershipTracker,
-    /// Cached committed counts per option (this epoch in quiesced
-    /// mode; the current commitments in async mode), synced from the
-    /// engine every tick.
-    counts: Vec<u64>,
-    /// Epochs completed.
-    round: u64,
-    metrics: Metrics,
 }
 
 impl EventRuntime {
@@ -308,24 +299,13 @@ impl EventRuntime {
     /// dynamics and the round-synchronous runtime) with all randomness
     /// derived from `seed`.
     pub fn new(cfg: DistConfig, seed: u64) -> Self {
-        let m = cfg.params().num_options();
-        let n = cfg.num_nodes();
-        let members = MembershipTracker::new(cfg.faults(), n);
-        let mut counts = vec![0u64; m];
-        for i in (0..n).filter(|&i| members.in_initial_fleet(i)) {
-            counts[crate::uniform_start_choice(i, m) as usize] += 1;
-        }
         EventRuntime {
+            shell: RoundShell::new(cfg),
             mode: Mode::Quiesced,
             seed,
             shards: 1,
             tuning: ExecTuning::default(),
             engine: None,
-            members,
-            counts,
-            round: 0,
-            metrics: Metrics::default(),
-            cfg,
         }
     }
 
@@ -347,7 +327,7 @@ impl EventRuntime {
     /// discipline is part of the deployment, not a per-round switch.
     pub fn with_async_epochs(mut self, bound: StalenessBound) -> Self {
         assert_eq!(
-            self.round, 0,
+            self.shell.round, 0,
             "execution model must be chosen before the first tick"
         );
         self.mode = Mode::Async(bound);
@@ -366,7 +346,7 @@ impl EventRuntime {
     /// shards are requested.
     pub fn with_scheduler(mut self, kind: SchedulerKind) -> Self {
         assert_eq!(
-            self.round, 0,
+            self.shell.round, 0,
             "scheduler must be chosen before the first tick"
         );
         let SchedulerKind::ShardedCalendar { shards } = kind;
@@ -379,7 +359,7 @@ impl EventRuntime {
     /// count (clamped to the fleet size).
     pub fn scheduler(&self) -> SchedulerKind {
         SchedulerKind::ShardedCalendar {
-            shards: ShardMap::new(self.cfg.num_nodes(), self.shards).lanes(),
+            shards: ShardMap::new(self.num_nodes(), self.shards).lanes(),
         }
     }
 
@@ -401,7 +381,7 @@ impl EventRuntime {
     /// `lookahead` is `0` or exceeds [`MAX_LOOKAHEAD`].
     pub fn with_lookahead(mut self, lookahead: u64) -> Self {
         assert_eq!(
-            self.round, 0,
+            self.shell.round, 0,
             "lookahead must be chosen before the first tick"
         );
         assert!(
@@ -424,7 +404,7 @@ impl EventRuntime {
     /// Panics if the runtime has already executed a tick.
     pub fn with_threads(mut self, threads: usize) -> Self {
         assert_eq!(
-            self.round, 0,
+            self.shell.round, 0,
             "thread count must be chosen before the first tick"
         );
         self.tuning.threads = threads;
@@ -442,7 +422,7 @@ impl EventRuntime {
     /// Panics if the runtime has already executed a tick.
     pub fn with_parallel_threshold(mut self, events: usize) -> Self {
         assert_eq!(
-            self.round, 0,
+            self.shell.round, 0,
             "parallel threshold must be chosen before the first tick"
         );
         self.tuning.parallel_threshold = events;
@@ -463,34 +443,34 @@ impl EventRuntime {
 
     /// The deployment configuration.
     pub fn config(&self) -> &DistConfig {
-        &self.cfg
+        &self.shell.cfg
     }
 
     /// Fleet size `N`.
     pub fn num_nodes(&self) -> usize {
-        self.cfg.num_nodes()
+        self.shell.cfg.num_nodes()
     }
 
     /// Epochs completed so far.
     pub fn rounds_completed(&self) -> u64 {
-        self.round
+        self.shell.round
     }
 
     /// Cumulative message/fallback/staleness counters.
     pub fn metrics(&self) -> Metrics {
-        self.metrics
+        self.shell.metrics
     }
 
     /// Committed counts per option over alive nodes — last epoch's in
     /// quiesced mode, the instantaneous commitments in async mode.
     pub fn counts(&self) -> &[u64] {
-        &self.counts
+        &self.shell.counts
     }
 
     /// Number of nodes present for the *next* epoch, in O(1). With
     /// membership churn this can grow as well as shrink.
     pub fn alive_count(&self) -> usize {
-        self.members.alive()
+        self.shell.members.alive()
     }
 
     /// Whether the scheduler runs fully-async overlapping epochs.
@@ -515,9 +495,9 @@ impl EventRuntime {
     ///
     /// Panics if `node >= num_nodes()`.
     pub fn local_epoch(&self, node: usize) -> u64 {
-        assert!(node < self.cfg.num_nodes(), "node out of range");
+        assert!(node < self.num_nodes(), "node out of range");
         match self.mode {
-            Mode::Quiesced => self.round,
+            Mode::Quiesced => self.shell.round,
             Mode::Async(_) => self.engine.as_ref().map_or(0, |e| e.epoch_of(node)),
         }
     }
@@ -527,7 +507,7 @@ impl EventRuntime {
     /// for an all-crashed fleet).
     pub fn epoch_spread(&self) -> u64 {
         match (self.mode, &self.engine) {
-            (Mode::Async(_), Some(engine)) => engine.epoch_spread(&self.members),
+            (Mode::Async(_), Some(engine)) => engine.epoch_spread(&self.shell.members),
             _ => 0,
         }
     }
@@ -550,50 +530,29 @@ impl EventRuntime {
     ///
     /// Panics if `rewards.len()` differs from the number of options.
     pub fn tick(&mut self, rewards: &[bool]) -> RoundMetrics {
-        assert_eq!(
-            rewards.len(),
-            self.cfg.params().num_options(),
-            "rewards length must equal the number of options"
-        );
-        self.round += 1;
-        let t = self.round;
+        let mut rm = self.shell.begin(rewards);
+        let shell = &self.shell;
         let engine = self.engine.get_or_insert_with(|| {
             Box::new(ShardedEngine::new(
-                &self.cfg,
+                shell,
                 self.seed,
                 self.shards,
                 &self.tuning,
-                &self.members,
             ))
         });
-        let rm = engine.tick(self.mode, &self.cfg, &self.members, t, rewards);
-        engine.write_counts(&mut self.counts);
-        self.members.advance_to(t + 1);
-        self.metrics.absorb(&rm);
-        rm
+        engine.tick(self.mode, shell, rewards, &mut rm);
+        engine.write_counts(&mut self.shell.counts);
+        self.shell.finish(rm)
     }
 }
 
 impl GroupDynamics for EventRuntime {
     fn num_options(&self) -> usize {
-        self.cfg.params().num_options()
+        self.shell.cfg.params().num_options()
     }
 
     fn write_distribution(&self, out: &mut [f64]) {
-        let m = self.cfg.params().num_options();
-        assert_eq!(
-            out.len(),
-            m,
-            "buffer length must equal the number of options"
-        );
-        let total: u64 = self.counts.iter().sum();
-        if total == 0 {
-            out.fill(1.0 / m as f64);
-            return;
-        }
-        for (slot, &c) in out.iter_mut().zip(&self.counts) {
-            *slot = c as f64 / total as f64;
-        }
+        self.shell.write_distribution(out);
     }
 
     /// Advances one epoch. Like the round-synchronous runtime, the
@@ -644,7 +603,7 @@ impl ProtocolRuntime for EventRuntime {
     }
 
     fn write_shard_loads(&self, out: &mut Vec<usize>) {
-        ShardMap::new(self.cfg.num_nodes(), self.shards).write_loads(self.members.present(), out);
+        ShardMap::new(self.num_nodes(), self.shards).write_loads(self.shell.members.present(), out);
     }
 }
 
@@ -790,23 +749,6 @@ mod tests {
     #[test]
     fn deterministic_for_fixed_seed() {
         assert_deterministic(None, 1);
-    }
-
-    #[test]
-    fn run_batch_matches_tick_loop() {
-        let schedule: Vec<Vec<bool>> = (0..25).map(|t| vec![t % 2 == 0, t % 5 == 0]).collect();
-        let faults = FaultPlan::with_drop_prob(0.1).unwrap().crash(2, 9);
-        let mut batched = EventRuntime::new(
-            DistConfig::new(params(), 30).with_faults(faults.clone()),
-            13,
-        );
-        let mut looped = EventRuntime::new(DistConfig::new(params(), 30).with_faults(faults), 13);
-        let batch = batched.run_batch(&schedule);
-        for rewards in &schedule {
-            looped.tick(rewards);
-        }
-        assert_eq!(batched.distribution(), looped.distribution());
-        assert_eq!(batch, looped.metrics());
     }
 
     #[test]

@@ -48,9 +48,8 @@
 //! * [`Runtime`] — **round-synchronous**: a global barrier between
 //!   rounds; every query/reply exchange completes within the round it
 //!   was issued. Allocation-free after construction (the per-node
-//!   choice vector is double-buffered and the count vector reused),
-//!   with [`ProtocolRuntime::run_batch`] reporting per-batch counter
-//!   deltas. Use it for law-level experiments and for raw throughput.
+//!   choice vector is double-buffered and the count vector reused).
+//!   Use it for law-level experiments and for raw throughput.
 //! * [`EventRuntime`] — **epoch-quiesced event-driven** (the default):
 //!   a seeded discrete-event scheduler delivers query/reply messages
 //!   with per-message latency jitter, each handled by its receiver the
@@ -76,6 +75,18 @@
 //! across shard counts, lookahead-fixed across thread counts, and
 //! agree in law with `sociolearn_core::FinitePopulation`.
 //!
+//! The runtimes differ only in their execution schedule. Stage 1 is
+//! one crate-private function that both call with the node's own RNG:
+//! the µ coin at the first attempt, then per attempt a uniform other
+//! peer, and the uniform fallback past [`MAX_QUERY_RETRIES`]. One
+//! crate-private round shell holds what they share around it: the
+//! configuration, the membership schedule, the committed counts, the
+//! round counter and the cumulative [`Metrics`]. It checks the reward
+//! width, tallies joins, leaves and rejoins, lands the next round's
+//! transitions, and turns counts into the popularity distribution. So
+//! round-sync and epoch-quiesced execution feed one counts chain
+//! through the same code.
+//!
 //! # Example
 //!
 //! ```
@@ -99,6 +110,7 @@
 mod calendar;
 mod cast;
 mod event;
+mod shell;
 mod telemetry;
 
 pub use calendar::{Calendar, Entry, SchedulerKind, MAX_LOOKAHEAD, RING_SLOTS};
@@ -114,6 +126,7 @@ use rand::{Rng, RngCore, SeedableRng};
 use sociolearn_core::{GroupDynamics, Params};
 
 use cast::index_u32;
+use shell::{stage_one, RoundShell, Sample};
 
 /// Protocol state kept by one node between rounds: the option it
 /// committed to last round, packed into a single `u32`
@@ -130,14 +143,6 @@ pub(crate) const NO_CHOICE: NodeState = u32::MAX;
 
 /// Bytes of protocol state per node (the current option only).
 pub const NODE_STATE_BYTES: usize = std::mem::size_of::<NodeState>();
-
-/// The uniform fleet initialization shared by every runtime and
-/// scheduler: node `i` starts committed to option `i mod m`, matching
-/// the in-memory dynamics. Kept in one place so the runtimes cannot
-/// drift apart on their round-0 state.
-pub(crate) fn uniform_start_choice(node: usize, m: usize) -> NodeState {
-    index_u32(node % m)
-}
 
 // The O(1)-memory claim, enforced at compile time: a node's protocol
 // state must stay a handful of bytes (no weight vector, no history).
@@ -577,8 +582,7 @@ impl Metrics {
     }
 
     /// The counters accumulated *since* an earlier snapshot of the
-    /// same runtime's metrics — what [`ProtocolRuntime::run_batch`]
-    /// returns for its batch.
+    /// same runtime's metrics.
     pub fn since(&self, earlier: &Metrics) -> Metrics {
         Metrics {
             rounds: self.rounds - earlier.rounds,
@@ -846,11 +850,10 @@ impl MembershipTracker {
 ///
 /// After construction the hot path allocates nothing: [`Runtime::round`]
 /// double-buffers the per-node choice vector and reuses the per-option
-/// count buffer. [`ProtocolRuntime::run_batch`] drives a whole reward
-/// schedule and reports the batch's counter deltas.
+/// count buffer.
 #[derive(Debug, Clone)]
 pub struct Runtime {
-    cfg: DistConfig,
+    shell: RoundShell,
     rng: SmallRng,
     /// Last round's committed option per node ([`NO_CHOICE`] = sat
     /// out or crashed). This vector *is* the fleet's protocol state.
@@ -860,14 +863,6 @@ pub struct Runtime {
     /// (what peers answer queries from) while `choices` is rewritten
     /// in place.
     back: Vec<NodeState>,
-    /// Crash + membership schedule with O(1) presence checks and an
-    /// O(1) alive counter.
-    members: MembershipTracker,
-    /// Cached committed counts per option over alive nodes.
-    counts: Vec<u64>,
-    /// Rounds completed.
-    round: u64,
-    metrics: Metrics,
 }
 
 impl Runtime {
@@ -876,54 +871,34 @@ impl Runtime {
     /// join-scripted nodes start outside the fleet, uncommitted) with
     /// all randomness derived from `seed`.
     pub fn new(cfg: DistConfig, seed: u64) -> Self {
-        let m = cfg.params.num_options();
         let n = cfg.n;
-        let members = MembershipTracker::new(&cfg.faults, n);
-        let choices: Vec<NodeState> = (0..n)
-            .map(|i| {
-                if members.in_initial_fleet(i) {
-                    uniform_start_choice(i, m)
-                } else {
-                    NO_CHOICE
-                }
-            })
-            .collect();
-        let mut counts = vec![0u64; m];
-        for &c in &choices {
-            if c != NO_CHOICE {
-                counts[c as usize] += 1;
-            }
-        }
+        let shell = RoundShell::new(cfg);
         Runtime {
             rng: SmallRng::seed_from_u64(seed),
-            choices,
+            choices: (0..n).map(|i| shell.start_choice(i)).collect(),
             back: vec![NO_CHOICE; n],
-            members,
-            counts,
-            round: 0,
-            metrics: Metrics::default(),
-            cfg,
+            shell,
         }
     }
 
     /// The deployment configuration.
     pub fn config(&self) -> &DistConfig {
-        &self.cfg
+        &self.shell.cfg
     }
 
     /// Fleet size `N`.
     pub fn num_nodes(&self) -> usize {
-        self.cfg.n
+        self.shell.cfg.n
     }
 
     /// Rounds completed so far.
     pub fn rounds_completed(&self) -> u64 {
-        self.round
+        self.shell.round
     }
 
     /// Cumulative message/fallback counters.
     pub fn metrics(&self) -> Metrics {
-        self.metrics
+        self.shell.metrics
     }
 
     /// Executes one synchronous protocol round against the fresh
@@ -937,22 +912,11 @@ impl Runtime {
     ///
     /// Panics if `rewards.len()` differs from the number of options.
     pub fn round(&mut self, rewards: &[bool]) -> RoundMetrics {
-        let m = self.cfg.params.num_options();
-        assert_eq!(
-            rewards.len(),
-            m,
-            "rewards length must equal the number of options"
-        );
-        self.round += 1;
-        let t = self.round;
-        let mu = self.cfg.params.mu();
-        let drop_prob = self.cfg.faults.drop_prob();
-        let n = self.cfg.n;
-
-        let mut rm = RoundMetrics {
-            round: t,
-            ..RoundMetrics::default()
-        };
+        let mut rm = self.shell.begin(rewards);
+        let params = self.shell.cfg.params;
+        let drop_prob = self.shell.cfg.faults.drop_prob();
+        let n = self.shell.cfg.n;
+        let lost = |rng: &mut SmallRng| drop_prob > 0.0 && rng.gen_bool(drop_prob);
 
         // The queryable snapshot: last round's commitments land in
         // `back` by a pointer swap, and `choices` (now holding the
@@ -962,99 +926,60 @@ impl Runtime {
         // rounds write NO_CHOICE below) so they bootstrap through the
         // ordinary query path starting this round.
         std::mem::swap(&mut self.choices, &mut self.back);
-        self.counts.fill(0);
-        let has_events = self.members.any_scheduled();
-        if has_events {
-            for &(_, kind) in self.members.recent() {
-                match kind {
-                    Transition::Join => rm.joins += 1,
-                    Transition::Leave => rm.leaves += 1,
-                    Transition::Rejoin => rm.rejoins += 1,
-                    Transition::Crash => {}
-                }
-            }
-            // A global barrier resolves every bootstrap within its
-            // first round, so the gauge is just this round's inflow.
-            rm.bootstrapping = rm.joins + rm.rejoins;
-        }
+        let members = &self.shell.members;
+        let counts = &mut self.shell.counts;
+        counts.fill(0);
+        let has_events = members.any_scheduled();
 
         for i in 0..n {
-            if has_events && !self.members.is_present(i) {
+            if has_events && !members.is_present(i) {
                 self.choices[i] = NO_CHOICE;
                 continue;
             }
-            rm.alive += 1;
 
-            // Stage 1: sample an option to consider.
-            let considered: u32 = if self.rng.gen_bool(mu) {
-                rm.explorations += 1;
-                index_u32(self.rng.gen_range(0..m))
-            } else {
-                let mut copied = NO_CHOICE;
-                if n > 1 {
-                    for _ in 0..MAX_QUERY_RETRIES {
-                        // Ask a uniformly random *other* node what it
-                        // used last round.
-                        let mut peer = self.rng.gen_range(0..n - 1);
-                        if peer >= i {
-                            peer += 1;
-                        }
-                        rm.queries_sent += 1;
-                        // The query must survive the link...
-                        if drop_prob > 0.0 && self.rng.gen_bool(drop_prob) {
-                            continue;
-                        }
-                        // ...reach a peer that is present and has
-                        // something to report (absent peers — crashed
-                        // or departed — answer nothing)...
-                        if has_events && !self.members.is_present(peer) {
-                            continue;
-                        }
+            // Stage 1: sample an option to consider, asking one peer
+            // per attempt until one replies.
+            let mut attempt = 1;
+            let considered = loop {
+                match stage_one(&mut self.rng, &params, n, i, attempt, &mut rm) {
+                    Sample::Consider(option) => break option,
+                    Sample::Ask(peer) => {
+                        // The query must survive the link, reach a peer
+                        // that is present and has something to report
+                        // (absent peers — crashed or departed — answer
+                        // nothing), and the reply must survive the link
+                        // back.
                         let option = self.back[peer];
-                        if option == NO_CHOICE {
-                            continue;
+                        if !lost(&mut self.rng)
+                            && (!has_events || members.is_present(peer))
+                            && option != NO_CHOICE
+                            && !lost(&mut self.rng)
+                        {
+                            rm.replies_received += 1;
+                            break option;
                         }
-                        // ...and the reply must survive the link back.
-                        if drop_prob > 0.0 && self.rng.gen_bool(drop_prob) {
-                            continue;
-                        }
-                        rm.replies_received += 1;
-                        copied = option;
-                        break;
                     }
                 }
-                if copied == NO_CHOICE {
-                    rm.fallbacks += 1;
-                    index_u32(self.rng.gen_range(0..m))
-                } else {
-                    copied
-                }
+                attempt += 1;
             };
 
             // Stage 2: probe the considered option's fresh signal and
             // adopt or sit out.
-            let adopt_p = self
-                .cfg
-                .params
-                .adopt_probability(rewards[considered as usize]);
+            let adopt_p = params.adopt_probability(rewards[considered as usize]);
             if self.rng.gen_bool(adopt_p) {
                 self.choices[i] = considered;
-                self.counts[considered as usize] += 1;
+                counts[considered as usize] += 1;
                 rm.committed += 1;
             } else {
                 self.choices[i] = NO_CHOICE;
             }
         }
-
-        debug_assert_eq!(rm.alive, self.members.alive(), "alive counter drifted");
-        self.members.advance_to(t + 1);
-        self.metrics.absorb(&rm);
-        rm
+        self.shell.finish(rm)
     }
 
     /// Committed counts per option over alive nodes (last round).
     pub fn counts(&self) -> &[u64] {
-        &self.counts
+        &self.shell.counts
     }
 
     /// Number of nodes present for the *next* round, in O(1) (a
@@ -1062,30 +987,17 @@ impl Runtime {
     /// transitions take effect — with churn this can grow as well as
     /// shrink).
     pub fn alive_count(&self) -> usize {
-        self.members.alive()
+        self.shell.members.alive()
     }
 }
 
 impl GroupDynamics for Runtime {
     fn num_options(&self) -> usize {
-        self.cfg.params.num_options()
+        self.shell.cfg.params.num_options()
     }
 
     fn write_distribution(&self, out: &mut [f64]) {
-        let m = self.cfg.params.num_options();
-        assert_eq!(
-            out.len(),
-            m,
-            "buffer length must equal the number of options"
-        );
-        let total: u64 = self.counts.iter().sum();
-        if total == 0 {
-            out.fill(1.0 / m as f64);
-            return;
-        }
-        for (slot, &c) in out.iter_mut().zip(&self.counts) {
-            *slot = c as f64 / total as f64;
-        }
+        self.shell.write_distribution(out);
     }
 
     /// Advances one round. The message-passing runtime draws all of
@@ -1223,27 +1135,6 @@ pub trait ProtocolRuntime: GroupDynamics {
             shard_loads,
         });
         rm
-    }
-
-    /// Runs one round per entry of `rewards_per_round`, returning the
-    /// [`Metrics`] accumulated over just this batch (a
-    /// [`Metrics::since`] delta) — the convenient form when only
-    /// aggregate counters matter (sweeps, benchmarks, long fault-free
-    /// stretches).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any reward row's length differs from the number of
-    /// options.
-    fn run_batch<S: AsRef<[bool]>>(&mut self, rewards_per_round: &[S]) -> Metrics
-    where
-        Self: Sized,
-    {
-        let before = self.metrics();
-        for rewards in rewards_per_round {
-            self.round(rewards.as_ref());
-        }
-        self.metrics().since(&before)
     }
 }
 
@@ -1403,28 +1294,6 @@ mod tests {
             net.distribution()
         };
         assert_eq!(drive(1), drive(999));
-    }
-
-    #[test]
-    fn run_batch_matches_round_loop() {
-        let schedule: Vec<Vec<bool>> = (0..30).map(|t| vec![t % 2 == 0, t % 3 == 0]).collect();
-        let faults = FaultPlan::with_drop_prob(0.2).unwrap().crash(1, 7);
-        let mut batched =
-            Runtime::new(DistConfig::new(params(), 40).with_faults(faults.clone()), 9);
-        let mut looped = Runtime::new(DistConfig::new(params(), 40).with_faults(faults), 9);
-        let batch = batched.run_batch(&schedule);
-        for rewards in &schedule {
-            looped.round(rewards);
-        }
-        assert_eq!(batched.distribution(), looped.distribution());
-        assert_eq!(batched.metrics(), looped.metrics());
-        // The first batch starts from zero, so its delta is the total.
-        assert_eq!(batch, looped.metrics());
-        assert_eq!(batch.rounds, 30);
-        // A second batch reports only its own counters.
-        let again = batched.run_batch(&schedule[..5]);
-        assert_eq!(again.rounds, 5);
-        assert_eq!(batched.metrics().rounds, 35);
     }
 
     #[test]

@@ -133,7 +133,7 @@ fn round_sync_cases() -> Vec<(&'static str, FaultPlan)> {
 
 /// The reward signals of tick `t`, the same in every row.
 fn rewards(t: u64) -> [bool; 3] {
-    [t % 2 == 0, t % 3 == 0, t % 5 == 1]
+    [t.is_multiple_of(2), t.is_multiple_of(3), t % 5 == 1]
 }
 
 /// FNV-1a over little-endian `u64` words: stable across platforms and

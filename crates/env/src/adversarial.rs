@@ -28,10 +28,17 @@ use sociolearn_core::{ParamsError, RewardModel};
 /// assert_eq!(out, [false, true]);
 /// # Ok::<(), sociolearn_core::ParamsError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PeriodicRewards {
     patterns: Vec<Vec<bool>>,
+    /// [`average_qualities`](PeriodicRewards::average_qualities),
+    /// computed once from `patterns`.
+    averages: Vec<f64>,
 }
+
+/// Equality is total: the averages are shares of a non-empty cycle,
+/// never NaN.
+impl Eq for PeriodicRewards {}
 
 impl PeriodicRewards {
     /// Creates the cycle.
@@ -48,7 +55,16 @@ impl PeriodicRewards {
         if patterns.iter().any(|p| p.len() != m) {
             return Err(ParamsError::NoOptions);
         }
-        Ok(PeriodicRewards { patterns })
+        let mut averages = vec![0.0; m];
+        for p in &patterns {
+            for (a, &bit) in averages.iter_mut().zip(p) {
+                *a += bit as u8 as f64;
+            }
+        }
+        for a in averages.iter_mut() {
+            *a /= patterns.len() as f64;
+        }
+        Ok(PeriodicRewards { patterns, averages })
     }
 
     /// An alternating two-option pattern with the given duty cycle:
@@ -79,17 +95,7 @@ impl PeriodicRewards {
     /// Long-run average quality of each option over one period — the
     /// natural benchmark for regret against this sequence.
     pub fn average_qualities(&self) -> Vec<f64> {
-        let m = self.patterns[0].len();
-        let mut avg = vec![0.0; m];
-        for p in &self.patterns {
-            for (a, &bit) in avg.iter_mut().zip(p) {
-                *a += bit as u8 as f64;
-            }
-        }
-        for a in avg.iter_mut() {
-            *a /= self.patterns.len() as f64;
-        }
-        avg
+        self.averages.clone()
     }
 }
 
@@ -108,8 +114,8 @@ impl RewardModel for PeriodicRewards {
         out.copy_from_slice(&self.patterns[idx]);
     }
 
-    fn qualities(&self) -> Option<Vec<f64>> {
-        Some(self.average_qualities())
+    fn qualities(&self) -> Option<&[f64]> {
+        Some(&self.averages)
     }
 }
 
@@ -155,6 +161,6 @@ mod tests {
     #[test]
     fn qualities_are_period_averages() {
         let env = PeriodicRewards::alternating(1, 1).unwrap();
-        assert_eq!(env.qualities(), Some(vec![0.5, 0.5]));
+        assert_eq!(env.qualities(), Some(&[0.5, 0.5][..]));
     }
 }

@@ -32,6 +32,8 @@ use sociolearn_core::{ParamsError, RewardModel};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BestOfTwoRewards {
     p: f64,
+    /// The qualities `[p, 1 - p]`.
+    etas: [f64; 2],
 }
 
 impl BestOfTwoRewards {
@@ -47,7 +49,10 @@ impl BestOfTwoRewards {
                 value: p,
             });
         }
-        Ok(BestOfTwoRewards { p })
+        Ok(BestOfTwoRewards {
+            p,
+            etas: [p, 1.0 - p],
+        })
     }
 
     /// Probability that option 0 wins a given step.
@@ -68,8 +73,8 @@ impl RewardModel for BestOfTwoRewards {
         out[1] = !first_wins;
     }
 
-    fn qualities(&self) -> Option<Vec<f64>> {
-        Some(vec![self.p, 1.0 - self.p])
+    fn qualities(&self) -> Option<&[f64]> {
+        Some(&self.etas)
     }
 }
 
@@ -91,6 +96,8 @@ pub struct ShockDuel {
     p: f64,
     gap: f64,
     sigma: f64,
+    /// The qualities `[p, 1 - p]`.
+    etas: [f64; 2],
 }
 
 impl ShockDuel {
@@ -119,7 +126,12 @@ impl ShockDuel {
                 value: sigma,
             });
         }
-        Ok(ShockDuel { p, gap, sigma })
+        Ok(ShockDuel {
+            p,
+            gap,
+            sigma,
+            etas: [p, 1.0 - p],
+        })
     }
 
     /// Probability option 0 wins a step (`η₁` in the reduction).
@@ -181,8 +193,8 @@ impl RewardModel for ShockDuel {
         out[1] = !first_wins;
     }
 
-    fn qualities(&self) -> Option<Vec<f64>> {
-        Some(vec![self.p, 1.0 - self.p])
+    fn qualities(&self) -> Option<&[f64]> {
+        Some(&self.etas)
     }
 }
 
@@ -332,7 +344,7 @@ mod tests {
         }
         let freq = wins as f64 / 20_000.0;
         assert!((freq - 0.6).abs() < 0.02, "freq={freq}");
-        assert_eq!(env.qualities(), Some(vec![0.6, 0.4]));
+        assert_eq!(env.qualities(), Some(&[0.6, 0.4][..]));
     }
 
     #[test]
@@ -490,8 +502,8 @@ impl RewardModel for BestOfMRewards {
         out[winner] = true;
     }
 
-    fn qualities(&self) -> Option<Vec<f64>> {
-        Some(self.winner_probs.clone())
+    fn qualities(&self) -> Option<&[f64]> {
+        Some(&self.winner_probs)
     }
 }
 

@@ -106,15 +106,14 @@ impl RewardModel for PiecewiseStationary {
             "reward buffer has wrong length"
         );
         self.current_t = t;
-        let etas = self.qualities_at(t).to_vec();
-        for (slot, eta) in out.iter_mut().zip(etas) {
+        for (slot, &eta) in out.iter_mut().zip(self.qualities_at(t)) {
             *slot = Rng::gen_bool(&mut &mut *rng, eta);
         }
     }
 
     /// Qualities at the most recently sampled step.
-    fn qualities(&self) -> Option<Vec<f64>> {
-        Some(self.qualities_at(self.current_t).to_vec())
+    fn qualities(&self) -> Option<&[f64]> {
+        Some(self.qualities_at(self.current_t))
     }
 }
 
@@ -226,8 +225,8 @@ impl RewardModel for RandomWalkQualities {
         }
     }
 
-    fn qualities(&self) -> Option<Vec<f64>> {
-        Some(self.etas.clone())
+    fn qualities(&self) -> Option<&[f64]> {
+        Some(&self.etas)
     }
 }
 
@@ -269,10 +268,10 @@ mod tests {
         let mut out = [false; 2];
         env.sample(1, &mut rng, &mut out);
         assert_eq!(out, [true, false]);
-        assert_eq!(env.qualities(), Some(vec![1.0, 0.0]));
+        assert_eq!(env.qualities(), Some(&[1.0, 0.0][..]));
         env.sample(5, &mut rng, &mut out);
         assert_eq!(out, [false, true]);
-        assert_eq!(env.qualities(), Some(vec![0.0, 1.0]));
+        assert_eq!(env.qualities(), Some(&[0.0, 1.0][..]));
     }
 
     #[test]

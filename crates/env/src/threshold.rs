@@ -123,6 +123,8 @@ fn erf(x: f64) -> f64 {
 pub struct ThresholdRewards {
     dists: Vec<ContinuousDist>,
     tau: f64,
+    /// Each option's probability of clearing `tau`: its quality.
+    etas: Vec<f64>,
 }
 
 impl ThresholdRewards {
@@ -145,7 +147,8 @@ impl ThresholdRewards {
         for d in &dists {
             d.validate()?;
         }
-        Ok(ThresholdRewards { dists, tau })
+        let etas = dists.iter().map(|d| 1.0 - d.cdf(tau)).collect();
+        Ok(ThresholdRewards { dists, tau, etas })
     }
 
     /// The threshold.
@@ -175,8 +178,8 @@ impl RewardModel for ThresholdRewards {
         }
     }
 
-    fn qualities(&self) -> Option<Vec<f64>> {
-        Some(self.dists.iter().map(|d| 1.0 - d.cdf(self.tau)).collect())
+    fn qualities(&self) -> Option<&[f64]> {
+        Some(&self.etas)
     }
 }
 

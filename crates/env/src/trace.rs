@@ -131,7 +131,7 @@ impl<M: RewardModel> RewardModel for RecordingRewards<M> {
         self.recorded.push(out.to_vec());
     }
 
-    fn qualities(&self) -> Option<Vec<f64>> {
+    fn qualities(&self) -> Option<&[f64]> {
         self.inner.qualities()
     }
 }

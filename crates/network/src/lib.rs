@@ -59,7 +59,7 @@
 #![warn(missing_docs)]
 
 use rand::{Rng, RngCore};
-use sociolearn_core::{GroupDynamics, Params};
+use sociolearn_core::{write_shares, GroupDynamics, Params};
 use sociolearn_graph::Graph;
 
 /// How an agent picks whom to observe among its committed neighbors.
@@ -255,20 +255,7 @@ impl GroupDynamics for NetworkPopulation {
     }
 
     fn write_distribution(&self, out: &mut [f64]) {
-        let m = self.params.num_options();
-        assert_eq!(
-            out.len(),
-            m,
-            "buffer length must equal the number of options"
-        );
-        let total: u64 = self.counts.iter().sum();
-        if total == 0 {
-            out.fill(1.0 / m as f64);
-            return;
-        }
-        for (slot, &c) in out.iter_mut().zip(&self.counts) {
-            *slot = c as f64 / total as f64;
-        }
+        write_shares(&self.counts, out);
     }
 
     fn step(&mut self, rewards: &[bool], rng: &mut dyn RngCore) {

@@ -129,8 +129,7 @@ where
     for t in 1..=cfg.horizon {
         env.sample(t, &mut rng, &mut rewards);
         dynamics.step(&rewards, &mut rng);
-        let qualities = env.qualities();
-        tracker.record(&dist, &rewards, qualities.as_deref());
+        tracker.record(&dist, &rewards, env.qualities());
         dynamics.write_distribution(&mut dist);
         if t % cfg.record_stride == 0 || t == cfg.horizon {
             curve.push(t, tracker.average_regret());

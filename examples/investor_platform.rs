@@ -46,8 +46,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         group.step(&rewards, &mut rng);
         hedge.step(&rewards, &mut rng);
         let q = env.qualities();
-        group_tracker.record(&group_before, &rewards, q.as_deref());
-        hedge_tracker.record(&hedge_before, &rewards, q.as_deref());
+        group_tracker.record(&group_before, &rewards, q);
+        hedge_tracker.record(&hedge_before, &rewards, q);
     }
 
     let mut table =

@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let before = group.distribution();
         env.sample(t, &mut rng, &mut rewards);
         group.step(&rewards, &mut rng);
-        tracker.record(&before, &rewards, env.qualities().as_deref());
+        tracker.record(&before, &rewards, env.qualities());
         share_trajectory.push(group.distribution()[0]);
     }
 

@@ -47,7 +47,7 @@
 //!     let before = group.distribution();
 //!     env.sample(t, &mut rng, &mut rewards);
 //!     group.step(&rewards, &mut rng);
-//!     tracker.record(&before, &rewards, env.qualities().as_deref());
+//!     tracker.record(&before, &rewards, env.qualities());
 //! }
 //! assert!(tracker.average_regret() < params.regret_bound_finite());
 //! # Ok::<(), sociolearn::core::ParamsError>(())

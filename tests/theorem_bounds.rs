@@ -162,7 +162,7 @@ fn epoch_decomposition_bounds_every_epoch() {
         let before = pop.distribution();
         env.sample(t, &mut rng, &mut rewards);
         pop.step(&rewards, &mut rng);
-        acc.record(&before, &rewards, env.qualities().as_deref());
+        acc.record(&before, &rewards, env.qualities());
     }
     let per_epoch = acc.per_epoch_regret();
     assert_eq!(per_epoch.len(), 3);

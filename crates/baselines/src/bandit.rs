@@ -1,14 +1,19 @@
 //! Single-agent bandit policies (partial feedback: an agent sees only
 //! the reward of the arm it pulled).
 
+use rand::rngs::SmallRng;
 use rand::Rng;
 use rand_distr::{Beta, Distribution};
 use sociolearn_core::ParamsError;
 
 /// A stateful bandit policy over `m` arms with Bernoulli rewards.
 ///
-/// The trait is object safe so [`IndependentBanditGroup`] can hold
-/// heterogeneous learners if desired.
+/// [`IndependentBanditGroup`] holds `N` copies of one concrete policy
+/// type, so each agent's `select_arm` is a static call. `select_arm`
+/// takes the workspace's one generator, [`SmallRng`], by its concrete
+/// type rather than as a generator trait object, so every draw (a
+/// Thompson step makes `m` `Beta` draws per agent) inlines into the
+/// policy; the trait stays object safe.
 ///
 /// [`IndependentBanditGroup`]: crate::IndependentBanditGroup
 pub trait BanditPolicy {
@@ -16,7 +21,7 @@ pub trait BanditPolicy {
     fn num_arms(&self) -> usize;
 
     /// Chooses an arm to pull this step.
-    fn select_arm(&mut self, rng: &mut dyn rand::RngCore) -> usize;
+    fn select_arm(&mut self, rng: &mut SmallRng) -> usize;
 
     /// Observes the pulled arm's reward.
     fn update(&mut self, arm: usize, reward: bool);
@@ -57,7 +62,7 @@ impl BanditPolicy for Ucb1 {
         self.pulls.len()
     }
 
-    fn select_arm(&mut self, _rng: &mut dyn rand::RngCore) -> usize {
+    fn select_arm(&mut self, _rng: &mut SmallRng) -> usize {
         // Initialization: round-robin through unpulled arms.
         if let Some(j) = self.pulls.iter().position(|&n| n == 0) {
             return j;
@@ -130,11 +135,11 @@ impl BanditPolicy for ThompsonSampling {
         self.posteriors.len()
     }
 
-    fn select_arm(&mut self, rng: &mut dyn rand::RngCore) -> usize {
+    fn select_arm(&mut self, rng: &mut SmallRng) -> usize {
         let mut best = 0;
         let mut best_draw = f64::NEG_INFINITY;
         for (j, beta) in self.posteriors.iter().enumerate() {
-            let draw = beta.sample(&mut &mut *rng);
+            let draw = beta.sample(rng);
             if draw > best_draw {
                 best_draw = draw;
                 best = j;
@@ -196,10 +201,10 @@ impl BanditPolicy for EpsilonGreedy {
         self.pulls.len()
     }
 
-    fn select_arm(&mut self, rng: &mut dyn rand::RngCore) -> usize {
-        let r: f64 = Rng::gen(&mut &mut *rng);
+    fn select_arm(&mut self, rng: &mut SmallRng) -> usize {
+        let r: f64 = rng.gen();
         if r < self.eps {
-            return Rng::gen_range(&mut &mut *rng, 0..self.pulls.len());
+            return rng.gen_range(0..self.pulls.len());
         }
         if let Some(j) = self.pulls.iter().position(|&n| n == 0) {
             return j;
@@ -291,9 +296,9 @@ impl BanditPolicy for Exp3 {
         self.log_weights.len()
     }
 
-    fn select_arm(&mut self, rng: &mut dyn rand::RngCore) -> usize {
+    fn select_arm(&mut self, rng: &mut SmallRng) -> usize {
         write_probabilities(&self.log_weights, self.gamma, &mut self.last_probs);
-        sociolearn_core::sample_categorical(&mut &mut *rng, &self.last_probs)
+        sociolearn_core::sample_categorical(rng, &self.last_probs)
     }
 
     fn update(&mut self, arm: usize, reward: bool) {

@@ -2,7 +2,7 @@
 //! population.
 
 use crate::bandit::BanditPolicy;
-use rand::RngCore;
+use rand::rngs::SmallRng;
 use sociolearn_core::{write_shares, GroupDynamics};
 
 /// `N` agents each running a private copy of a bandit policy,
@@ -82,7 +82,7 @@ impl<P: BanditPolicy> GroupDynamics for IndependentBanditGroup<P> {
         write_shares(&self.counts, out);
     }
 
-    fn step(&mut self, rewards: &[bool], rng: &mut dyn RngCore) {
+    fn step(&mut self, rewards: &[bool], rng: &mut SmallRng) {
         assert_eq!(rewards.len(), self.counts.len(), "rewards length mismatch");
         self.counts.fill(0);
         for agent in self.agents.iter_mut() {

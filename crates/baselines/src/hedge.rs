@@ -1,6 +1,6 @@
 //! Full-information multiplicative-weights baselines.
 
-use rand::RngCore;
+use rand::rngs::SmallRng;
 use sociolearn_core::{GroupDynamics, ParamsError};
 
 /// Classic Hedge / multiplicative weights with learning rate `eps`:
@@ -93,7 +93,7 @@ impl GroupDynamics for Hedge {
         }
     }
 
-    fn step(&mut self, rewards: &[bool], _rng: &mut dyn RngCore) {
+    fn step(&mut self, rewards: &[bool], _rng: &mut SmallRng) {
         assert_eq!(
             rewards.len(),
             self.log_weights.len(),
@@ -166,7 +166,7 @@ impl GroupDynamics for DeterministicReplicator {
         out.copy_from_slice(&self.probs);
     }
 
-    fn step(&mut self, _rewards: &[bool], _rng: &mut dyn RngCore) {
+    fn step(&mut self, _rewards: &[bool], _rng: &mut SmallRng) {
         let mut z = 0.0;
         for (p, &eta) in self.probs.iter_mut().zip(&self.etas) {
             *p *= (self.eps * eta).exp();

@@ -1,7 +1,7 @@
 //! Trivial baselines: oracles and floors that anchor the regret
 //! comparison tables.
 
-use rand::RngCore;
+use rand::rngs::SmallRng;
 use sociolearn_core::{GroupDynamics, ParamsError};
 
 /// Always plays the known best option — the zero-regret oracle
@@ -43,7 +43,7 @@ impl GroupDynamics for BestFixed {
         out[self.best] = 1.0;
     }
 
-    fn step(&mut self, rewards: &[bool], _rng: &mut dyn RngCore) {
+    fn step(&mut self, rewards: &[bool], _rng: &mut SmallRng) {
         assert_eq!(rewards.len(), self.m, "rewards length mismatch");
     }
 
@@ -84,7 +84,7 @@ impl GroupDynamics for UniformRandom {
         out.fill(1.0 / self.m as f64);
     }
 
-    fn step(&mut self, rewards: &[bool], _rng: &mut dyn RngCore) {
+    fn step(&mut self, rewards: &[bool], _rng: &mut SmallRng) {
         assert_eq!(rewards.len(), self.m, "rewards length mismatch");
     }
 
@@ -137,7 +137,7 @@ impl GroupDynamics for FollowTheLeader {
         out[self.leader()] = 1.0;
     }
 
-    fn step(&mut self, rewards: &[bool], _rng: &mut dyn RngCore) {
+    fn step(&mut self, rewards: &[bool], _rng: &mut SmallRng) {
         assert_eq!(rewards.len(), self.totals.len(), "rewards length mismatch");
         for (t, &r) in self.totals.iter_mut().zip(rewards) {
             *t += r as u64;

@@ -3,7 +3,8 @@
 use crate::dynamics::{write_shares, GroupDynamics};
 use crate::params::Params;
 use crate::scratch::write_adopt_probs;
-use rand::{Rng, RngCore};
+use rand::rngs::SmallRng;
+use rand::Rng;
 
 /// The same finite-population dynamics as
 /// [`FinitePopulation`](crate::FinitePopulation), but simulated agent
@@ -139,7 +140,7 @@ impl GroupDynamics for AgentPopulation {
         write_shares(&self.counts, out);
     }
 
-    fn step(&mut self, rewards: &[bool], rng: &mut dyn RngCore) {
+    fn step(&mut self, rewards: &[bool], rng: &mut SmallRng) {
         let m = self.params.num_options();
         assert_eq!(
             rewards.len(),

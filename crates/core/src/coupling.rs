@@ -7,6 +7,7 @@ use crate::finite::FinitePopulation;
 use crate::infinite::InfiniteDynamics;
 use crate::params::Params;
 use crate::{GroupDynamics, RewardModel};
+use rand::rngs::SmallRng;
 use rand::RngCore;
 
 /// Multiplicative deviation between two distributions:
@@ -137,11 +138,12 @@ impl CoupledRun {
 
     /// Runs `steps` coupled steps against a reward model, returning the
     /// deviation trace.
-    pub fn run<M, R>(&mut self, mut env: M, steps: u64, rng: &mut R) -> CouplingTrace
-    where
-        M: RewardModel,
-        R: RngCore,
-    {
+    pub fn run<M: RewardModel>(
+        &mut self,
+        mut env: M,
+        steps: u64,
+        rng: &mut SmallRng,
+    ) -> CouplingTrace {
         let m = self.finite.num_options();
         assert_eq!(
             env.num_options(),

@@ -1,7 +1,7 @@
 //! The common interface every population-level learning process in
 //! this workspace implements.
 
-use rand::RngCore;
+use rand::rngs::SmallRng;
 
 /// A discrete-time stochastic process over a probability distribution
 /// on `m` options.
@@ -15,6 +15,12 @@ use rand::RngCore;
 /// The contract mirrors the paper's timing: `distribution()` exposes
 /// the option shares *after* the most recent step (the paper's `Q^t`),
 /// and a subsequent `step(R^{t+1})` consumes the fresh signal vector.
+///
+/// `step` takes the workspace's one generator, [`SmallRng`], by its
+/// concrete type rather than as a generator trait object: every draw a
+/// step makes then inlines into it, instead of costing an indirect
+/// call per word, and the trait stays object safe
+/// (`Box<dyn GroupDynamics>` runs as it is).
 pub trait GroupDynamics {
     /// Number of options `m`.
     fn num_options(&self) -> usize;
@@ -35,7 +41,7 @@ pub trait GroupDynamics {
     /// # Panics
     ///
     /// Implementations may panic if `rewards.len() != self.num_options()`.
-    fn step(&mut self, rewards: &[bool], rng: &mut dyn RngCore);
+    fn step(&mut self, rewards: &[bool], rng: &mut SmallRng);
 
     /// Convenience: the current distribution as a fresh vector.
     fn distribution(&self) -> Vec<f64> {
@@ -62,7 +68,7 @@ impl<D: GroupDynamics + ?Sized> GroupDynamics for &mut D {
         (**self).write_distribution(out)
     }
 
-    fn step(&mut self, rewards: &[bool], rng: &mut dyn RngCore) {
+    fn step(&mut self, rewards: &[bool], rng: &mut SmallRng) {
         (**self).step(rewards, rng)
     }
 
@@ -81,7 +87,7 @@ impl<D: GroupDynamics + ?Sized> GroupDynamics for Box<D> {
         (**self).write_distribution(out)
     }
 
-    fn step(&mut self, rewards: &[bool], rng: &mut dyn RngCore) {
+    fn step(&mut self, rewards: &[bool], rng: &mut SmallRng) {
         (**self).step(rewards, rng)
     }
 
@@ -138,6 +144,7 @@ pub fn assert_distribution(dist: &[f64], tol: f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::SeedableRng;
 
     struct Fixed(Vec<f64>);
     impl GroupDynamics for Fixed {
@@ -147,7 +154,7 @@ mod tests {
         fn write_distribution(&self, out: &mut [f64]) {
             out.copy_from_slice(&self.0);
         }
-        fn step(&mut self, _rewards: &[bool], _rng: &mut dyn RngCore) {}
+        fn step(&mut self, _rewards: &[bool], _rng: &mut SmallRng) {}
     }
 
     #[test]
@@ -175,7 +182,7 @@ mod tests {
     #[test]
     fn trait_object_safe() {
         let mut d: Box<dyn GroupDynamics> = Box::new(Fixed(vec![0.5, 0.5]));
-        let mut rng = rand::rngs::mock::StepRng::new(0, 1);
+        let mut rng = SmallRng::seed_from_u64(1);
         d.step(&[true, false], &mut rng);
         assert_eq!(d.num_options(), 2);
     }
@@ -191,7 +198,7 @@ mod tests {
             let moved = f64::from(self.0.min(2)) * 0.25;
             out.copy_from_slice(&[0.5 - moved, 0.25, 0.25 + moved]);
         }
-        fn step(&mut self, _rewards: &[bool], _rng: &mut dyn RngCore) {
+        fn step(&mut self, _rewards: &[bool], _rng: &mut SmallRng) {
             self.0 += 1;
         }
         fn label(&self) -> &str {
@@ -200,7 +207,7 @@ mod tests {
     }
 
     fn check_forwarding(d: &mut impl GroupDynamics) {
-        let mut rng = rand::rngs::mock::StepRng::new(0, 1);
+        let mut rng = SmallRng::seed_from_u64(1);
         assert_eq!(d.num_options(), 3);
         assert_eq!(d.label(), "counter");
         assert_eq!(d.distribution(), vec![0.5, 0.25, 0.25]);

@@ -5,6 +5,7 @@ use crate::dynamics::{write_shares, GroupDynamics};
 use crate::params::Params;
 use crate::sampling::{sample_binomial, sample_multinomial};
 use crate::scratch::{mix_popularity, write_adopt_probs, StepScratch};
+use rand::rngs::SmallRng;
 use rand::RngCore;
 
 /// Per-step record of the two stages: how many individuals *sampled*
@@ -225,7 +226,7 @@ impl GroupDynamics for FinitePopulation {
         write_shares(&self.counts, out);
     }
 
-    fn step(&mut self, rewards: &[bool], rng: &mut dyn RngCore) {
+    fn step(&mut self, rewards: &[bool], rng: &mut SmallRng) {
         self.step_detailed(rewards, rng);
     }
 

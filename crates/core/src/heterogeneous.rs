@@ -12,7 +12,8 @@
 
 use crate::dynamics::{write_shares, GroupDynamics};
 use crate::error::ParamsError;
-use rand::{Rng, RngCore};
+use rand::rngs::SmallRng;
+use rand::Rng;
 
 /// Per-individual adoption sensitivities.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -166,7 +167,7 @@ impl GroupDynamics for HeterogeneousPopulation {
         write_shares(&self.counts, out);
     }
 
-    fn step(&mut self, rewards: &[bool], rng: &mut dyn RngCore) {
+    fn step(&mut self, rewards: &[bool], rng: &mut SmallRng) {
         assert_eq!(
             rewards.len(),
             self.m,

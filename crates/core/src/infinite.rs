@@ -4,7 +4,7 @@
 
 use crate::dynamics::GroupDynamics;
 use crate::params::Params;
-use rand::RngCore;
+use rand::rngs::SmallRng;
 
 /// The deterministic-in-sampling, stochastic-in-rewards process of
 /// Equation (1):
@@ -142,7 +142,7 @@ impl GroupDynamics for InfiniteDynamics {
         out.copy_from_slice(&self.probs);
     }
 
-    fn step(&mut self, rewards: &[bool], _rng: &mut dyn RngCore) {
+    fn step(&mut self, rewards: &[bool], _rng: &mut SmallRng) {
         self.step_rewards(rewards);
     }
 

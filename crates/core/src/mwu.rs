@@ -13,7 +13,7 @@
 
 use crate::dynamics::GroupDynamics;
 use crate::params::Params;
-use rand::RngCore;
+use rand::rngs::SmallRng;
 
 /// Explicit-weights stochastic MWU (Equation (1) of the paper).
 ///
@@ -128,7 +128,7 @@ impl GroupDynamics for StochasticMwu {
         }
     }
 
-    fn step(&mut self, rewards: &[bool], _rng: &mut dyn RngCore) {
+    fn step(&mut self, rewards: &[bool], _rng: &mut SmallRng) {
         self.step_rewards(rewards);
     }
 

@@ -1,7 +1,8 @@
 //! Reward processes: the stochastic quality signals `R_j^t`.
 
 use crate::error::ParamsError;
-use rand::RngCore;
+use rand::rngs::SmallRng;
+use rand::Rng;
 
 /// A source of per-option quality signals.
 ///
@@ -12,7 +13,10 @@ use rand::RngCore;
 /// thresholded-continuous and recorded variants.
 ///
 /// Implementations are object safe so heterogeneous environments can
-/// be swapped at runtime.
+/// be swapped at runtime. `sample` takes the workspace's one
+/// generator, [`SmallRng`], by its concrete type rather than as a
+/// generator trait object, so every draw inlines into the sampler, and
+/// the trait stays object safe.
 pub trait RewardModel {
     /// Number of options `m`.
     fn num_options(&self) -> usize;
@@ -26,7 +30,7 @@ pub trait RewardModel {
     /// # Panics
     ///
     /// Implementations may panic if `out.len() != self.num_options()`.
-    fn sample(&mut self, t: u64, rng: &mut dyn RngCore, out: &mut [bool]);
+    fn sample(&mut self, t: u64, rng: &mut SmallRng, out: &mut [bool]);
 
     /// Current expected quality per option (`eta_j` at time `t`), if
     /// the environment knows it. Used for Rao–Blackwellized regret
@@ -165,10 +169,10 @@ impl RewardModel for BernoulliRewards {
         self.etas.len()
     }
 
-    fn sample(&mut self, _t: u64, rng: &mut dyn RngCore, out: &mut [bool]) {
+    fn sample(&mut self, _t: u64, rng: &mut SmallRng, out: &mut [bool]) {
         assert_eq!(out.len(), self.etas.len(), "reward buffer has wrong length");
         for (slot, &eta) in out.iter_mut().zip(&self.etas) {
-            *slot = rand::Rng::gen_bool(&mut &mut *rng, eta);
+            *slot = rng.gen_bool(eta);
         }
     }
 

@@ -64,7 +64,7 @@
 //! previous commitment), kept so a node can answer queries about the
 //! epoch a slower or faster peer is still working on.
 
-use rand::RngCore;
+use rand::rngs::SmallRng;
 use sociolearn_core::GroupDynamics;
 
 use crate::calendar::{ExecTuning, SchedulerKind, ShardMap, ShardedEngine, MAX_LOOKAHEAD};
@@ -558,7 +558,7 @@ impl GroupDynamics for EventRuntime {
     /// Advances one epoch. Like the round-synchronous runtime, the
     /// event-driven runtime draws all randomness from its own seed;
     /// the caller's RNG is ignored.
-    fn step(&mut self, rewards: &[bool], _rng: &mut dyn RngCore) {
+    fn step(&mut self, rewards: &[bool], _rng: &mut SmallRng) {
         self.tick(rewards);
     }
 

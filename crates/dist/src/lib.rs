@@ -122,7 +122,7 @@ pub use telemetry::{MetricsRecorder, NoTelemetry, TelemetryFrame, TelemetrySink,
 use std::sync::Arc;
 
 use rand::rngs::SmallRng;
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{Rng, SeedableRng};
 use sociolearn_core::{GroupDynamics, Params};
 
 use cast::index_u32;
@@ -1004,7 +1004,7 @@ impl GroupDynamics for Runtime {
     /// its randomness (protocol and faults) from the seed given to
     /// [`Runtime::new`]; the caller's RNG is ignored so that a
     /// deployment's behavior is a function of its own seed alone.
-    fn step(&mut self, rewards: &[bool], _rng: &mut dyn RngCore) {
+    fn step(&mut self, rewards: &[bool], _rng: &mut SmallRng) {
         self.round(rewards);
     }
 

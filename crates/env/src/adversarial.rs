@@ -6,7 +6,7 @@
 //! stochastic dynamics inherits some of that robustness, which the
 //! robustness tests quantify).
 
-use rand::RngCore;
+use rand::rngs::SmallRng;
 use sociolearn_core::{ParamsError, RewardModel};
 
 /// Cycles deterministically through a fixed list of reward patterns.
@@ -104,7 +104,7 @@ impl RewardModel for PeriodicRewards {
         self.patterns[0].len()
     }
 
-    fn sample(&mut self, t: u64, _rng: &mut dyn RngCore, out: &mut [bool]) {
+    fn sample(&mut self, t: u64, _rng: &mut SmallRng, out: &mut [bool]) {
         assert_eq!(
             out.len(),
             self.num_options(),

@@ -4,7 +4,8 @@
 //! with player-specific shocks, together with its exact reduction to
 //! the paper's `(η, α, β)` parameterization.
 
-use rand::{Rng, RngCore};
+use rand::rngs::SmallRng;
+use rand::Rng;
 use rand_distr::{Distribution, StandardNormal};
 use sociolearn_core::{ParamsError, RewardModel};
 
@@ -66,9 +67,9 @@ impl RewardModel for BestOfTwoRewards {
         2
     }
 
-    fn sample(&mut self, _t: u64, rng: &mut dyn RngCore, out: &mut [bool]) {
+    fn sample(&mut self, _t: u64, rng: &mut SmallRng, out: &mut [bool]) {
         assert_eq!(out.len(), 2, "reward buffer has wrong length");
-        let first_wins = Rng::gen_bool(&mut &mut *rng, self.p);
+        let first_wins = rng.gen_bool(self.p);
         out[0] = first_wins;
         out[1] = !first_wins;
     }
@@ -186,9 +187,9 @@ impl RewardModel for ShockDuel {
     }
 
     /// Samples the induced *binary* signals (which option won).
-    fn sample(&mut self, _t: u64, rng: &mut dyn RngCore, out: &mut [bool]) {
+    fn sample(&mut self, _t: u64, rng: &mut SmallRng, out: &mut [bool]) {
         assert_eq!(out.len(), 2, "reward buffer has wrong length");
-        let first_wins = Rng::gen_bool(&mut &mut *rng, self.p);
+        let first_wins = rng.gen_bool(self.p);
         out[0] = first_wins;
         out[1] = !first_wins;
     }
@@ -491,14 +492,14 @@ impl RewardModel for BestOfMRewards {
         self.winner_probs.len()
     }
 
-    fn sample(&mut self, _t: u64, rng: &mut dyn RngCore, out: &mut [bool]) {
+    fn sample(&mut self, _t: u64, rng: &mut SmallRng, out: &mut [bool]) {
         assert_eq!(
             out.len(),
             self.winner_probs.len(),
             "reward buffer has wrong length"
         );
         out.fill(false);
-        let winner = sociolearn_core::sample_categorical(&mut &mut *rng, &self.winner_probs);
+        let winner = sociolearn_core::sample_categorical(rng, &self.winner_probs);
         out[winner] = true;
     }
 

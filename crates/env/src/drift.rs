@@ -2,7 +2,8 @@
 //! parameters controlling the quality of the options are allowed to
 //! change".
 
-use rand::{Rng, RngCore};
+use rand::rngs::SmallRng;
+use rand::Rng;
 use sociolearn_core::{ParamsError, RewardModel};
 
 /// Piecewise-stationary qualities: a schedule of quality vectors, each
@@ -99,7 +100,7 @@ impl RewardModel for PiecewiseStationary {
         self.schedule[0].1.len()
     }
 
-    fn sample(&mut self, t: u64, rng: &mut dyn RngCore, out: &mut [bool]) {
+    fn sample(&mut self, t: u64, rng: &mut SmallRng, out: &mut [bool]) {
         assert_eq!(
             out.len(),
             self.num_options(),
@@ -107,7 +108,7 @@ impl RewardModel for PiecewiseStationary {
         );
         self.current_t = t;
         for (slot, &eta) in out.iter_mut().zip(self.qualities_at(t)) {
-            *slot = Rng::gen_bool(&mut &mut *rng, eta);
+            *slot = rng.gen_bool(eta);
         }
     }
 
@@ -202,11 +203,11 @@ impl RewardModel for RandomWalkQualities {
         self.etas.len()
     }
 
-    fn sample(&mut self, _t: u64, rng: &mut dyn RngCore, out: &mut [bool]) {
+    fn sample(&mut self, _t: u64, rng: &mut SmallRng, out: &mut [bool]) {
         assert_eq!(out.len(), self.etas.len(), "reward buffer has wrong length");
         // Move first, then emit signals from the new qualities.
         for eta in self.etas.iter_mut() {
-            let delta = if Rng::gen_bool(&mut &mut *rng, 0.5) {
+            let delta = if rng.gen_bool(0.5) {
                 self.step_size
             } else {
                 -self.step_size
@@ -221,7 +222,7 @@ impl RewardModel for RandomWalkQualities {
             *eta = v.clamp(self.lo, self.hi);
         }
         for (slot, &eta) in out.iter_mut().zip(&self.etas) {
-            *slot = Rng::gen_bool(&mut &mut *rng, eta);
+            *slot = rng.gen_bool(eta);
         }
     }
 

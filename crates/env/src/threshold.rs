@@ -4,7 +4,8 @@
 //! reward is above or below a threshold ... can be converted to a
 //! binary reward structure in a standard way").
 
-use rand::{Rng, RngCore};
+use rand::rngs::SmallRng;
+use rand::Rng;
 use rand_distr::{Distribution, StandardNormal};
 use sociolearn_core::{ParamsError, RewardModel};
 
@@ -167,14 +168,14 @@ impl RewardModel for ThresholdRewards {
         self.dists.len()
     }
 
-    fn sample(&mut self, _t: u64, rng: &mut dyn RngCore, out: &mut [bool]) {
+    fn sample(&mut self, _t: u64, rng: &mut SmallRng, out: &mut [bool]) {
         assert_eq!(
             out.len(),
             self.dists.len(),
             "reward buffer has wrong length"
         );
         for (slot, d) in out.iter_mut().zip(&self.dists) {
-            *slot = d.sample(&mut &mut *rng) > self.tau;
+            *slot = d.sample(rng) > self.tau;
         }
     }
 

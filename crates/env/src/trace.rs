@@ -5,7 +5,7 @@
 //! differs. [`RecordingRewards`] captures a stream as it is drawn;
 //! [`TraceRewards`] replays a captured (or hand-written) stream.
 
-use rand::RngCore;
+use rand::rngs::SmallRng;
 use sociolearn_core::{ParamsError, RewardModel};
 
 /// Replays a fixed matrix of reward bits; step `t` (1-based) returns
@@ -71,7 +71,7 @@ impl RewardModel for TraceRewards {
         self.rows[0].len()
     }
 
-    fn sample(&mut self, t: u64, _rng: &mut dyn RngCore, out: &mut [bool]) {
+    fn sample(&mut self, t: u64, _rng: &mut SmallRng, out: &mut [bool]) {
         assert_eq!(
             out.len(),
             self.num_options(),
@@ -126,7 +126,7 @@ impl<M: RewardModel> RewardModel for RecordingRewards<M> {
         self.inner.num_options()
     }
 
-    fn sample(&mut self, t: u64, rng: &mut dyn RngCore, out: &mut [bool]) {
+    fn sample(&mut self, t: u64, rng: &mut SmallRng, out: &mut [bool]) {
         self.inner.sample(t, rng, out);
         self.recorded.push(out.to_vec());
     }

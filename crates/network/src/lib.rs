@@ -58,7 +58,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use rand::{Rng, RngCore};
+use rand::rngs::SmallRng;
+use rand::Rng;
 use sociolearn_core::{write_shares, GroupDynamics, Params};
 use sociolearn_graph::Graph;
 
@@ -258,7 +259,7 @@ impl GroupDynamics for NetworkPopulation {
         write_shares(&self.counts, out);
     }
 
-    fn step(&mut self, rewards: &[bool], rng: &mut dyn RngCore) {
+    fn step(&mut self, rewards: &[bool], rng: &mut SmallRng) {
         let m = self.params.num_options();
         assert_eq!(
             rewards.len(),

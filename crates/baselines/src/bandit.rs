@@ -32,10 +32,16 @@ pub trait BanditPolicy {
 
 /// UCB1 (Auer–Cesa-Bianchi–Fischer): play each arm once, then the arm
 /// maximizing `mean + sqrt(2 ln t / n_j)`.
+///
+/// Each arm's mean is stored when it changes, in [`update`], so a step
+/// divides once per arm, not twice.
+///
+/// [`update`]: BanditPolicy::update
 #[derive(Debug, Clone, PartialEq)]
 pub struct Ucb1 {
     pulls: Vec<u64>,
     sums: Vec<f64>,
+    means: Vec<f64>,
     t: u64,
 }
 
@@ -52,6 +58,7 @@ impl Ucb1 {
         Ok(Ucb1 {
             pulls: vec![0; m],
             sums: vec![0.0; m],
+            means: vec![0.0; m],
             t: 0,
         })
     }
@@ -72,7 +79,7 @@ impl BanditPolicy for Ucb1 {
         let mut best_score = f64::NEG_INFINITY;
         for j in 0..self.pulls.len() {
             let n = self.pulls[j] as f64;
-            let score = self.sums[j] / n + (2.0 * t.ln() / n).sqrt();
+            let score = self.means[j] + (2.0 * t.ln() / n).sqrt();
             if score > best_score {
                 best_score = score;
                 best = j;
@@ -85,6 +92,7 @@ impl BanditPolicy for Ucb1 {
         self.t += 1;
         self.pulls[arm] += 1;
         self.sums[arm] += reward as u8 as f64;
+        self.means[arm] = self.sums[arm] / self.pulls[arm] as f64;
     }
 
     fn policy_name(&self) -> &'static str {
@@ -164,11 +172,17 @@ impl BanditPolicy for ThompsonSampling {
 
 /// ε-greedy: explore uniformly with probability `eps`, otherwise play
 /// the empirical-mean argmax.
+///
+/// Each arm's mean is stored when it changes, in [`update`], so an
+/// exploiting step does no division.
+///
+/// [`update`]: BanditPolicy::update
 #[derive(Debug, Clone, PartialEq)]
 pub struct EpsilonGreedy {
     eps: f64,
     pulls: Vec<u64>,
     sums: Vec<f64>,
+    means: Vec<f64>,
 }
 
 impl EpsilonGreedy {
@@ -192,6 +206,7 @@ impl EpsilonGreedy {
             eps,
             pulls: vec![0; m],
             sums: vec![0.0; m],
+            means: vec![0.0; m],
         })
     }
 }
@@ -211,8 +226,7 @@ impl BanditPolicy for EpsilonGreedy {
         }
         let mut best = 0;
         let mut best_mean = f64::NEG_INFINITY;
-        for j in 0..self.pulls.len() {
-            let mean = self.sums[j] / self.pulls[j] as f64;
+        for (j, &mean) in self.means.iter().enumerate() {
             if mean > best_mean {
                 best_mean = mean;
                 best = j;
@@ -224,6 +238,7 @@ impl BanditPolicy for EpsilonGreedy {
     fn update(&mut self, arm: usize, reward: bool) {
         self.pulls[arm] += 1;
         self.sums[arm] += reward as u8 as f64;
+        self.means[arm] = self.sums[arm] / self.pulls[arm] as f64;
     }
 
     fn policy_name(&self) -> &'static str {
@@ -233,10 +248,21 @@ impl BanditPolicy for EpsilonGreedy {
 
 /// EXP3 (Auer et al.): multiplicative weights on importance-weighted
 /// reward estimates, with γ-uniform exploration.
+///
+/// The softmax's exponentials are kept between steps. A weight only
+/// grows, and only on a reward, so [`update`] recomputes the pulled
+/// arm's alone, or all of them when that arm becomes the largest (the
+/// softmax subtracts the largest weight).
+///
+/// [`update`]: BanditPolicy::update
 #[derive(Debug, Clone, PartialEq)]
 pub struct Exp3 {
     log_weights: Vec<f64>,
     gamma: f64,
+    /// The largest of `log_weights`.
+    max_log_weight: f64,
+    /// `exp(log_weight - max_log_weight)` per arm.
+    shifted: Vec<f64>,
     /// Probabilities used for the most recent draw (needed for the
     /// importance weighting in `update`).
     last_probs: Vec<f64>,
@@ -262,6 +288,8 @@ impl Exp3 {
         Ok(Exp3 {
             log_weights: vec![0.0; m],
             gamma,
+            max_log_weight: 0.0,
+            shifted: vec![1.0; m],
             last_probs: vec![1.0 / m as f64; m],
         })
     }
@@ -269,25 +297,18 @@ impl Exp3 {
     #[cfg(test)]
     fn probabilities(&self) -> Vec<f64> {
         let mut w = vec![0.0; self.log_weights.len()];
-        write_probabilities(&self.log_weights, self.gamma, &mut w);
+        write_probabilities(&self.shifted, self.gamma, &mut w);
         w
     }
 }
 
-/// Writes EXP3's sampling distribution into `out`: the softmax of
-/// `log_weights`, mixed with a `gamma`-uniform floor.
-fn write_probabilities(log_weights: &[f64], gamma: f64, out: &mut [f64]) {
-    let m = log_weights.len();
-    let max = log_weights
-        .iter()
-        .copied()
-        .fold(f64::NEG_INFINITY, f64::max);
-    for (wi, &lw) in out.iter_mut().zip(log_weights) {
-        *wi = (lw - max).exp();
-    }
-    let z: f64 = out.iter().sum();
-    for wi in out.iter_mut() {
-        *wi = (1.0 - gamma) * *wi / z + gamma / m as f64;
+/// Writes EXP3's sampling distribution into `out`: the softmax terms
+/// `shifted`, normalized and mixed with a `gamma`-uniform floor.
+fn write_probabilities(shifted: &[f64], gamma: f64, out: &mut [f64]) {
+    let m = shifted.len();
+    let z: f64 = shifted.iter().sum();
+    for (wi, &w) in out.iter_mut().zip(shifted) {
+        *wi = (1.0 - gamma) * w / z + gamma / m as f64;
     }
 }
 
@@ -297,14 +318,27 @@ impl BanditPolicy for Exp3 {
     }
 
     fn select_arm(&mut self, rng: &mut SmallRng) -> usize {
-        write_probabilities(&self.log_weights, self.gamma, &mut self.last_probs);
+        write_probabilities(&self.shifted, self.gamma, &mut self.last_probs);
         sociolearn_core::sample_categorical(rng, &self.last_probs)
     }
 
     fn update(&mut self, arm: usize, reward: bool) {
+        if !reward {
+            // A zero estimate leaves every weight as it is.
+            return;
+        }
         let m = self.log_weights.len() as f64;
-        let estimate = reward as u8 as f64 / self.last_probs[arm].max(1e-12);
+        let estimate = 1.0 / self.last_probs[arm].max(1e-12);
         self.log_weights[arm] += self.gamma * estimate / m;
+        let lw = self.log_weights[arm];
+        if lw > self.max_log_weight {
+            self.max_log_weight = lw;
+            for (s, &w) in self.shifted.iter_mut().zip(&self.log_weights) {
+                *s = (w - lw).exp();
+            }
+        } else {
+            self.shifted[arm] = (lw - self.max_log_weight).exp();
+        }
     }
 
     fn policy_name(&self) -> &'static str {
@@ -382,6 +416,52 @@ mod tests {
             p.update(arm, false);
         }
         assert!(seen.iter().all(|&s| s), "round robin skipped an arm");
+    }
+
+    /// Plays `p` for `steps` steps on five Bernoulli arms, calling
+    /// `check(&p)` after every update.
+    fn play<P: BanditPolicy>(mut p: P, steps: u64, seed: u64, check: impl Fn(&P)) {
+        const ARMS: [f64; 5] = [0.9, 0.6, 0.5, 0.3, 0.1];
+        let mut rng = SmallRng::seed_from_u64(seed);
+        for _ in 0..steps {
+            let arm = p.select_arm(&mut rng);
+            let reward = rng.gen_bool(ARMS[arm]);
+            p.update(arm, reward);
+            check(&p);
+        }
+    }
+
+    #[test]
+    fn stored_means_equal_the_quotients() {
+        play(Ucb1::new(5).unwrap(), 2_000, 8, |p| {
+            for j in 0..5 {
+                if p.pulls[j] > 0 {
+                    assert_eq!(p.means[j], p.sums[j] / p.pulls[j] as f64);
+                }
+            }
+        });
+        play(EpsilonGreedy::new(5, 0.2).unwrap(), 2_000, 9, |p| {
+            for j in 0..5 {
+                if p.pulls[j] > 0 {
+                    assert_eq!(p.means[j], p.sums[j] / p.pulls[j] as f64);
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn exp3_softmax_terms_follow_the_weights() {
+        play(Exp3::new(5, 0.1).unwrap(), 2_000, 7, |p| {
+            let max = p
+                .log_weights
+                .iter()
+                .copied()
+                .fold(f64::NEG_INFINITY, f64::max);
+            assert_eq!(p.max_log_weight, max);
+            for (&s, &w) in p.shifted.iter().zip(&p.log_weights) {
+                assert_eq!(s, (w - max).exp());
+            }
+        });
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! E1 — Theorem 4.3: the infinite-population dynamics has average
 //! regret at most `3δ` once `T ≥ ln m / δ²`.
 
-use crate::{pm, verdict, ExpContext, ExperimentReport};
+use crate::{pm, verdict, ExpContext, Outcome};
 use sociolearn_core::{BernoulliRewards, InfiniteDynamics, Params, BETA_MAX};
 use sociolearn_plot::{fmt_sig, CsvWriter, MarkdownTable, Series, SvgPlot};
 use sociolearn_sim::{aggregate_curves, replicate, run_one, RunConfig, SeedTree};
 use sociolearn_stats::Summary;
 
-pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
+pub(crate) fn run(ctx: &ExpContext) -> Outcome {
     let betas: Vec<f64> = ctx.pick(
         vec![0.55, 0.65],
         vec![0.52, 0.55, 0.60, 0.65, 0.70, BETA_MAX],
@@ -82,11 +82,6 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
         .x_label("T")
         .y_label("Regret_inf(T)");
     let fig = fig_series.into_iter().fold(fig, |f, s| f.add(s));
-    let mut artifacts = vec!["E1.csv".to_string()];
-    let _ = csv.save(ctx.path("E1.csv"));
-    if fig.save(ctx.path("E1.svg")).is_ok() {
-        artifacts.push("E1.svg".into());
-    }
 
     let markdown = format!(
         "Claim (Thm 4.3): for `1/2 < beta <= e/(e+1)`, `6 mu <= delta^2`, uniform start, \
@@ -98,12 +93,10 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
         table = table.render()
     );
 
-    ExperimentReport {
-        id: "E1",
-        title: "Infinite-population regret <= 3*delta (Theorem 4.3)",
+    Outcome {
         markdown,
         pass: all_ok,
-        artifacts,
+        files: vec![("E1.csv", csv.render()), ("E1.svg", fig.render())],
     }
 }
 
@@ -113,11 +106,9 @@ mod tests {
 
     #[test]
     fn quick_run_passes() {
-        let dir = std::env::temp_dir().join("sociolearn_e1");
-        std::fs::create_dir_all(&dir).unwrap();
-        let ctx = ExpContext::new(&dir, true, 12345);
-        let report = run(&ctx);
-        assert!(report.pass, "report:\n{}", report.render());
-        assert!(report.markdown.contains("| m"));
+        let ctx = ExpContext::new("", true, 12345);
+        let outcome = run(&ctx);
+        assert!(outcome.pass, "report:\n{}", outcome.markdown);
+        assert!(outcome.markdown.contains("| m"));
     }
 }

@@ -1,13 +1,13 @@
 //! E2 — Theorem 4.3 (part 2): the time-averaged share of the best
 //! option satisfies `avg_t E[P₁^{t−1}] ≥ 1 − 3δ/(η₁ − η₂)`.
 
-use crate::{pm, verdict, ExpContext, ExperimentReport};
+use crate::{pm, verdict, ExpContext, Outcome};
 use sociolearn_core::{BernoulliRewards, InfiniteDynamics, Params};
 use sociolearn_plot::{fmt_sig, CsvWriter, MarkdownTable, Series, SvgPlot};
 use sociolearn_sim::{aggregate_curves, replicate, run_one, RunConfig, SeedTree};
 use sociolearn_stats::Summary;
 
-pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
+pub(crate) fn run(ctx: &ExpContext) -> Outcome {
     // Small delta so the bound 1 - 3δ/gap is non-vacuous.
     let beta = 0.53;
     let gaps: Vec<f64> = ctx.pick(vec![0.4, 0.6], vec![0.3, 0.4, 0.5, 0.6, 0.7]);
@@ -81,11 +81,6 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
         .x_label("T")
         .y_label("avg_t P_1");
     let fig = fig_series.into_iter().fold(fig, |f, s| f.add(s));
-    let mut artifacts = vec!["E2.csv".to_string()];
-    let _ = csv.save(ctx.path("E2.csv"));
-    if fig.save(ctx.path("E2.svg")).is_ok() {
-        artifacts.push("E2.svg".into());
-    }
 
     let markdown = format!(
         "Claim (Thm 4.3 part 2): `avg_t E[P_1] >= 1 - 3 delta/(eta1 - eta2)`. \
@@ -99,12 +94,10 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
         table = table.render()
     );
 
-    ExperimentReport {
-        id: "E2",
-        title: "Average share of best option (Theorem 4.3, part 2)",
+    Outcome {
         markdown,
         pass: all_ok,
-        artifacts,
+        files: vec![("E2.csv", csv.render()), ("E2.svg", fig.render())],
     }
 }
 
@@ -114,10 +107,8 @@ mod tests {
 
     #[test]
     fn quick_run_passes() {
-        let dir = std::env::temp_dir().join("sociolearn_e2");
-        std::fs::create_dir_all(&dir).unwrap();
-        let ctx = ExpContext::new(&dir, true, 7);
-        let report = run(&ctx);
-        assert!(report.pass, "report:\n{}", report.render());
+        let ctx = ExpContext::new("", true, 7);
+        let outcome = run(&ctx);
+        assert!(outcome.pass, "report:\n{}", outcome.markdown);
     }
 }

@@ -2,13 +2,13 @@
 //! infinite distributions stay multiplicatively close; the per-step
 //! deviation scale `δ''` shrinks like `sqrt(ln N / N)`.
 
-use crate::{verdict, ExpContext, ExperimentReport};
+use crate::{verdict, ExpContext, Outcome};
 use sociolearn_core::{BernoulliRewards, CoupledRun, Params};
 use sociolearn_plot::{fmt_sig, CsvWriter, MarkdownTable, Series, SvgPlot};
 use sociolearn_sim::{replicate, SeedTree};
 use sociolearn_stats::{loglog_fit, OnlineStats};
 
-pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
+pub(crate) fn run(ctx: &ExpContext) -> Outcome {
     let params = Params::new(3, 0.6).expect("valid params");
     let ns: Vec<usize> = ctx.pick(
         vec![100, 10_000],
@@ -90,11 +90,6 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
         .y_label("mean max-ratio deviation")
         .log_y();
     let fig = fig_series.into_iter().fold(fig, |f, s| f.add(s));
-    let mut artifacts = vec!["E3.csv".to_string()];
-    let _ = csv.save(ctx.path("E3.csv"));
-    if fig.save(ctx.path("E3.svg")).is_ok() {
-        artifacts.push("E3.svg".into());
-    }
 
     let markdown = format!(
         "Claim (Lemma 4.5): with shared rewards, `P_j^t/Q_j^t` stays within \
@@ -111,12 +106,10 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
         seed = ctx.seed,
     );
 
-    ExperimentReport {
-        id: "E3",
-        title: "Finite/infinite coupling drift (Lemma 4.5)",
+    Outcome {
         markdown,
         pass: all_ok,
-        artifacts,
+        files: vec![("E3.csv", csv.render()), ("E3.svg", fig.render())],
     }
 }
 
@@ -138,10 +131,8 @@ mod tests {
 
     #[test]
     fn quick_run_passes() {
-        let dir = std::env::temp_dir().join("sociolearn_e3");
-        std::fs::create_dir_all(&dir).unwrap();
-        let ctx = ExpContext::new(&dir, true, 99);
-        let report = run(&ctx);
-        assert!(report.pass, "report:\n{}", report.render());
+        let ctx = ExpContext::new("", true, 99);
+        let outcome = run(&ctx);
+        assert!(outcome.pass, "report:\n{}", outcome.markdown);
     }
 }

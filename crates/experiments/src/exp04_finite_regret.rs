@@ -2,13 +2,13 @@
 //! at most `6δ`, and its gap to the infinite-population regret shrinks
 //! as `N` grows.
 
-use crate::{pm, verdict, ExpContext, ExperimentReport};
+use crate::{pm, verdict, ExpContext, Outcome};
 use sociolearn_core::{BernoulliRewards, FinitePopulation, InfiniteDynamics, Params};
 use sociolearn_plot::{fmt_sig, CsvWriter, MarkdownTable, Series, SvgPlot};
 use sociolearn_sim::{replicate, run_one, RunConfig, SeedTree};
 use sociolearn_stats::Summary;
 
-pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
+pub(crate) fn run(ctx: &ExpContext) -> Outcome {
     let m = 10;
     let params = Params::new(m, 0.6).expect("valid params");
     let env = BernoulliRewards::one_good(m, 0.9).expect("valid qualities");
@@ -97,11 +97,6 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
         .log_x()
         .log_y()
         .add(Series::with_markers("gap", gap_points));
-    let mut artifacts = vec!["E4.csv".to_string()];
-    let _ = csv.save(ctx.path("E4.csv"));
-    if fig.save(ctx.path("E4.svg")).is_ok() {
-        artifacts.push("E4.svg".into());
-    }
 
     let markdown = format!(
         "Claim (Thm 4.4): `Regret_N(T) <= 6 delta` for `ln m/delta^2 <= T <= N^10/(m delta)` \
@@ -122,12 +117,10 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
         sv = verdict(shrinks),
     );
 
-    ExperimentReport {
-        id: "E4",
-        title: "Finite-population regret <= 6*delta (Theorem 4.4)",
+    Outcome {
         markdown,
         pass: all_ok,
-        artifacts,
+        files: vec![("E4.csv", csv.render()), ("E4.svg", fig.render())],
     }
 }
 
@@ -137,10 +130,8 @@ mod tests {
 
     #[test]
     fn quick_run_passes() {
-        let dir = std::env::temp_dir().join("sociolearn_e4");
-        std::fs::create_dir_all(&dir).unwrap();
-        let ctx = ExpContext::new(&dir, true, 4242);
-        let report = run(&ctx);
-        assert!(report.pass, "report:\n{}", report.render());
+        let ctx = ExpContext::new("", true, 4242);
+        let outcome = run(&ctx);
+        assert!(outcome.pass, "report:\n{}", outcome.markdown);
     }
 }

@@ -2,7 +2,7 @@
 //! stage-1 sampling counts `S_j` and the stage-2 committed counts
 //! `D_j` around their conditional means.
 
-use crate::{verdict, ExpContext, ExperimentReport};
+use crate::{verdict, ExpContext, Outcome};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sociolearn_core::{FinitePopulation, Params};
@@ -10,7 +10,7 @@ use sociolearn_plot::{fmt_sig, CsvWriter, MarkdownTable};
 use sociolearn_sim::{replicate, SeedTree};
 use sociolearn_stats::Histogram;
 
-pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
+pub(crate) fn run(ctx: &ExpContext) -> Outcome {
     let m = 4;
     let params = Params::with_all(m, 0.7, 0.3, 0.1).expect("valid params");
     // The N = 1e6 point sits squarely in the regime the old vendored
@@ -124,8 +124,6 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
     for (c, v) in hist.points() {
         hist_csv.row_values(&[c, v]);
     }
-    let _ = hist_csv.save(ctx.path("E5_hist.csv"));
-    let _ = csv.save(ctx.path("E5.csv"));
 
     let markdown = format!(
         "Claims (Props 4.1–4.2): one step from the uniform start with m = {m}, beta = 0.7, \
@@ -141,12 +139,10 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
         table = table.render()
     );
 
-    ExperimentReport {
-        id: "E5",
-        title: "Per-stage Chernoff concentration (Propositions 4.1-4.2)",
+    Outcome {
         markdown,
         pass: all_ok,
-        artifacts: vec!["E5.csv".into(), "E5_hist.csv".into()],
+        files: vec![("E5.csv", csv.render()), ("E5_hist.csv", hist_csv.render())],
     }
 }
 
@@ -156,10 +152,8 @@ mod tests {
 
     #[test]
     fn quick_run_passes() {
-        let dir = std::env::temp_dir().join("sociolearn_e5");
-        std::fs::create_dir_all(&dir).unwrap();
-        let ctx = ExpContext::new(&dir, true, 17);
-        let report = run(&ctx);
-        assert!(report.pass, "report:\n{}", report.render());
+        let ctx = ExpContext::new("", true, 17);
+        let outcome = run(&ctx);
+        assert!(outcome.pass, "report:\n{}", outcome.markdown);
     }
 }

@@ -2,13 +2,13 @@
 //! `min_j Q_j^t ≥ ζ = µ(1−β)/(4m)` with high probability at every
 //! step (the fact that makes the epoch restarts possible).
 
-use crate::{verdict, ExpContext, ExperimentReport};
+use crate::{verdict, ExpContext, Outcome};
 use sociolearn_core::{BernoulliRewards, FinitePopulation, Params};
 use sociolearn_plot::{fmt_sig, CsvWriter, MarkdownTable, Series, SvgPlot};
 use sociolearn_sim::{replicate, run_observed, RunConfig, SeedTree};
 use sociolearn_stats::BinomialTest;
 
-pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
+pub(crate) fn run(ctx: &ExpContext) -> Outcome {
     let sweeps: Vec<(usize, f64)> = ctx.pick(
         vec![(5, 0.1)],
         vec![(2, 0.05), (5, 0.1), (10, 0.1), (5, 0.02)],
@@ -97,11 +97,6 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
             .add(Series::line(label.clone(), pts.clone()))
             .hline(*zeta, format!("zeta ({label})"));
     }
-    let mut artifacts = vec!["E6.csv".to_string()];
-    let _ = csv.save(ctx.path("E6.csv"));
-    if fig.save(ctx.path("E6.svg")).is_ok() {
-        artifacts.push("E6.svg".into());
-    }
 
     let markdown = format!(
         "Claim (proof of Thm 4.4): at every step, every option keeps popularity at least \
@@ -114,12 +109,10 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
         table = table.render()
     );
 
-    ExperimentReport {
-        id: "E6",
-        title: "Popularity floor zeta = mu(1-beta)/4m (Theorem 4.4 proof)",
+    Outcome {
         markdown,
         pass: all_ok,
-        artifacts,
+        files: vec![("E6.csv", csv.render()), ("E6.svg", fig.render())],
     }
 }
 
@@ -129,10 +122,8 @@ mod tests {
 
     #[test]
     fn quick_run_passes() {
-        let dir = std::env::temp_dir().join("sociolearn_e6");
-        std::fs::create_dir_all(&dir).unwrap();
-        let ctx = ExpContext::new(&dir, true, 55);
-        let report = run(&ctx);
-        assert!(report.pass, "report:\n{}", report.render());
+        let ctx = ExpContext::new("", true, 55);
+        let outcome = run(&ctx);
+        assert!(outcome.pass, "report:\n{}", outcome.markdown);
     }
 }

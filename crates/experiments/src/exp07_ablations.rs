@@ -3,13 +3,13 @@
 //! always converge to the best option" — plus the pure-copying variant
 //! (α = β) that uses no quality signal at all.
 
-use crate::{ExpContext, ExperimentReport};
+use crate::{ExpContext, Outcome};
 use sociolearn_core::{BernoulliRewards, FinitePopulation, Params};
 use sociolearn_plot::{fmt_sig, CsvWriter, MarkdownTable, Series, SvgPlot};
 use sociolearn_sim::{aggregate_curves, replicate, run_one, RunConfig, SeedTree};
 use sociolearn_stats::Summary;
 
-pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
+pub(crate) fn run(ctx: &ExpContext) -> Outcome {
     let m = 2;
     let eta = vec![0.85, 0.45];
     let env = BernoulliRewards::new(eta.clone()).expect("valid qualities");
@@ -142,11 +142,6 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
         .x_label("T")
         .y_label("avg share of best");
     let fig = fig_series.into_iter().fold(fig, |f, s| f.add(s));
-    let mut artifacts = vec!["E7.csv".to_string()];
-    let _ = csv.save(ctx.path("E7.csv"));
-    if fig.save(ctx.path("E7.svg")).is_ok() {
-        artifacts.push("E7.svg".into());
-    }
 
     let markdown = format!(
         "Claim (Section 3): both stages are necessary. Pure copying (α = β) uses no quality \
@@ -164,12 +159,10 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
         table = table.render()
     );
 
-    ExperimentReport {
-        id: "E7",
-        title: "Ablations: sampling-only / adoption-only fail (Section 3)",
+    Outcome {
         markdown,
         pass,
-        artifacts,
+        files: vec![("E7.csv", csv.render()), ("E7.svg", fig.render())],
     }
 }
 
@@ -179,10 +172,8 @@ mod tests {
 
     #[test]
     fn quick_run_passes() {
-        let dir = std::env::temp_dir().join("sociolearn_e7");
-        std::fs::create_dir_all(&dir).unwrap();
-        let ctx = ExpContext::new(&dir, true, 31);
-        let report = run(&ctx);
-        assert!(report.pass, "report:\n{}", report.render());
+        let ctx = ExpContext::new("", true, 31);
+        let outcome = run(&ctx);
+        assert!(outcome.pass, "report:\n{}", outcome.markdown);
     }
 }

@@ -2,7 +2,7 @@
 //! the stochastic MWU process; under shared rewards the two
 //! trajectories agree to floating-point rounding.
 
-use crate::{verdict, ExpContext, ExperimentReport};
+use crate::{verdict, ExpContext, Outcome};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sociolearn_core::{
@@ -11,7 +11,7 @@ use sociolearn_core::{
 use sociolearn_plot::{fmt_sci, CsvWriter, MarkdownTable};
 use sociolearn_sim::SeedTree;
 
-pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
+pub(crate) fn run(ctx: &ExpContext) -> Outcome {
     let cells: Vec<(usize, f64)> = ctx.pick(
         vec![(5, 0.6)],
         vec![(2, 0.55), (5, 0.6), (20, 0.65), (100, 0.7)],
@@ -61,7 +61,6 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
         ]);
         csv.row_values(&[m as f64, beta, horizon as f64, max_gap, pot_gap]);
     }
-    let _ = csv.save(ctx.path("E8.csv"));
 
     let markdown = format!(
         "Claim (Section 2.2 / Eq. 1): rewriting the infinite-population sampling stage as \
@@ -74,12 +73,10 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
         table = table.render()
     );
 
-    ExperimentReport {
-        id: "E8",
-        title: "Infinite dynamics == stochastic MWU (Section 2.2)",
+    Outcome {
         markdown,
         pass: all_ok,
-        artifacts: vec!["E8.csv".into()],
+        files: vec![("E8.csv", csv.render())],
     }
 }
 
@@ -89,10 +86,8 @@ mod tests {
 
     #[test]
     fn quick_run_passes() {
-        let dir = std::env::temp_dir().join("sociolearn_e8");
-        std::fs::create_dir_all(&dir).unwrap();
-        let ctx = ExpContext::new(&dir, true, 8);
-        let report = run(&ctx);
-        assert!(report.pass, "report:\n{}", report.render());
+        let ctx = ExpContext::new("", true, 8);
+        let outcome = run(&ctx);
+        assert!(outcome.pass, "report:\n{}", outcome.markdown);
     }
 }

@@ -3,7 +3,7 @@
 //! full-information learners, and the comparison against per-agent
 //! bandit learners shows what the *sharing* of information buys.
 
-use crate::{ExpContext, ExperimentReport};
+use crate::{ExpContext, Outcome};
 use sociolearn_baselines::{
     BestFixed, EpsilonGreedy, Exp3, FollowTheLeader, Hedge, IndependentBanditGroup,
     ThompsonSampling, Ucb1, UniformRandom,
@@ -15,7 +15,7 @@ use sociolearn_plot::{fmt_sig, CsvWriter, MarkdownTable, Series, SvgPlot};
 use sociolearn_sim::{replicate, run_one, RunConfig, SeedTree};
 use sociolearn_stats::Summary;
 
-pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
+pub(crate) fn run(ctx: &ExpContext) -> Outcome {
     let m = 10;
     let n = ctx.pick(300usize, 1_000);
     let env = BernoulliRewards::one_good(m, 0.9).expect("valid qualities");
@@ -148,11 +148,6 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
         .log_x()
         .log_y();
     let fig = fig_series.into_iter().fold(fig, |f, s| f.add(s));
-    let mut artifacts = vec!["E9.csv".to_string()];
-    let _ = csv.save(ctx.path("E9.csv"));
-    if fig.save(ctx.path("E9.svg")).is_ok() {
-        artifacts.push("E9.svg".into());
-    }
 
     let markdown = format!(
         "The social dynamics (no per-agent memory, one observation per agent per step) vs \
@@ -174,12 +169,10 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
         bd = fmt_sig(params.regret_bound_infinite(), 3),
     );
 
-    ExperimentReport {
-        id: "E9",
-        title: "Group regret vs centralized & bandit baselines (Sections 1,3)",
+    Outcome {
         markdown,
         pass,
-        artifacts,
+        files: vec![("E9.csv", csv.render()), ("E9.svg", fig.render())],
     }
 }
 
@@ -189,10 +182,8 @@ mod tests {
 
     #[test]
     fn quick_run_passes() {
-        let dir = std::env::temp_dir().join("sociolearn_e9");
-        std::fs::create_dir_all(&dir).unwrap();
-        let ctx = ExpContext::new(&dir, true, 909);
-        let report = run(&ctx);
-        assert!(report.pass, "report:\n{}", report.render());
+        let ctx = ExpContext::new("", true, 909);
+        let outcome = run(&ctx);
+        assert!(outcome.pass, "report:\n{}", outcome.markdown);
     }
 }

@@ -2,13 +2,13 @@
 //! horizon recovers the classic `O(sqrt(ln m / T))` regret of MWU.
 //! We sweep `T`, set `β*(T)`, and fit the scaling exponent.
 
-use crate::{verdict, ExpContext, ExperimentReport};
+use crate::{verdict, ExpContext, Outcome};
 use sociolearn_core::{BernoulliRewards, InfiniteDynamics, Params};
 use sociolearn_plot::{fmt_sig, CsvWriter, MarkdownTable, Series, SvgPlot};
 use sociolearn_sim::{replicate, run_one, RunConfig, SeedTree};
 use sociolearn_stats::{loglog_fit, Summary};
 
-pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
+pub(crate) fn run(ctx: &ExpContext) -> Outcome {
     let m = 10;
     let env = BernoulliRewards::one_good(m, 0.9).expect("valid qualities");
     let horizons: Vec<u64> = ctx.pick(
@@ -74,11 +74,6 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
         .log_y()
         .add(Series::with_markers("tuned beta", pts))
         .add(Series::line("sqrt(ln m / T)", reference_pts));
-    let mut artifacts = vec!["E10.csv".to_string()];
-    let _ = csv.save(ctx.path("E10.csv"));
-    if fig.save(ctx.path("E10.svg")).is_ok() {
-        artifacts.push("E10.svg".into());
-    }
 
     let markdown = format!(
         "Claim (Section 6): an algorithm designer free to choose beta can set \
@@ -95,12 +90,10 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
         v = verdict(pass),
     );
 
-    ExperimentReport {
-        id: "E10",
-        title: "Tuned beta recovers O(sqrt(ln m / T)) regret (Section 6)",
+    Outcome {
         markdown,
         pass,
-        artifacts,
+        files: vec![("E10.csv", csv.render()), ("E10.svg", fig.render())],
     }
 }
 
@@ -110,10 +103,8 @@ mod tests {
 
     #[test]
     fn quick_run_passes() {
-        let dir = std::env::temp_dir().join("sociolearn_e10");
-        std::fs::create_dir_all(&dir).unwrap();
-        let ctx = ExpContext::new(&dir, true, 1010);
-        let report = run(&ctx);
-        assert!(report.pass, "report:\n{}", report.render());
+        let ctx = ExpContext::new("", true, 1010);
+        let outcome = run(&ctx);
+        assert!(outcome.pass, "report:\n{}", outcome.markdown);
     }
 }

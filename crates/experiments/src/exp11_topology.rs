@@ -2,7 +2,7 @@
 //! sampling to a social network and measure how group efficiency
 //! depends on topology.
 
-use crate::{ExpContext, ExperimentReport};
+use crate::{ExpContext, Outcome};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sociolearn_core::{BernoulliRewards, Params};
@@ -12,7 +12,7 @@ use sociolearn_plot::{fmt_sig, CsvWriter, MarkdownTable, Series, SvgPlot};
 use sociolearn_sim::{aggregate_curves, replicate, run_one, RunConfig, SeedTree};
 use sociolearn_stats::Summary;
 
-pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
+pub(crate) fn run(ctx: &ExpContext) -> Outcome {
     let n = ctx.pick(200usize, 400);
     let m = 2;
     let params = Params::new(m, 0.65).expect("valid params");
@@ -138,11 +138,6 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
         .x_label("T")
         .y_label("avg share of best");
     let fig = fig_series.into_iter().fold(fig, |f, s| f.add(s));
-    let mut artifacts = vec!["E11.csv".to_string()];
-    let _ = csv.save(ctx.path("E11.csv"));
-    if fig.save(ctx.path("E11.svg")).is_ok() {
-        artifacts.push("E11.svg".into());
-    }
 
     let markdown = format!(
         "Future work made concrete (Section 6): sampling restricted to graph neighbors. \
@@ -161,12 +156,10 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
         table = table.render()
     );
 
-    ExperimentReport {
-        id: "E11",
-        title: "Network-restricted sampling vs topology (Section 6 future work)",
+    Outcome {
         markdown,
         pass,
-        artifacts,
+        files: vec![("E11.csv", csv.render()), ("E11.svg", fig.render())],
     }
 }
 
@@ -176,10 +169,8 @@ mod tests {
 
     #[test]
     fn quick_run_passes() {
-        let dir = std::env::temp_dir().join("sociolearn_e11");
-        std::fs::create_dir_all(&dir).unwrap();
-        let ctx = ExpContext::new(&dir, true, 1111);
-        let report = run(&ctx);
-        assert!(report.pass, "report:\n{}", report.render());
+        let ctx = ExpContext::new("", true, 1111);
+        let outcome = run(&ctx);
+        assert!(outcome.pass, "report:\n{}", outcome.markdown);
     }
 }

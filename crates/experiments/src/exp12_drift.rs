@@ -2,14 +2,14 @@
 //! swaps mid-run; `µ`'s standing exploration is what lets the group
 //! abandon the stale consensus and re-converge.
 
-use crate::{ExpContext, ExperimentReport};
+use crate::{ExpContext, Outcome};
 use sociolearn_core::{FinitePopulation, Params};
 use sociolearn_env::swap_best;
 use sociolearn_plot::{fmt_sig, CsvWriter, MarkdownTable, Series, SvgPlot};
 use sociolearn_sim::{replicate, run_observed, RunConfig, SeedTree};
 use sociolearn_stats::Summary;
 
-pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
+pub(crate) fn run(ctx: &ExpContext) -> Outcome {
     let m = 2;
     let etas = vec![0.9, 0.4];
     let n = ctx.pick(2_000usize, 10_000);
@@ -98,11 +98,6 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
         .x_label("t")
         .y_label("share of new best");
     let fig = fig_series.into_iter().fold(fig, |f, s| f.add(s));
-    let mut artifacts = vec!["E12.csv".to_string()];
-    let _ = csv.save(ctx.path("E12.csv"));
-    if fig.save(ctx.path("E12.svg")).is_ok() {
-        artifacts.push("E12.svg".into());
-    }
 
     let markdown = format!(
         "Future work (Section 6): qualities change mid-run. Options (0.9, 0.4) swap at \
@@ -119,12 +114,10 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
         table = table.render()
     );
 
-    ExperimentReport {
-        id: "E12",
-        title: "Drifting qualities: recovery after a best-option swap (Section 6)",
+    Outcome {
         markdown,
         pass,
-        artifacts,
+        files: vec![("E12.csv", csv.render()), ("E12.svg", fig.render())],
     }
 }
 
@@ -134,10 +127,8 @@ mod tests {
 
     #[test]
     fn quick_run_passes() {
-        let dir = std::env::temp_dir().join("sociolearn_e12");
-        std::fs::create_dir_all(&dir).unwrap();
-        let ctx = ExpContext::new(&dir, true, 1212);
-        let report = run(&ctx);
-        assert!(report.pass, "report:\n{}", report.render());
+        let ctx = ExpContext::new("", true, 1212);
+        let outcome = run(&ctx);
+        assert!(outcome.pass, "report:\n{}", outcome.markdown);
     }
 }

@@ -4,13 +4,13 @@
 //! `µ > 0` restores recovery, while too-large `µ` pays exploration
 //! regret.
 
-use crate::{ExpContext, ExperimentReport};
+use crate::{ExpContext, Outcome};
 use sociolearn_core::{BernoulliRewards, FinitePopulation, Params};
 use sociolearn_plot::{fmt_sig, CsvWriter, MarkdownTable, Series, SvgPlot};
 use sociolearn_sim::{replicate, run_observed, RunConfig, SeedTree};
 use sociolearn_stats::Summary;
 
-pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
+pub(crate) fn run(ctx: &ExpContext) -> Outcome {
     let m = 2;
     // Small population and modest gap make mu = 0 lock-in observable
     // within the horizon.
@@ -100,11 +100,6 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
             "average regret",
             rows.iter().map(|r| (r.0, r.3)).collect(),
         ));
-    let mut artifacts = vec!["E13.csv".to_string()];
-    let _ = csv.save(ctx.path("E13.csv"));
-    if fig.save(ctx.path("E13.svg")).is_ok() {
-        artifacts.push("E13.svg".into());
-    }
 
     let markdown = format!(
         "Claim (Section 2.1): `mu > 0` exists to prevent the population from getting stuck. \
@@ -126,12 +121,10 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
         regime = fmt_sig(Params::new(m, 0.65).expect("valid").mu(), 2),
     );
 
-    ExperimentReport {
-        id: "E13",
-        title: "Role of mu: lock-in at mu = 0, regret across mu (Section 2.1)",
+    Outcome {
         markdown,
         pass,
-        artifacts,
+        files: vec![("E13.csv", csv.render()), ("E13.svg", fig.render())],
     }
 }
 
@@ -141,10 +134,8 @@ mod tests {
 
     #[test]
     fn quick_run_passes() {
-        let dir = std::env::temp_dir().join("sociolearn_e13");
-        std::fs::create_dir_all(&dir).unwrap();
-        let ctx = ExpContext::new(&dir, true, 1313);
-        let report = run(&ctx);
-        assert!(report.pass, "report:\n{}", report.render());
+        let ctx = ExpContext::new("", true, 1313);
+        let outcome = run(&ctx);
+        assert!(outcome.pass, "report:\n{}", outcome.markdown);
     }
 }

@@ -3,7 +3,7 @@
 //! paper's `(η, α, β)` parameterization, and the reduced binary model
 //! tracks the full continuous one.
 
-use crate::{verdict, ExpContext, ExperimentReport};
+use crate::{verdict, ExpContext, Outcome};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sociolearn_core::{FinitePopulation, Params};
@@ -12,7 +12,7 @@ use sociolearn_plot::{fmt_sig, CsvWriter, MarkdownTable};
 use sociolearn_sim::{replicate, run_observed, RunConfig, SeedTree};
 use sociolearn_stats::{ks_two_sample, Summary};
 
-pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
+pub(crate) fn run(ctx: &ExpContext) -> Outcome {
     let cells: Vec<(f64, f64, f64)> = ctx.pick(
         vec![(0.75, 1.0, 0.7)],
         vec![(0.75, 1.0, 0.7), (0.65, 0.5, 0.5), (0.85, 2.0, 1.0)],
@@ -129,7 +129,6 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
             ks.p_value,
         ]);
     }
-    let _ = csv.save(ctx.path("E14.csv"));
 
     let markdown = format!(
         "Claim (Section 2.1, example 2): the word-of-mouth model with continuous rewards \
@@ -149,12 +148,10 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
         table = table.render()
     );
 
-    ExperimentReport {
-        id: "E14",
-        title: "Ellison-Fudenberg reduction to (eta, alpha, beta) (Section 2.1)",
+    Outcome {
         markdown,
         pass: all_ok,
-        artifacts: vec!["E14.csv".into()],
+        files: vec![("E14.csv", csv.render())],
     }
 }
 
@@ -164,10 +161,8 @@ mod tests {
 
     #[test]
     fn quick_run_passes() {
-        let dir = std::env::temp_dir().join("sociolearn_e14");
-        std::fs::create_dir_all(&dir).unwrap();
-        let ctx = ExpContext::new(&dir, true, 1414);
-        let report = run(&ctx);
-        assert!(report.pass, "report:\n{}", report.render());
+        let ctx = ExpContext::new("", true, 1414);
+        let outcome = run(&ctx);
+        assert!(outcome.pass, "report:\n{}", outcome.markdown);
     }
 }

@@ -7,7 +7,7 @@
 //! overlapping-epoch mode — are driven through the shared
 //! [`ProtocolRuntime`] surface and measured side by side.
 
-use crate::{column_means, verdict, ExpContext, ExperimentReport};
+use crate::{column_means, verdict, ExpContext, Outcome};
 use sociolearn_core::{BernoulliRewards, FinitePopulation, Params};
 use sociolearn_dist::{
     DistConfig, EventRuntime, FaultPlan, ProtocolRuntime, Runtime, StalenessBound, NODE_STATE_BYTES,
@@ -45,7 +45,7 @@ fn measure_fleet<Rt: ProtocolRuntime>(
     column_means(&outcomes)
 }
 
-pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
+pub(crate) fn run(ctx: &ExpContext) -> Outcome {
     let m = 2;
     let params = Params::new(m, 0.65).expect("valid params");
     let env = BernoulliRewards::new(vec![0.9, 0.4]).expect("valid qualities");
@@ -181,7 +181,6 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
             fallbacks.to_string(),
         ]);
     }
-    let _ = csv.save(ctx.path("E15.csv"));
 
     let markdown = format!(
         "The conclusion's proposal, measured on all three execution models: \
@@ -213,12 +212,10 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
         clean_as = fmt_sig(clean_regret[2], 3),
     );
 
-    ExperimentReport {
-        id: "E15",
-        title: "Message-passing implementation: equivalence, cost, faults (Sections 1,6)",
+    Outcome {
         markdown,
         pass: all_ok,
-        artifacts: vec!["E15.csv".into()],
+        files: vec![("E15.csv", csv.render())],
     }
 }
 
@@ -228,10 +225,8 @@ mod tests {
 
     #[test]
     fn quick_run_passes() {
-        let dir = std::env::temp_dir().join("sociolearn_e15");
-        std::fs::create_dir_all(&dir).unwrap();
-        let ctx = ExpContext::new(&dir, true, 1515);
-        let report = run(&ctx);
-        assert!(report.pass, "report:\n{}", report.render());
+        let ctx = ExpContext::new("", true, 1515);
+        let outcome = run(&ctx);
+        assert!(outcome.pass, "report:\n{}", outcome.markdown);
     }
 }

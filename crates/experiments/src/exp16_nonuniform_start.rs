@@ -2,13 +2,13 @@
 //! regret bound holds after `ln(1/ζ)/δ²` steps — the ingredient that
 //! powers the epoch argument for large `T`.
 
-use crate::{pm, verdict, ExpContext, ExperimentReport};
+use crate::{pm, verdict, ExpContext, Outcome};
 use sociolearn_core::{BernoulliRewards, FinitePopulation, InfiniteDynamics, Params};
 use sociolearn_plot::{fmt_sig, CsvWriter, MarkdownTable};
 use sociolearn_sim::{replicate, run_one, RunConfig, SeedTree};
 use sociolearn_stats::Summary;
 
-pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
+pub(crate) fn run(ctx: &ExpContext) -> Outcome {
     let m = 5;
     let params = Params::new(m, 0.6).expect("valid params");
     let env = BernoulliRewards::one_good(m, 0.9).expect("valid qualities");
@@ -113,7 +113,6 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
             fin.mean().to_string(),
         ]);
     }
-    let _ = csv.save(ctx.path("E16.csv"));
 
     let markdown = format!(
         "Claim (Thm 4.6): if every option starts with probability at least zeta, the \
@@ -130,12 +129,10 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
         table = table.render()
     );
 
-    ExperimentReport {
-        id: "E16",
-        title: "Nonuniform starts (Theorem 4.6)",
+    Outcome {
         markdown,
         pass: all_ok,
-        artifacts: vec!["E16.csv".into()],
+        files: vec![("E16.csv", csv.render())],
     }
 }
 
@@ -145,10 +142,8 @@ mod tests {
 
     #[test]
     fn quick_run_passes() {
-        let dir = std::env::temp_dir().join("sociolearn_e16");
-        std::fs::create_dir_all(&dir).unwrap();
-        let ctx = ExpContext::new(&dir, true, 1616);
-        let report = run(&ctx);
-        assert!(report.pass, "report:\n{}", report.render());
+        let ctx = ExpContext::new("", true, 1616);
+        let outcome = run(&ctx);
+        assert!(outcome.pass, "report:\n{}", outcome.markdown);
     }
 }

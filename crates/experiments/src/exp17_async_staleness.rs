@@ -6,13 +6,13 @@
 //! against the staleness bound and the message-loss rate, with the
 //! round-synchronous runtime as the reference curve.
 
-use crate::{converge_stats, verdict, ExpContext, ExperimentReport, CONVERGED_SHARE};
+use crate::{converge_stats, verdict, ExpContext, Outcome, CONVERGED_SHARE};
 use sociolearn_core::{BernoulliRewards, Params};
 use sociolearn_dist::{DistConfig, EventRuntime, FaultPlan, Runtime, StalenessBound};
 use sociolearn_plot::{fmt_sig, CsvWriter, MarkdownTable, Series, SvgPlot};
 use sociolearn_sim::SeedTree;
 
-pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
+pub(crate) fn run(ctx: &ExpContext) -> Outcome {
     let m = 2;
     let params = Params::new(m, 0.65).expect("valid params");
     let env = BernoulliRewards::new(vec![0.9, 0.4]).expect("valid qualities");
@@ -153,9 +153,6 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
         ));
     }
 
-    let _ = csv.save(ctx.path("E17.csv"));
-    let _ = svg.save(ctx.path("E17.svg"));
-
     let markdown = format!(
         "The fully asynchronous regime: overlapping local epochs with no quiescence \
          barrier, responder-side staleness filtering (queries carry the sender's \
@@ -180,12 +177,10 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
         table = table.render(),
     );
 
-    ExperimentReport {
-        id: "E17",
-        title: "Fully-async overlapping epochs: convergence vs staleness (Section 6)",
+    Outcome {
         markdown,
         pass: all_ok,
-        artifacts: vec!["E17.csv".into(), "E17.svg".into()],
+        files: vec![("E17.csv", csv.render()), ("E17.svg", svg.render())],
     }
 }
 
@@ -195,12 +190,10 @@ mod tests {
 
     #[test]
     fn quick_run_passes() {
-        let dir = std::env::temp_dir().join("sociolearn_e17");
-        std::fs::create_dir_all(&dir).unwrap();
-        let ctx = ExpContext::new(&dir, true, 1717);
-        let report = run(&ctx);
-        assert!(report.pass, "report:\n{}", report.render());
-        assert!(ctx.path("E17.csv").exists());
-        assert!(ctx.path("E17.svg").exists());
+        let ctx = ExpContext::new("", true, 1717);
+        let outcome = run(&ctx);
+        assert!(outcome.pass, "report:\n{}", outcome.markdown);
+        let names: Vec<&str> = outcome.files.iter().map(|(name, _)| *name).collect();
+        assert_eq!(names, ["E17.csv", "E17.svg"]);
     }
 }

@@ -9,7 +9,7 @@
 //! cohort's tail share against churn scenario × message loss ×
 //! execution model.
 
-use crate::{converge_stats, verdict, ExpContext, ExperimentReport, CONVERGED_SHARE};
+use crate::{converge_stats, verdict, ExpContext, Outcome, CONVERGED_SHARE};
 use sociolearn_core::{BernoulliRewards, Params};
 use sociolearn_dist::{
     DistConfig, EventRuntime, FaultPlan, Metrics, Runtime, SchedulerKind, StalenessBound,
@@ -68,7 +68,7 @@ fn churn_events(metrics: &Metrics) -> u64 {
     metrics.joins + metrics.leaves + metrics.rejoins
 }
 
-pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
+pub(crate) fn run(ctx: &ExpContext) -> Outcome {
     let m = 2;
     let params = Params::new(m, 0.65).expect("valid params");
     let env = BernoulliRewards::new(vec![0.9, 0.4]).expect("valid qualities");
@@ -216,9 +216,6 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
         }
     }
 
-    let _ = csv.save(ctx.path("E19.csv"));
-    let _ = svg.save(ctx.path("E19.svg"));
-
     let markdown = format!(
         "Churn and elastic membership: scripted join/leave/rejoin honored by all \
          three execution models, with (re)joining nodes bootstrapping through the \
@@ -247,12 +244,10 @@ pub(crate) fn run(ctx: &ExpContext) -> ExperimentReport {
         table = table.render(),
     );
 
-    ExperimentReport {
-        id: "E19",
-        title: "Churn and elastic membership: re-convergence under membership scripts",
+    Outcome {
         markdown,
         pass: all_ok,
-        artifacts: vec!["E19.csv".into(), "E19.svg".into()],
+        files: vec![("E19.csv", csv.render()), ("E19.svg", svg.render())],
     }
 }
 
@@ -262,12 +257,10 @@ mod tests {
 
     #[test]
     fn quick_run_passes() {
-        let dir = std::env::temp_dir().join("sociolearn_e19");
-        std::fs::create_dir_all(&dir).unwrap();
-        let ctx = ExpContext::new(&dir, true, 1919);
-        let report = run(&ctx);
-        assert!(report.pass, "report:\n{}", report.render());
-        assert!(ctx.path("E19.csv").exists());
-        assert!(ctx.path("E19.svg").exists());
+        let ctx = ExpContext::new("", true, 1919);
+        let outcome = run(&ctx);
+        assert!(outcome.pass, "report:\n{}", outcome.markdown);
+        let names: Vec<&str> = outcome.files.iter().map(|(name, _)| *name).collect();
+        assert_eq!(names, ["E19.csv", "E19.svg"]);
     }
 }

@@ -20,9 +20,10 @@
 //! (terminal + SVG snapshot) over any execution model and churn
 //! script.
 //!
-//! Each experiment writes `results/Exx_*.md` (the table), `.csv` (raw
-//! rows) and usually `.svg` (the figure), and returns a pass/fail
-//! verdict against the paper's quantitative prediction.
+//! Each experiment yields a pass/fail verdict against the paper's
+//! quantitative prediction and, in `results/`, `Exx.md` (the table),
+//! `Exx.csv` (raw rows) and usually `Exx.svg` (the figure); E5 adds
+//! `E5_hist.csv`. [`run_by_id`] writes them all.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -98,11 +99,12 @@ pub struct ExperimentReport {
     pub id: &'static str,
     /// One-line title.
     pub title: &'static str,
-    /// Markdown body (tables + notes), also written to `results/`.
+    /// Markdown body (tables + notes); [`render`](Self::render) is
+    /// what lands in `Exx.md`.
     pub markdown: String,
     /// Whether the paper's quantitative prediction held.
     pub pass: bool,
-    /// Files written (relative names).
+    /// Files written besides `Exx.md`, as names in the out dir.
     pub artifacts: Vec<String>,
 }
 
@@ -129,7 +131,16 @@ pub struct Experiment {
     /// Paper claim it reproduces.
     pub claim: &'static str,
     /// Entry point.
-    pub run: fn(&ExpContext) -> ExperimentReport,
+    pub(crate) run: fn(&ExpContext) -> Outcome,
+}
+
+/// What an experiment's `run` yields; [`run_by_id`] writes its files.
+pub(crate) struct Outcome {
+    pub(crate) markdown: String,
+    pub(crate) pass: bool,
+    /// `(name, contents)` pairs, in the order they are written and
+    /// listed as artifacts.
+    pub(crate) files: Vec<(&'static str, String)>,
 }
 
 impl std::fmt::Debug for Experiment {
@@ -257,21 +268,42 @@ pub fn registry() -> Vec<Experiment> {
     ]
 }
 
-/// Runs one experiment by id and writes its artifacts.
+/// Runs one experiment by id (any case) and writes its artifacts. This
+/// is the suite's only writer: it creates `ctx.out_dir`, writes the
+/// experiment's files in the order it lists them, then `Exx.md`.
 ///
 /// # Errors
 ///
-/// Returns an error string if the id is unknown or writing fails.
+/// Returns the first failure, and writes nothing after it: an
+/// "unknown experiment id" message for an id missing from
+/// [`registry`], or `<path>: <io error>` when creating the out dir or
+/// writing a file fails.
 pub fn run_by_id(id: &str, ctx: &ExpContext) -> Result<ExperimentReport, String> {
-    let reg = registry();
-    let exp = reg
-        .iter()
+    let exp = registry()
+        .into_iter()
         .find(|e| e.id.eq_ignore_ascii_case(id))
         .ok_or_else(|| format!("unknown experiment id {id:?}; try `list`"))?;
-    std::fs::create_dir_all(&ctx.out_dir).map_err(|e| e.to_string())?;
-    let report = (exp.run)(ctx);
-    let md_path = ctx.path(&format!("{}.md", report.id));
-    std::fs::write(&md_path, report.render()).map_err(|e| e.to_string())?;
+    std::fs::create_dir_all(&ctx.out_dir).map_err(|e| format!("{}: {e}", ctx.out_dir.display()))?;
+    let outcome = (exp.run)(ctx);
+    let write = |name: &str, contents: &str| {
+        let path = ctx.path(name);
+        std::fs::write(&path, contents).map_err(|e| format!("{}: {e}", path.display()))
+    };
+    for (name, contents) in &outcome.files {
+        write(name, contents)?;
+    }
+    let report = ExperimentReport {
+        id: exp.id,
+        title: exp.title,
+        markdown: outcome.markdown,
+        pass: outcome.pass,
+        artifacts: outcome
+            .files
+            .iter()
+            .map(|(name, _)| name.to_string())
+            .collect(),
+    };
+    write(&format!("{}.md", exp.id), &report.render())?;
     Ok(report)
 }
 

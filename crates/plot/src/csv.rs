@@ -1,8 +1,5 @@
 //! Dependency-free CSV output.
 
-use std::io::{self, Write};
-use std::path::Path;
-
 /// A small CSV writer with RFC-4180-style quoting.
 ///
 /// # Example
@@ -83,24 +80,6 @@ impl CsvWriter {
         }
         out
     }
-
-    /// Writes the CSV to an arbitrary writer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the writer.
-    pub fn write_to<W: Write>(&self, mut w: W) -> io::Result<()> {
-        w.write_all(self.render().as_bytes())
-    }
-
-    /// Writes the CSV to a file path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from creating or writing the file.
-    pub fn save<P: AsRef<Path>>(&self, path: P) -> io::Result<()> {
-        std::fs::write(path, self.render())
-    }
 }
 
 impl std::fmt::Display for CsvWriter {
@@ -151,12 +130,10 @@ mod tests {
     }
 
     #[test]
-    fn write_to_vec() {
+    fn render_ends_every_line() {
         let mut w = CsvWriter::with_columns(&["n"]);
         w.row_values(&[9.0]);
-        let mut buf = Vec::new();
-        w.write_to(&mut buf).unwrap();
-        assert_eq!(String::from_utf8(buf).unwrap(), "n\n9\n");
+        assert_eq!(w.render(), "n\n9\n");
     }
 
     #[test]

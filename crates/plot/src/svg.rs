@@ -1,8 +1,6 @@
 //! Minimal standalone SVG figures.
 
 use crate::fmt_sig;
-use std::io;
-use std::path::Path;
 
 const COLORS: [&str; 8] = [
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b", "#e377c2", "#7f7f7f",
@@ -351,15 +349,6 @@ impl SvgPlot {
         out.push_str("</svg>\n");
         out
     }
-
-    /// Renders and writes the figure to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any I/O error from writing the file.
-    pub fn save<P: AsRef<Path>>(&self, path: P) -> io::Result<()> {
-        std::fs::write(path, self.render())
-    }
 }
 
 pub(crate) fn escape(s: &str) -> String {
@@ -425,19 +414,5 @@ mod tests {
     fn title_escaped() {
         let svg = SvgPlot::new("a<b&c").render();
         assert!(svg.contains("a&lt;b&amp;c"));
-    }
-
-    #[test]
-    fn save_writes_file() {
-        let dir = std::env::temp_dir().join("sociolearn_plot_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.svg");
-        SvgPlot::new("f")
-            .add(Series::from_ys("s", &[1.0, 2.0]))
-            .save(&path)
-            .unwrap();
-        let content = std::fs::read_to_string(&path).unwrap();
-        assert!(content.starts_with("<svg"));
-        std::fs::remove_file(path).unwrap();
     }
 }

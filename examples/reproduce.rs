@@ -1,6 +1,6 @@
-//! Runs the full E1–E16 reproduction suite in quick mode through the
-//! library API (the `experiments` binary offers the same via CLI with
-//! full-size sweeps).
+//! Runs the full E1–E19 reproduction suite (18 experiments) in quick
+//! mode through the library API (the `experiments` binary offers the
+//! same via CLI with full-size sweeps).
 //!
 //! ```text
 //! cargo run --release --example reproduce

@@ -1,5 +1,5 @@
 //! Integration checks of the paper's quantitative statements at test
-//! scale (the full-size versions live in the E1–E16 experiment suite).
+//! scale (the full-size versions live in the E1–E19 experiment suite).
 
 use sociolearn::core::{
     BernoulliRewards, CoupledRun, EpochRegret, EpochSchedule, FinitePopulation, InfiniteDynamics,

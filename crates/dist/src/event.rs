@@ -298,6 +298,11 @@ impl EventRuntime {
     /// committed to option `i mod m`, matching both the in-memory
     /// dynamics and the round-synchronous runtime) with all randomness
     /// derived from `seed`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the fault plan's membership script is invalid for
+    /// this fleet (see [`DistConfig::validate`](crate::DistConfig::validate)).
     pub fn new(cfg: DistConfig, seed: u64) -> Self {
         EventRuntime {
             shell: RoundShell::new(cfg),

@@ -119,6 +119,7 @@ pub use event::{
 };
 pub use telemetry::{MetricsRecorder, NoTelemetry, TelemetryFrame, TelemetrySink, TickObservation};
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use rand::rngs::SmallRng;
@@ -208,7 +209,154 @@ pub(crate) enum BulkChurn {
         /// The 1-based round they arrive.
         round: u64,
     },
+    /// Nodes `[start, end)` leave at `round` and rejoin at
+    /// `rejoin_round`.
+    RegionLoss {
+        /// First node of the region.
+        start: usize,
+        /// One past the region's last node.
+        end: usize,
+        /// The 1-based round the region leaves.
+        round: u64,
+        /// The round it rejoins, after `round`.
+        rejoin_round: u64,
+    },
 }
+
+impl BulkChurn {
+    /// Appends this pattern's transitions in an `n`-node fleet to
+    /// `out`, already in `(round, node)` order. Nodes past the fleet
+    /// are ignored, as explicit events for them are.
+    fn resolve(self, n: usize, out: &mut Vec<TimedTransition>) -> Result<(), ConfigError> {
+        let run = |out: &mut Vec<TimedTransition>, nodes: std::ops::Range<usize>, round, kind| {
+            out.extend(nodes.map(|node| (round, index_u32(node), kind)));
+        };
+        match self {
+            BulkChurn::RollingRestart { batch, period } => {
+                // `gap < period`, so batch k is back before batch k + 1
+                // goes down: leaves then rejoins, batch by batch, is
+                // round order.
+                let gap = (period / 2).max(1);
+                out.reserve(2 * n);
+                for (k, lo) in (0..n).step_by(batch).enumerate() {
+                    let down = 2 + k as u64 * period;
+                    let nodes = lo..(lo + batch).min(n);
+                    run(out, nodes.clone(), down, Transition::Leave);
+                    run(out, nodes, down + gap, Transition::Rejoin);
+                }
+            }
+            BulkChurn::FlashCrowd { count, round } => {
+                if count > n {
+                    return Err(ConfigError::FlashCrowdTooLarge { count, n });
+                }
+                run(out, n - count..n, round, Transition::Join);
+            }
+            BulkChurn::RegionLoss {
+                start,
+                end,
+                round,
+                rejoin_round,
+            } => {
+                let nodes = start.min(n)..end.min(n);
+                run(out, nodes.clone(), round, Transition::Leave);
+                run(out, nodes, rejoin_round, Transition::Rejoin);
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Why a [`DistConfig`]'s membership script cannot run: the typed form
+/// of the checks every runtime makes when it is built (see
+/// [`DistConfig::validate`]). Rounds are 1-based; `node` is a node id.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ConfigError {
+    /// Two transitions for one node in one round.
+    ConflictingTransitions {
+        /// The node.
+        node: usize,
+        /// The round both fall in.
+        round: u64,
+    },
+    /// A join that is not the node's first transition.
+    JoinNotFirst {
+        /// The node.
+        node: usize,
+        /// The round of the late join.
+        round: u64,
+    },
+    /// A rejoin of a node that is already present.
+    RejoinWhilePresent {
+        /// The node.
+        node: usize,
+        /// The round of the rejoin.
+        round: u64,
+    },
+    /// A leave of a node that is already absent.
+    LeaveWhileAbsent {
+        /// The node.
+        node: usize,
+        /// The round of the leave.
+        round: u64,
+    },
+    /// A crash of a node that is absent.
+    CrashWhileAbsent {
+        /// The node.
+        node: usize,
+        /// The round of the crash.
+        round: u64,
+    },
+    /// A transition scheduled after the node's crash.
+    TransitionAfterCrash {
+        /// The node.
+        node: usize,
+        /// The round of the crash.
+        round: u64,
+    },
+    /// A flash crowd of more nodes than the fleet has.
+    FlashCrowdTooLarge {
+        /// Nodes in the crowd.
+        count: usize,
+        /// The fleet size.
+        n: usize,
+    },
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            ConfigError::ConflictingTransitions { node, round } => write!(
+                f,
+                "conflicting membership transitions for node {node} at round {round}"
+            ),
+            ConfigError::JoinNotFirst { node, round } => write!(
+                f,
+                "join must be node {node}'s first transition \
+                 (round {round}: use rejoin to re-enter)"
+            ),
+            ConfigError::RejoinWhilePresent { node, round } => write!(
+                f,
+                "node {node} cannot rejoin at round {round}: already present"
+            ),
+            ConfigError::LeaveWhileAbsent { node, round } => write!(
+                f,
+                "node {node} cannot leave at round {round}: already absent"
+            ),
+            ConfigError::CrashWhileAbsent { node, round } => {
+                write!(f, "node {node} cannot crash at round {round}: it is absent")
+            }
+            ConfigError::TransitionAfterCrash { node, round } => write!(
+                f,
+                "node {node} has transitions scheduled after its crash at round {round}"
+            ),
+            ConfigError::FlashCrowdTooLarge { count, n } => {
+                write!(f, "flash crowd of {count} exceeds the fleet size {n}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
 
 /// A deterministic schedule of injected faults and membership churn:
 /// independent per-message loss, per-node crash rounds, and a scripted
@@ -244,17 +392,25 @@ pub(crate) enum BulkChurn {
 /// ordinary query/reply protocol (uniform fallback after
 /// [`MAX_QUERY_RETRIES`]) — no new message types, no state transfer.
 ///
-/// Scripts are validated when a runtime is built: conflicting or
-/// out-of-order transitions (rejoining a present node, leaving an
-/// absent one, events after a crash) panic with the offending node and
-/// round. Events for node ids beyond the fleet size are ignored, like
-/// out-of-range crashes.
+/// Scripts are checked against the fleet size by
+/// [`DistConfig::validate`], and again when a runtime is built, which
+/// panics on the first [`ConfigError`]: conflicting or out-of-order
+/// transitions (rejoining a present node, leaving an absent one, events
+/// after a crash) name the offending node and round. Events for node
+/// ids beyond the fleet size are ignored, like out-of-range crashes.
+///
+/// Building a runtime resolves the plan into one timeline in O(E + n)
+/// for E transitions in an `n`-node fleet: each bulk rule writes its
+/// transitions already in round order, so a plan with one bulk rule
+/// needs no sort. [`crash`](FaultPlan::crash) is O(log C) for C
+/// scheduled crashes, and two plans compare equal when they schedule
+/// the same crashes, whatever order the calls came in.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     drop_prob: f64,
-    /// `(node, round)` pairs; a node dies at the *start* of its crash
+    /// Crash round per node; a node dies at the *start* of its crash
     /// round (the earliest round wins if scheduled twice).
-    crashes: Vec<(usize, u64)>,
+    crashes: BTreeMap<usize, u64>,
     /// Explicit membership transitions: `(node, round, kind)`, each a
     /// join, leave or rejoin.
     events: Vec<(usize, u64, Transition)>,
@@ -289,13 +445,12 @@ impl FaultPlan {
     /// round numbering of [`Runtime::round`]). Crashed nodes send
     /// nothing, answer nothing, and drop out of the popularity
     /// distribution. If the node is already scheduled, the earlier
-    /// round wins.
+    /// round wins. O(log C) for C scheduled crashes.
     pub fn crash(mut self, node: usize, round: u64) -> Self {
-        if let Some(entry) = self.crashes.iter_mut().find(|(n, _)| *n == node) {
-            entry.1 = entry.1.min(round);
-        } else {
-            self.crashes.push((node, round));
-        }
+        self.crashes
+            .entry(node)
+            .and_modify(|r| *r = (*r).min(round))
+            .or_insert(round);
         self
     }
 
@@ -380,7 +535,8 @@ impl FaultPlan {
     /// Bulk builder: region loss. Every node in `range` leaves at the
     /// start of `round` and rejoins at the start of `rejoin_round` —
     /// a whole contiguous slice of the fleet blinking out and coming
-    /// back cold (bootstrapping).
+    /// back cold (bootstrapping). Like the other bulk builders, it is
+    /// resolved against the fleet size when a runtime is built.
     ///
     /// # Panics
     ///
@@ -398,10 +554,12 @@ impl FaultPlan {
             rejoin_round > round,
             "region must rejoin strictly after it leaves"
         );
-        for node in range {
-            self.events.push((node, round, Transition::Leave));
-            self.events.push((node, rejoin_round, Transition::Rejoin));
-        }
+        self.bulk.push(BulkChurn::RegionLoss {
+            start: range.start,
+            end: range.end,
+            round,
+            rejoin_round,
+        });
         self
     }
 
@@ -412,10 +570,7 @@ impl FaultPlan {
 
     /// The scheduled crash round of `node`, if any.
     pub fn crash_round(&self, node: usize) -> Option<u64> {
-        self.crashes
-            .iter()
-            .find(|(n, _)| *n == node)
-            .map(|&(_, r)| r)
+        self.crashes.get(&node).copied()
     }
 
     /// Number of nodes with a scheduled crash.
@@ -431,8 +586,8 @@ impl FaultPlan {
     }
 
     /// Number of explicit membership transitions scripted so far (bulk
-    /// patterns count once resolved against a concrete fleet, not
-    /// here).
+    /// patterns — rolling restarts, flash crowds, region losses — count
+    /// once resolved against a concrete fleet, not here).
     pub fn num_membership_events(&self) -> usize {
         self.events.len()
     }
@@ -489,6 +644,19 @@ impl DistConfig {
     /// The fault schedule.
     pub fn faults(&self) -> &FaultPlan {
         &self.faults
+    }
+
+    /// Checks the fault plan's membership script against this fleet
+    /// size: the check every runtime constructor makes, which panics
+    /// with the same message instead. O(E + n) for E transitions.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConfigError::FlashCrowdTooLarge`] for a crowd larger
+    /// than the fleet, and otherwise the first bad transition in round
+    /// order.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        MembershipTracker::new(&self.faults, self.n).map(drop)
     }
 }
 
@@ -625,10 +793,12 @@ pub(crate) enum Transition {
     Crash,
 }
 
+/// A scheduled transition: `(round, node, kind)`.
+type TimedTransition = (u64, u32, Transition);
+
 /// A [`FaultPlan`]'s crash *and membership* schedule resolved against
 /// a concrete fleet: one sorted timeline of transitions, a per-node
-/// presence bitmap so fault checks are O(1) (the old implementation
-/// rescanned the crash list per node per round), and a running alive
+/// presence bitmap so fault checks are O(1), and a running alive
 /// counter so `alive_count` is O(1) instead of an O(N) rescan. Shared
 /// by all three execution models.
 #[derive(Debug, Clone)]
@@ -637,7 +807,7 @@ pub(crate) struct MembershipTracker {
     /// construction: per node, transitions must alternate presence
     /// legally (join first and only first, leave from present, rejoin
     /// from absent, crash from present and terminal).
-    timeline: Vec<(u64, u32, Transition)>,
+    timeline: Vec<TimedTransition>,
     /// Prefix of `timeline` already applied to `present`/`alive`.
     applied: usize,
     /// Whether each node is present in the round last advanced to.
@@ -655,113 +825,55 @@ pub(crate) struct MembershipTracker {
 }
 
 impl MembershipTracker {
-    pub(crate) fn new(faults: &FaultPlan, n: usize) -> Self {
-        // One pass over the plan's lists — O(C + E log E + n), not the
-        // old O(n·C) per-node rescan of the crash list.
-        let mut timeline: Vec<(u64, u32, Transition)> =
-            Vec::with_capacity(faults.crashes.len() + faults.events.len() + 2 * faults.bulk.len());
+    /// Resolves `faults` against an `n`-node fleet in O(E + n) for E
+    /// transitions, and checks the result.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`ConfigError`] that [`DistConfig::validate`]
+    /// reports.
+    pub(crate) fn new(faults: &FaultPlan, n: usize) -> Result<Self, ConfigError> {
+        // Explicit events in call order and crashes in node order, then
+        // each bulk rule, which writes its transitions in round order:
+        // past the first part only the seams can break the order. A
+        // plan with one bulk rule is sorted already, and the stable
+        // sort merges the runs of any other.
+        let mut timeline: Vec<TimedTransition> =
+            Vec::with_capacity(faults.crashes.len() + faults.events.len());
         for &(node, round, kind) in &faults.events {
             if node < n {
                 timeline.push((round, index_u32(node), kind));
             }
         }
-        for &(node, round) in &faults.crashes {
-            if node < n {
-                timeline.push((round, index_u32(node), Transition::Crash));
-            }
+        for (&node, &round) in faults.crashes.range(..n) {
+            timeline.push((round, index_u32(node), Transition::Crash));
         }
+        let key = |&(round, node, _): &TimedTransition| (round, node);
+        let mut sorted = timeline.is_sorted_by_key(key);
         for &spec in &faults.bulk {
-            match spec {
-                BulkChurn::RollingRestart { batch, period } => {
-                    let gap = (period / 2).max(1);
-                    let mut k = 0u64;
-                    while (k as usize) * batch < n {
-                        let down = 2 + k * period;
-                        let lo = k as usize * batch;
-                        let hi = (lo + batch).min(n);
-                        for node in lo..hi {
-                            timeline.push((down, index_u32(node), Transition::Leave));
-                            timeline.push((down + gap, index_u32(node), Transition::Rejoin));
-                        }
-                        k += 1;
-                    }
-                }
-                BulkChurn::FlashCrowd { count, round } => {
-                    assert!(
-                        count <= n,
-                        "flash crowd of {count} exceeds the fleet size {n}"
-                    );
-                    for node in n - count..n {
-                        timeline.push((round, index_u32(node), Transition::Join));
-                    }
-                }
-            }
+            let seam = timeline.len();
+            spec.resolve(n, &mut timeline)?;
+            sorted &= seam == 0
+                || timeline
+                    .get(seam)
+                    .is_none_or(|next| key(&timeline[seam - 1]) <= key(next));
         }
-        timeline.sort_unstable_by_key(|&(round, node, _)| (round, node));
+        if !sorted {
+            timeline.sort_by_key(key);
+        }
+        debug_assert!(timeline.is_sorted_by_key(key));
 
-        // Validate by replaying each node's own history; a node whose
-        // first transition is a join starts outside the fleet.
         let mut init_present = vec![true; n];
-        let mut by_node = timeline.clone();
-        by_node.sort_unstable_by_key(|&(round, node, _)| (node, round));
-        let mut i = 0;
-        while i < by_node.len() {
-            let node = by_node[i].1;
-            let start = i;
-            while i < by_node.len() && by_node[i].1 == node {
-                i += 1;
-            }
-            let history = &by_node[start..i];
-            for pair in history.windows(2) {
-                assert!(
-                    pair[0].0 != pair[1].0,
-                    "conflicting membership transitions for node {node} at round {}",
-                    pair[0].0
-                );
-            }
-            let joins_first = history[0].2 == Transition::Join;
-            init_present[node as usize] = !joins_first;
-            let mut here = !joins_first;
-            for (idx, &(round, _, kind)) in history.iter().enumerate() {
-                match kind {
-                    Transition::Join => {
-                        assert!(
-                            idx == 0,
-                            "join must be node {node}'s first transition \
-                             (round {round}: use rejoin to re-enter)"
-                        );
-                        here = true;
-                    }
-                    Transition::Rejoin => {
-                        assert!(
-                            !here,
-                            "node {node} cannot rejoin at round {round}: already present"
-                        );
-                        here = true;
-                    }
-                    Transition::Leave => {
-                        assert!(
-                            here,
-                            "node {node} cannot leave at round {round}: already absent"
-                        );
-                        here = false;
-                    }
-                    Transition::Crash => {
-                        assert!(
-                            here,
-                            "node {node} cannot crash at round {round}: it is absent"
-                        );
-                        assert!(
-                            idx == history.len() - 1,
-                            "node {node} has transitions scheduled after its crash \
-                             at round {round}"
-                        );
-                        here = false;
-                    }
-                }
-            }
+        if faults.has_membership_events() {
+            check_timeline(&timeline, faults, &mut init_present)?;
         }
+        // Without membership events the timeline holds at most one
+        // crash per node, each from a node present since round 1.
+        Ok(Self::from_timeline(timeline, init_present))
+    }
 
+    /// The tracker of a checked timeline, advanced to round 1.
+    fn from_timeline(timeline: Vec<TimedTransition>, init_present: Vec<bool>) -> Self {
         let alive = init_present.iter().filter(|&&p| p).count();
         let mut tracker = MembershipTracker {
             timeline,
@@ -835,6 +947,55 @@ impl MembershipTracker {
     pub(crate) fn alive(&self) -> usize {
         self.alive
     }
+}
+
+/// Checks that every node's transitions in `timeline`, sorted by
+/// `(round, node)`, alternate presence legally, in one pass with one
+/// byte of state per node. Clears `init_present` for each node whose
+/// first transition is a join: it starts outside the fleet.
+fn check_timeline(
+    timeline: &[TimedTransition],
+    faults: &FaultPlan,
+    init_present: &mut [bool],
+) -> Result<(), ConfigError> {
+    const SEEN: u8 = 1;
+    const PRESENT: u8 = 2;
+    const CRASHED: u8 = 4;
+    let mut state = vec![0u8; init_present.len()];
+    for (i, &(round, id, kind)) in timeline.iter().enumerate() {
+        let node = id as usize;
+        if timeline
+            .get(i + 1)
+            .is_some_and(|&(r, next, _)| (r, next) == (round, id))
+        {
+            return Err(ConfigError::ConflictingTransitions { node, round });
+        }
+        let s = state[node];
+        if s & CRASHED != 0 {
+            let round = faults.crashes[&node];
+            return Err(ConfigError::TransitionAfterCrash { node, round });
+        }
+        let first = s & SEEN == 0;
+        let here = if first {
+            kind != Transition::Join
+        } else {
+            s & PRESENT != 0
+        };
+        let next = match kind {
+            Transition::Join if !first => Err(ConfigError::JoinNotFirst { node, round }),
+            Transition::Rejoin if here => Err(ConfigError::RejoinWhilePresent { node, round }),
+            Transition::Leave if !here => Err(ConfigError::LeaveWhileAbsent { node, round }),
+            Transition::Crash if !here => Err(ConfigError::CrashWhileAbsent { node, round }),
+            Transition::Join | Transition::Rejoin => Ok(PRESENT),
+            Transition::Leave => Ok(0),
+            Transition::Crash => Ok(CRASHED),
+        }?;
+        if first && kind == Transition::Join {
+            init_present[node] = false;
+        }
+        state[node] = SEEN | next;
+    }
+    Ok(())
 }
 
 /// The round-synchronous message-passing runtime: `N` nodes of
@@ -1414,6 +1575,269 @@ mod tests {
     fn transitions_after_crash_rejected() {
         let faults = FaultPlan::none().crash(1, 3).leave(1, 8);
         Runtime::new(DistConfig::new(params(), 4).with_faults(faults), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "join must be node 1's first transition")]
+    fn join_after_other_transitions_rejected() {
+        let faults = FaultPlan::none().leave(1, 3).join(1, 6);
+        Runtime::new(DistConfig::new(params(), 4).with_faults(faults), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot leave")]
+    fn leave_of_absent_node_rejected() {
+        let faults = FaultPlan::none().leave(0, 3).leave(0, 5);
+        Runtime::new(DistConfig::new(params(), 4).with_faults(faults), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot crash")]
+    fn crash_of_absent_node_rejected() {
+        let faults = FaultPlan::none().leave(2, 3).crash(2, 6);
+        Runtime::new(DistConfig::new(params(), 4).with_faults(faults), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "flash crowd of 5 exceeds the fleet size 4")]
+    fn flash_crowd_larger_than_fleet_rejected() {
+        let faults = FaultPlan::none().flash_crowd(5, 2);
+        Runtime::new(DistConfig::new(params(), 4).with_faults(faults), 1);
+    }
+
+    /// A reference resolver: sort the whole timeline by
+    /// `(round, node)`, then replay each node's history from a copy
+    /// sorted by `(node, round)`. Returns the timeline and the initial
+    /// fleet, or `None` where the script is invalid.
+    fn reference_timeline(
+        faults: &FaultPlan,
+        n: usize,
+    ) -> Option<(Vec<TimedTransition>, Vec<bool>)> {
+        let mut timeline = Vec::new();
+        for &(node, round, kind) in &faults.events {
+            if node < n {
+                timeline.push((round, index_u32(node), kind));
+            }
+        }
+        for (&node, &round) in &faults.crashes {
+            if node < n {
+                timeline.push((round, index_u32(node), Transition::Crash));
+            }
+        }
+        for &spec in &faults.bulk {
+            match spec {
+                BulkChurn::RollingRestart { batch, period } => {
+                    let gap = (period / 2).max(1);
+                    let mut k = 0u64;
+                    while (k as usize) * batch < n {
+                        let down = 2 + k * period;
+                        let lo = k as usize * batch;
+                        for node in lo..(lo + batch).min(n) {
+                            timeline.push((down, index_u32(node), Transition::Leave));
+                            timeline.push((down + gap, index_u32(node), Transition::Rejoin));
+                        }
+                        k += 1;
+                    }
+                }
+                BulkChurn::FlashCrowd { count, round } => {
+                    if count > n {
+                        return None;
+                    }
+                    for node in n - count..n {
+                        timeline.push((round, index_u32(node), Transition::Join));
+                    }
+                }
+                BulkChurn::RegionLoss {
+                    start,
+                    end,
+                    round,
+                    rejoin_round,
+                } => {
+                    for node in (start..end).filter(|&node| node < n) {
+                        timeline.push((round, index_u32(node), Transition::Leave));
+                        timeline.push((rejoin_round, index_u32(node), Transition::Rejoin));
+                    }
+                }
+            }
+        }
+        timeline.sort_unstable_by_key(|&(round, node, _)| (round, node));
+
+        let mut init_present = vec![true; n];
+        let mut by_node = timeline.clone();
+        by_node.sort_unstable_by_key(|&(round, node, _)| (node, round));
+        for history in by_node.chunk_by(|a, b| a.1 == b.1) {
+            if history.windows(2).any(|pair| pair[0].0 == pair[1].0) {
+                return None;
+            }
+            let joins_first = history[0].2 == Transition::Join;
+            init_present[history[0].1 as usize] = !joins_first;
+            let mut here = !joins_first;
+            for (idx, &(_, _, kind)) in history.iter().enumerate() {
+                let legal = match kind {
+                    Transition::Join => idx == 0,
+                    Transition::Rejoin => !here,
+                    Transition::Leave => here,
+                    Transition::Crash => here && idx == history.len() - 1,
+                };
+                if !legal {
+                    return None;
+                }
+                here = matches!(kind, Transition::Join | Transition::Rejoin);
+            }
+        }
+        Some((timeline, init_present))
+    }
+
+    /// A seeded random plan for an `n`-node fleet, built by calls in
+    /// scrambled order: bulk rules, then per-node legal walks of
+    /// explicit events and (duplicated) crashes from a random base
+    /// round, some on ids past the fleet, and now and then one stray
+    /// transition. A base round at or after the bulk rules' last
+    /// transition keeps most plans valid.
+    fn random_plan(rng: &mut SmallRng, n: usize) -> FaultPlan {
+        enum Call {
+            Event(usize, u64, Transition),
+            Crash(usize, u64),
+            Bulk(BulkChurn),
+        }
+        let mut calls = Vec::new();
+        let mut bulk_nodes = vec![false; n + 4];
+        let mut quiet = 1u64;
+        if rng.gen_bool(0.35) {
+            let batch = rng.gen_range(1..n + 1);
+            let period = rng.gen_range(2..6u64);
+            calls.push(Call::Bulk(BulkChurn::RollingRestart { batch, period }));
+            bulk_nodes[..n].fill(true);
+            let last_batch = ((n - 1) / batch) as u64;
+            quiet = quiet.max(3 + last_batch * period + (period / 2).max(1));
+        }
+        if rng.gen_bool(0.35) {
+            let count = rng.gen_range(1..n / 3 + 2);
+            let round = rng.gen_range(1..20u64);
+            calls.push(Call::Bulk(BulkChurn::FlashCrowd { count, round }));
+            bulk_nodes[n.saturating_sub(count)..n].fill(true);
+            quiet = quiet.max(round + 1);
+        }
+        if rng.gen_bool(0.35) {
+            let start = rng.gen_range(0..n + 2);
+            let end = start + rng.gen_range(1..12usize);
+            let round = rng.gen_range(1..20u64);
+            let rejoin_round = round + rng.gen_range(1..10u64);
+            calls.push(Call::Bulk(BulkChurn::RegionLoss {
+                start,
+                end,
+                round,
+                rejoin_round,
+            }));
+            bulk_nodes[start.min(n + 4)..end.min(n + 4)].fill(true);
+            quiet = quiet.max(rejoin_round + 1);
+        }
+        let base = if rng.gen_bool(0.75) {
+            quiet
+        } else {
+            rng.gen_range(1..quiet + 1)
+        };
+        for (node, &in_bulk) in bulk_nodes.iter().enumerate() {
+            if !rng.gen_bool(0.4) {
+                continue;
+            }
+            let mut round = base + rng.gen_range(0..4u64);
+            let mut here = true;
+            if !in_bulk && rng.gen_bool(0.3) {
+                calls.push(Call::Event(node, round, Transition::Join));
+                round += rng.gen_range(1..4u64);
+            }
+            for _ in 0..rng.gen_range(0..4usize) {
+                let kind = if here {
+                    Transition::Leave
+                } else {
+                    Transition::Rejoin
+                };
+                calls.push(Call::Event(node, round, kind));
+                here = !here;
+                round += rng.gen_range(1..4u64);
+            }
+            if here && rng.gen_bool(0.3) {
+                calls.push(Call::Crash(node, round));
+                if rng.gen_bool(0.5) {
+                    calls.push(Call::Crash(node, round + rng.gen_range(0..5u64)));
+                }
+            }
+        }
+        if rng.gen_bool(0.1) {
+            let kind =
+                [Transition::Join, Transition::Leave, Transition::Rejoin][rng.gen_range(0..3usize)];
+            calls.push(Call::Event(
+                rng.gen_range(0..n),
+                rng.gen_range(1..40u64),
+                kind,
+            ));
+        }
+        for i in (1..calls.len()).rev() {
+            calls.swap(i, rng.gen_range(0..i + 1));
+        }
+        calls
+            .into_iter()
+            .fold(FaultPlan::none(), |plan, call| match call {
+                Call::Event(node, round, Transition::Join) => plan.join(node, round),
+                Call::Event(node, round, Transition::Leave) => plan.leave(node, round),
+                Call::Event(node, round, _) => plan.rejoin(node, round),
+                Call::Crash(node, round) => plan.crash(node, round),
+                Call::Bulk(BulkChurn::RollingRestart { batch, period }) => {
+                    plan.rolling_restart(batch, period)
+                }
+                Call::Bulk(BulkChurn::FlashCrowd { count, round }) => {
+                    plan.flash_crowd(count, round)
+                }
+                Call::Bulk(BulkChurn::RegionLoss {
+                    start,
+                    end,
+                    round,
+                    rejoin_round,
+                }) => plan.region_loss(start..end, round, rejoin_round),
+            })
+    }
+
+    #[test]
+    fn resolver_matches_the_sort_and_replay_reference() {
+        let mut rng = SmallRng::seed_from_u64(29);
+        let (mut valid, mut multi_bulk) = (0, 0);
+        for _ in 0..600 {
+            let n = rng.gen_range(1..40);
+            let plan = random_plan(&mut rng, n);
+            let resolved = MembershipTracker::new(&plan, n);
+            let Some((timeline, init_present)) = reference_timeline(&plan, n) else {
+                assert!(resolved.is_err(), "reference rejects {plan:?} at n = {n}");
+                continue;
+            };
+            let mut tracker = resolved.unwrap_or_else(|err| panic!("{err}: {plan:?} at n = {n}"));
+            valid += 1;
+            multi_bulk += usize::from(plan.bulk.len() > 1);
+            assert_eq!(tracker.timeline, timeline);
+            let last = timeline.last().map_or(1, |t| t.0);
+            let mut reference = MembershipTracker::from_timeline(timeline, init_present);
+            assert_eq!(tracker.init_present, reference.init_present);
+            for round in 1..=last + 1 {
+                tracker.advance_to(round);
+                reference.advance_to(round);
+                assert_eq!(tracker.recent(), reference.recent(), "round {round}");
+                assert_eq!(tracker.alive(), reference.alive(), "round {round}");
+                assert_eq!(tracker.present(), reference.present(), "round {round}");
+            }
+        }
+        assert!(valid >= 300, "only {valid} of 600 plans valid");
+        assert!(
+            multi_bulk >= 20,
+            "only {multi_bulk} valid plans mix bulk rules"
+        );
+    }
+
+    #[test]
+    fn crash_schedules_compare_without_call_order() {
+        let a = FaultPlan::none().crash(3, 9).crash(1, 4).crash(3, 7);
+        let b = FaultPlan::none().crash(1, 4).crash(3, 7);
+        assert_eq!(a, b);
+        assert_ne!(a, b.crash(1, 2));
     }
 
     #[test]

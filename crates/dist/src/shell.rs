@@ -88,10 +88,16 @@ impl RoundShell {
     /// The shell of a fleet whose nodes hold their
     /// [`start_choice`](Self::start_choice), with `cfg`'s fault plan
     /// resolved.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`ConfigError`](crate::ConfigError) if the
+    /// plan's membership script is invalid for the fleet.
     pub(crate) fn new(cfg: DistConfig) -> Self {
         let n = cfg.num_nodes();
+        let members = MembershipTracker::new(cfg.faults(), n).unwrap_or_else(|err| panic!("{err}"));
         let mut shell = RoundShell {
-            members: MembershipTracker::new(cfg.faults(), n),
+            members,
             counts: vec![0; cfg.params().num_options()],
             round: 0,
             metrics: Metrics::default(),

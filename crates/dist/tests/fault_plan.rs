@@ -5,7 +5,7 @@
 
 use sociolearn_core::{GroupDynamics, Params};
 use sociolearn_dist::{
-    DistConfig, EventRuntime, FaultPlan, FaultPlanError, Runtime, StalenessBound,
+    ConfigError, DistConfig, EventRuntime, FaultPlan, FaultPlanError, Runtime, StalenessBound,
 };
 
 #[test]
@@ -171,4 +171,65 @@ fn async_crash_of_whole_fleet_halts_progress_but_not_the_clock() {
     // uniform rather than dividing by zero.
     assert_eq!(net.counts().iter().sum::<u64>(), 0);
     assert!((net.distribution()[0] - 0.5).abs() < 1e-12);
+}
+
+#[test]
+fn validate_names_each_bad_membership_script() {
+    let params = Params::new(2, 0.65).unwrap();
+    let check = |plan: FaultPlan| DistConfig::new(params, 6).with_faults(plan).validate();
+    let cases = [
+        (
+            FaultPlan::none().leave(2, 5).rejoin(2, 5),
+            ConfigError::ConflictingTransitions { node: 2, round: 5 },
+            "conflicting membership transitions for node 2 at round 5",
+        ),
+        (
+            FaultPlan::none().leave(1, 3).join(1, 6),
+            ConfigError::JoinNotFirst { node: 1, round: 6 },
+            "join must be node 1's first transition (round 6: use rejoin to re-enter)",
+        ),
+        (
+            FaultPlan::none().rejoin(0, 4),
+            ConfigError::RejoinWhilePresent { node: 0, round: 4 },
+            "node 0 cannot rejoin at round 4: already present",
+        ),
+        (
+            FaultPlan::none().region_loss(0..3, 2, 4).leave(1, 3),
+            ConfigError::LeaveWhileAbsent { node: 1, round: 3 },
+            "node 1 cannot leave at round 3: already absent",
+        ),
+        (
+            FaultPlan::none().crash(5, 4).region_loss(4..6, 2, 7),
+            ConfigError::CrashWhileAbsent { node: 5, round: 4 },
+            "node 5 cannot crash at round 4: it is absent",
+        ),
+        (
+            FaultPlan::none().crash(3, 2).rolling_restart(2, 4),
+            ConfigError::TransitionAfterCrash { node: 3, round: 2 },
+            "node 3 has transitions scheduled after its crash at round 2",
+        ),
+        (
+            FaultPlan::none().flash_crowd(7, 2),
+            ConfigError::FlashCrowdTooLarge { count: 7, n: 6 },
+            "flash crowd of 7 exceeds the fleet size 6",
+        ),
+    ];
+    for (plan, err, text) in cases {
+        assert_eq!(check(plan), Err(err));
+        assert_eq!(err.to_string(), text);
+    }
+    let churn = FaultPlan::none()
+        .rolling_restart(2, 4)
+        .flash_crowd(1, 1)
+        .crash(0, 30)
+        .leave(99, 1);
+    assert_eq!(check(churn), Ok(()));
+}
+
+#[test]
+#[should_panic(expected = "node 3 has transitions scheduled after its crash at round 2")]
+fn event_runtime_panics_with_the_config_error() {
+    let params = Params::new(2, 0.65).unwrap();
+    let plan = FaultPlan::none().crash(3, 2).rolling_restart(2, 4);
+    EventRuntime::new(DistConfig::new(params, 6).with_faults(plan), 1);
 }

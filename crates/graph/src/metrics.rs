@@ -39,6 +39,9 @@ pub fn degree_stats(g: &Graph) -> DegreeStats {
 /// ≥ 2, of the fraction of neighbor pairs that are themselves joined.
 /// Returns 0 if no node has degree ≥ 2.
 pub fn clustering_coefficient(g: &Graph) -> f64 {
+    // `mark[u] == v` while u is a neighbor of the current v; each
+    // closed pair {a, b} (a < b) is counted once, from a's sorted list.
+    let mut mark = vec![usize::MAX; g.num_nodes()];
     let mut total = 0.0;
     let mut counted = 0usize;
     for v in 0..g.num_nodes() {
@@ -46,13 +49,14 @@ pub fn clustering_coefficient(g: &Graph) -> f64 {
         if nbrs.len() < 2 {
             continue;
         }
+        for &a in nbrs {
+            mark[a as usize] = v;
+        }
         let mut closed = 0usize;
-        for (i, &a) in nbrs.iter().enumerate() {
-            for &b in &nbrs[i + 1..] {
-                if g.has_edge(a as usize, b as usize) {
-                    closed += 1;
-                }
-            }
+        for &a in nbrs {
+            let after = g.neighbors(a as usize);
+            let after = &after[after.partition_point(|&b| b <= a)..];
+            closed += after.iter().filter(|&&b| mark[b as usize] == v).count();
         }
         let pairs = nbrs.len() * (nbrs.len() - 1) / 2;
         total += closed as f64 / pairs as f64;
@@ -123,6 +127,57 @@ mod tests {
     fn clustering_star_is_zero() {
         let g = topology::star(6);
         assert_eq!(clustering_coefficient(&g), 0.0);
+    }
+
+    /// The coefficient by testing every neighbor pair for an edge.
+    fn clustering_by_pairs(g: &Graph) -> f64 {
+        let mut total = 0.0;
+        let mut counted = 0usize;
+        for v in 0..g.num_nodes() {
+            let nbrs = g.neighbors(v);
+            if nbrs.len() < 2 {
+                continue;
+            }
+            let mut closed = 0usize;
+            for (i, &a) in nbrs.iter().enumerate() {
+                for &b in &nbrs[i + 1..] {
+                    if g.has_edge(a as usize, b as usize) {
+                        closed += 1;
+                    }
+                }
+            }
+            let pairs = nbrs.len() * (nbrs.len() - 1) / 2;
+            total += closed as f64 / pairs as f64;
+            counted += 1;
+        }
+        if counted == 0 {
+            0.0
+        } else {
+            total / counted as f64
+        }
+    }
+
+    #[test]
+    fn clustering_matches_pairwise_count_bit_for_bit() {
+        let mut rng = SmallRng::seed_from_u64(11);
+        let mut graphs = vec![
+            topology::complete(30),
+            topology::star(12),
+            topology::two_cliques(40, 3),
+            topology::ring(25, 3),
+            Graph::from_edges(9, &[]).unwrap(),
+        ];
+        for (n, p) in [(40, 0.05), (60, 0.2), (50, 0.6), (2, 1.0)] {
+            graphs.push(topology::erdos_renyi(n, p, &mut rng));
+        }
+        graphs.push(topology::watts_strogatz(80, 3, 0.3, &mut rng));
+        graphs.push(topology::barabasi_albert(80, 3, &mut rng));
+        for g in &graphs {
+            assert_eq!(
+                clustering_coefficient(g).to_bits(),
+                clustering_by_pairs(g).to_bits()
+            );
+        }
     }
 
     #[test]

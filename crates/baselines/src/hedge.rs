@@ -111,77 +111,6 @@ impl GroupDynamics for Hedge {
     }
 }
 
-/// The deterministic replicator/MWU limit: multiplicative updates on
-/// the *expected* qualities `η_j`, ignoring the realized signals.
-///
-/// This is the "deterministic special case" prior work analyzed
-/// (Section 3); it requires knowing `η` — it is an oracle baseline,
-/// shown to bound what any full-information method could do once the
-/// stochasticity is averaged out.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DeterministicReplicator {
-    probs: Vec<f64>,
-    etas: Vec<f64>,
-    eps: f64,
-}
-
-impl DeterministicReplicator {
-    /// Creates the replicator from known qualities and a rate.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ParamsError`] on empty/out-of-range qualities or a
-    /// non-positive rate.
-    pub fn new(etas: Vec<f64>, eps: f64) -> Result<Self, ParamsError> {
-        if etas.is_empty() {
-            return Err(ParamsError::NoOptions);
-        }
-        for (index, &value) in etas.iter().enumerate() {
-            if !(0.0..=1.0).contains(&value) || value.is_nan() {
-                return Err(ParamsError::BadQuality { index, value });
-            }
-        }
-        if eps <= 0.0 || !eps.is_finite() {
-            return Err(ParamsError::ProbabilityOutOfRange {
-                name: "eps",
-                value: eps,
-            });
-        }
-        let m = etas.len();
-        Ok(DeterministicReplicator {
-            probs: vec![1.0 / m as f64; m],
-            etas,
-            eps,
-        })
-    }
-}
-
-impl GroupDynamics for DeterministicReplicator {
-    fn num_options(&self) -> usize {
-        self.probs.len()
-    }
-
-    fn write_distribution(&self, out: &mut [f64]) {
-        assert_eq!(out.len(), self.probs.len(), "buffer length mismatch");
-        out.copy_from_slice(&self.probs);
-    }
-
-    fn step(&mut self, _rewards: &[bool], _rng: &mut SmallRng) {
-        let mut z = 0.0;
-        for (p, &eta) in self.probs.iter_mut().zip(&self.etas) {
-            *p *= (self.eps * eta).exp();
-            z += *p;
-        }
-        for p in self.probs.iter_mut() {
-            *p /= z;
-        }
-    }
-
-    fn label(&self) -> &str {
-        "replicator (oracle)"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,27 +162,9 @@ mod tests {
     }
 
     #[test]
-    fn replicator_converges_to_best() {
-        let mut r = DeterministicReplicator::new(vec![0.9, 0.6, 0.3], 0.5).unwrap();
-        let mut rng = SmallRng::seed_from_u64(4);
-        for _ in 0..200 {
-            r.step(&[false; 3], &mut rng); // rewards ignored by design
-        }
-        let d = r.distribution();
-        assert!(d[0] > 0.99, "replicator share {d:?}");
-    }
-
-    #[test]
-    fn replicator_validates() {
-        assert!(DeterministicReplicator::new(vec![], 0.1).is_err());
-        assert!(DeterministicReplicator::new(vec![1.5], 0.1).is_err());
-        assert!(DeterministicReplicator::new(vec![0.5], -1.0).is_err());
-    }
-
-    #[test]
     fn labels_distinct() {
         let h = Hedge::new(2, 0.1).unwrap();
-        let r = DeterministicReplicator::new(vec![0.5, 0.5], 0.1).unwrap();
-        assert_ne!(h.label(), r.label());
+        let ftl = crate::FollowTheLeader::new(2).unwrap();
+        assert_ne!(h.label(), ftl.label());
     }
 }

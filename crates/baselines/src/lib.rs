@@ -9,10 +9,9 @@
 //!
 //! * **Full-information, centralized** — what a single agent with
 //!   unbounded memory could do with the same information the *group*
-//!   collectively receives: [`Hedge`] (classic MWU),
-//!   [`FollowTheLeader`], [`DeterministicReplicator`] (the
-//!   known-qualities deterministic limit the paper contrasts with),
-//!   plus the [`BestFixed`] oracle and [`UniformRandom`] floor.
+//!   collectively receives: [`Hedge`] (classic MWU) and
+//!   [`FollowTheLeader`], plus the [`BestFixed`] oracle and
+//!   [`UniformRandom`] floor.
 //! * **Bandit-feedback, decentralized-but-memoryful** — `N`
 //!   *independent* learners each running a private bandit algorithm
 //!   and seeing only their own arm's reward:
@@ -31,5 +30,5 @@ mod simple;
 
 pub use bandit::{BanditPolicy, EpsilonGreedy, Exp3, ThompsonSampling, Ucb1};
 pub use group::IndependentBanditGroup;
-pub use hedge::{DeterministicReplicator, Hedge};
+pub use hedge::Hedge;
 pub use simple::{BestFixed, FollowTheLeader, UniformRandom};

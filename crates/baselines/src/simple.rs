@@ -115,7 +115,7 @@ impl FollowTheLeader {
     }
 
     /// The current leader.
-    pub fn leader(&self) -> usize {
+    fn leader(&self) -> usize {
         let mut best = 0;
         for (j, &v) in self.totals.iter().enumerate() {
             if v > self.totals[best] {

@@ -49,7 +49,10 @@ impl Fnv {
 fn digest<P: BanditPolicy>(policy: impl FnMut() -> P) -> u64 {
     let group = IndependentBanditGroup::new(AGENTS, policy);
     let env = BernoulliRewards::one_good(ARMS, 0.9).expect("valid qualities");
-    let cfg = RunConfig::new(HORIZON).with_stride(1);
+    let cfg = RunConfig {
+        horizon: HORIZON,
+        record_stride: 1,
+    };
     let rep = run_one(group, env, &cfg, SEED);
     assert_eq!(rep.history.len() as u64, HORIZON + 1, "every step recorded");
     let mut h = Fnv::new();

@@ -79,22 +79,6 @@ pub struct CouplingTrace {
     pub tv: Vec<f64>,
 }
 
-impl CouplingTrace {
-    /// The largest finite-or-infinite deviation observed.
-    pub fn max_deviation(&self) -> f64 {
-        self.deviations.iter().copied().fold(0.0, f64::max)
-    }
-
-    /// First step index (1-based) at which the deviation exceeded
-    /// `threshold`, if any.
-    pub fn first_exceeding(&self, threshold: f64) -> Option<u64> {
-        self.deviations
-            .iter()
-            .position(|&d| d > threshold)
-            .map(|i| i as u64 + 1)
-    }
-}
-
 impl CoupledRun {
     /// Couples a fresh finite population of size `n` with the infinite
     /// dynamics, both at the uniform start.
@@ -107,15 +91,6 @@ impl CoupledRun {
             finite: FinitePopulation::new(params, n),
             infinite: InfiniteDynamics::new(params),
         }
-    }
-
-    /// Restarts the coupling from the finite population's *current*
-    /// distribution (the epoch-restart step in the proof of
-    /// Theorem 4.4: at each epoch boundary the infinite process is
-    /// re-initialized at `Q^t`).
-    pub fn resync_infinite(&mut self) {
-        let q = self.finite.distribution();
-        self.infinite = InfiniteDynamics::from_distribution(*self.finite.params(), q);
     }
 
     /// Read access to the finite side.
@@ -201,11 +176,8 @@ mod tests {
         let env = BernoulliRewards::linear(3, 0.9, 0.3).unwrap();
         let mut rng = SmallRng::seed_from_u64(5);
         let trace = run.run(env, 3, &mut rng);
-        assert!(
-            trace.max_deviation() < 0.2,
-            "deviation too large for N=1e5: {}",
-            trace.max_deviation()
-        );
+        let max = trace.deviations.iter().copied().fold(0.0, f64::max);
+        assert!(max < 0.2, "deviation too large for N=1e5: {max}");
     }
 
     #[test]
@@ -240,27 +212,5 @@ mod tests {
             small_total > large_total,
             "deviation should shrink with N: small {small_total} vs large {large_total}"
         );
-    }
-
-    #[test]
-    fn resync_zeroes_deviation() {
-        let mut run = CoupledRun::new(params(), 500);
-        let env = BernoulliRewards::linear(3, 0.9, 0.3).unwrap();
-        let mut rng = SmallRng::seed_from_u64(9);
-        run.run(env, 20, &mut rng);
-        run.resync_infinite();
-        let dev = ratio_deviation(&run.infinite().distribution(), &run.finite().distribution());
-        assert!(dev < 1e-12, "resync left deviation {dev}");
-    }
-
-    #[test]
-    fn first_exceeding_detects_threshold() {
-        let trace = CouplingTrace {
-            deviations: vec![0.1, 0.2, 0.9, 0.05],
-            tv: vec![0.0; 4],
-        };
-        assert_eq!(trace.first_exceeding(0.5), Some(3));
-        assert_eq!(trace.first_exceeding(2.0), None);
-        assert!((trace.max_deviation() - 0.9).abs() < 1e-12);
     }
 }

@@ -26,16 +26,6 @@ impl EpochSchedule {
         }
     }
 
-    /// A schedule with an explicit epoch length.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `epoch_len == 0`.
-    pub fn with_length(epoch_len: u64) -> Self {
-        assert!(epoch_len > 0, "epoch length must be positive");
-        EpochSchedule { epoch_len }
-    }
-
     /// Epoch length in steps.
     pub fn epoch_len(&self) -> u64 {
         self.epoch_len
@@ -49,16 +39,6 @@ impl EpochSchedule {
     pub fn epoch_of(&self, t: u64) -> u64 {
         assert!(t > 0, "steps are 1-based");
         (t - 1) / self.epoch_len
-    }
-
-    /// Whether step `t` is the first step of its epoch.
-    pub fn is_epoch_start(&self, t: u64) -> bool {
-        t > 0 && (t - 1).is_multiple_of(self.epoch_len)
-    }
-
-    /// Number of (possibly partial) epochs needed to cover horizon `T`.
-    pub fn epochs_for_horizon(&self, horizon: u64) -> u64 {
-        horizon.div_ceil(self.epoch_len)
     }
 }
 
@@ -113,13 +93,6 @@ impl EpochRegret {
         self.epochs.iter().map(|e| e.average_regret()).collect()
     }
 
-    /// The worst single-epoch average regret, if any epochs exist.
-    pub fn worst_epoch_regret(&self) -> Option<f64> {
-        self.per_epoch_regret()
-            .into_iter()
-            .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v))))
-    }
-
     /// The epoch schedule in use.
     pub fn schedule(&self) -> EpochSchedule {
         self.schedule
@@ -132,15 +105,11 @@ mod tests {
 
     #[test]
     fn schedule_boundaries() {
-        let s = EpochSchedule::with_length(10);
+        let s = EpochSchedule { epoch_len: 10 };
         assert_eq!(s.epoch_of(1), 0);
         assert_eq!(s.epoch_of(10), 0);
         assert_eq!(s.epoch_of(11), 1);
-        assert!(s.is_epoch_start(1));
-        assert!(s.is_epoch_start(11));
-        assert!(!s.is_epoch_start(10));
-        assert_eq!(s.epochs_for_horizon(25), 3);
-        assert_eq!(s.epochs_for_horizon(30), 3);
+        assert_eq!(s.epoch_of(30), 2);
     }
 
     #[test]
@@ -155,7 +124,7 @@ mod tests {
 
     #[test]
     fn per_epoch_accounting() {
-        let s = EpochSchedule::with_length(2);
+        let s = EpochSchedule { epoch_len: 2 };
         let mut acc = EpochRegret::new(s, 0.9, 0);
         // Epoch 0: perfect play; epoch 1: worst play.
         for _ in 0..2 {
@@ -168,7 +137,6 @@ mod tests {
         assert_eq!(per.len(), 2);
         assert!(per[0].abs() < 1e-12);
         assert!((per[1] - 0.8).abs() < 1e-12);
-        assert!((acc.worst_epoch_regret().unwrap() - 0.8).abs() < 1e-12);
         // Whole-run average is the mean of the two epochs here.
         assert!((acc.total().average_regret() - 0.4).abs() < 1e-12);
     }
@@ -176,6 +144,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "1-based")]
     fn zero_step_rejected() {
-        EpochSchedule::with_length(5).epoch_of(0);
+        EpochSchedule { epoch_len: 5 }.epoch_of(0);
     }
 }

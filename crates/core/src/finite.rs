@@ -24,11 +24,6 @@ impl StepRecord {
     pub fn total_committed(&self) -> u64 {
         self.committed.iter().sum()
     }
-
-    /// Fraction of the population that sat out this step.
-    pub fn sit_out_fraction(&self, n: usize) -> f64 {
-        1.0 - self.total_committed() as f64 / n as f64
-    }
 }
 
 /// The finite-population dynamics over `N` individuals (Section 2.1),
@@ -138,22 +133,6 @@ impl FinitePopulation {
     /// Number of steps taken so far.
     pub fn steps(&self) -> u64 {
         self.steps
-    }
-
-    /// Stage-1 sampling distribution `(1-µ)Q^t_j + µ/m` given the
-    /// current popularity, written into `out`.
-    ///
-    /// If nobody is committed (everyone sat out last step — an event of
-    /// probability at most `(1 - (1-β)µ/m)^N`), the popularity term
-    /// falls back to uniform.
-    pub fn write_sampling_distribution(&self, out: &mut [f64]) {
-        let m = self.params.num_options();
-        assert_eq!(
-            out.len(),
-            m,
-            "buffer length must equal the number of options"
-        );
-        write_mix(&self.counts, self.params.mu(), out);
     }
 
     /// Advances one step and returns the per-stage counts.
@@ -287,7 +266,7 @@ mod tests {
         let mut pop = FinitePopulation::new(params(), 10_000);
         let mut rng = SmallRng::seed_from_u64(3);
         let rec = pop.step_detailed(&[true, false, true, false], &mut rng);
-        let frac = rec.sit_out_fraction(10_000);
+        let frac = 1.0 - rec.total_committed() as f64 / 10_000.0;
         assert!((frac - 0.5).abs() < 0.05, "sit-out fraction {frac}");
     }
 
@@ -317,7 +296,7 @@ mod tests {
             pop.step(&[true, false], &mut rng);
         }
         let mut s = vec![0.0; 2];
-        pop.write_sampling_distribution(&mut s);
+        write_mix(pop.counts(), p.mu(), &mut s);
         assert!(
             s[1] >= 0.2 / 2.0 - 1e-12,
             "sampling floor violated: {}",

@@ -67,7 +67,6 @@ mod dynamics;
 mod epoch;
 mod error;
 mod finite;
-mod heterogeneous;
 mod infinite;
 mod mwu;
 mod params;
@@ -83,7 +82,6 @@ pub use dynamics::{assert_distribution, write_shares, GroupDynamics};
 pub use epoch::{EpochRegret, EpochSchedule};
 pub use error::{ParamsError, RegimeViolation};
 pub use finite::{FinitePopulation, StepRecord};
-pub use heterogeneous::{AdoptProfile, HeterogeneousPopulation};
 pub use infinite::InfiniteDynamics;
 pub use mwu::StochasticMwu;
 pub use params::{Params, BETA_MAX};

@@ -57,15 +57,10 @@ impl StochasticMwu {
         &self.params
     }
 
-    /// The current (rescaled) weights. Multiply by
-    /// `exp(log_scale())` to recover the true `W^t_j`.
+    /// The current weights, rescaled by a common factor that
+    /// [`log_potential`](Self::log_potential) accounts for.
     pub fn weights(&self) -> &[f64] {
         &self.weights
-    }
-
-    /// Natural log of the factor extracted from the weights.
-    pub fn log_scale(&self) -> f64 {
-        self.log_scale
     }
 
     /// Natural log of the true potential `Φ^t = Σ_j W^t_j`.

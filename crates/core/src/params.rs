@@ -82,25 +82,6 @@ impl Params {
         Ok(Params { m, beta, alpha, mu })
     }
 
-    /// Returns a copy with a different exploration rate `mu`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ParamsError`] if `mu` is not a probability.
-    pub fn with_mu(self, mu: f64) -> Result<Self, ParamsError> {
-        Params::with_all(self.m, self.beta, self.alpha, mu)
-    }
-
-    /// Returns a copy with a different `alpha`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ParamsError`] if `alpha` is not a probability or
-    /// exceeds `beta`.
-    pub fn with_alpha(self, alpha: f64) -> Result<Self, ParamsError> {
-        Params::with_all(self.m, self.beta, alpha, self.mu)
-    }
-
     /// Number of options `m`.
     pub fn num_options(&self) -> usize {
         self.m
@@ -380,7 +361,7 @@ mod tests {
         assert!(d6 < d3);
         assert!(d6 > 0.0);
         // mu = 0 makes it undefined.
-        let p0 = p.with_mu(0.0).unwrap();
+        let p0 = Params::with_all(5, p.beta(), p.alpha(), 0.0).unwrap();
         assert!(p0.coupling_delta(1_000).is_infinite());
     }
 

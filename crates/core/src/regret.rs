@@ -23,7 +23,6 @@
 /// // The group had 60% of mass on the best option; it was good, the
 /// // other was bad.
 /// tracker.record(&[0.6, 0.4], &[true, false], Some(&[0.9, 0.5]));
-/// assert!((tracker.average_regret_realized() - (0.9 - 0.6)).abs() < 1e-12);
 /// assert!((tracker.average_regret() - (0.9 - (0.6 * 0.9 + 0.4 * 0.5))).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -97,7 +96,7 @@ impl RegretTracker {
 
     /// Average regret with the realized-reward estimator. `0.0` before
     /// any step is recorded.
-    pub fn average_regret_realized(&self) -> f64 {
+    fn average_regret_realized(&self) -> f64 {
         if self.steps == 0 {
             return 0.0;
         }

@@ -180,7 +180,8 @@ mod tests {
     use rand::SeedableRng;
 
     fn params(mu: f64) -> Params {
-        Params::new(4, 0.65).unwrap().with_mu(mu).unwrap()
+        let p = Params::new(4, 0.65).unwrap();
+        Params::with_all(4, p.beta(), p.alpha(), mu).unwrap()
     }
 
     #[test]

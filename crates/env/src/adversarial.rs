@@ -31,8 +31,8 @@ use sociolearn_core::{ParamsError, RewardModel};
 #[derive(Debug, Clone, PartialEq)]
 pub struct PeriodicRewards {
     patterns: Vec<Vec<bool>>,
-    /// [`average_qualities`](PeriodicRewards::average_qualities),
-    /// computed once from `patterns`.
+    /// Long-run average quality of each option over one period (the
+    /// natural regret benchmark), computed once from `patterns`.
     averages: Vec<f64>,
 }
 
@@ -91,12 +91,6 @@ impl PeriodicRewards {
     pub fn period(&self) -> usize {
         self.patterns.len()
     }
-
-    /// Long-run average quality of each option over one period — the
-    /// natural benchmark for regret against this sequence.
-    pub fn average_qualities(&self) -> Vec<f64> {
-        self.averages.clone()
-    }
 }
 
 impl RewardModel for PeriodicRewards {
@@ -137,7 +131,7 @@ mod tests {
     fn alternating_duty_cycle() {
         let env = PeriodicRewards::alternating(3, 1).unwrap();
         assert_eq!(env.period(), 4);
-        let avg = env.average_qualities();
+        let avg = env.qualities().unwrap();
         assert!((avg[0] - 0.75).abs() < 1e-12);
         assert!((avg[1] - 0.25).abs() < 1e-12);
     }

@@ -425,138 +425,3 @@ mod tests {
         assert!(mean.abs() < 0.05, "normal mean {mean}");
     }
 }
-
-/// Correlated `m`-option rewards: exactly one option is good each
-/// step, drawn from a fixed winner distribution — the natural
-/// `m`-option generalization of [`BestOfTwoRewards`] (think: exactly
-/// one queue is fast, exactly one route is clear).
-///
-/// Induces `η_j = w_j` with perfectly anti-correlated signals;
-/// independence across time is what the paper's analysis needs
-/// (footnote 3).
-///
-/// # Example
-///
-/// ```
-/// use sociolearn_env::BestOfMRewards;
-/// use sociolearn_core::RewardModel;
-/// use rand::SeedableRng;
-///
-/// let mut env = BestOfMRewards::new(vec![0.5, 0.3, 0.2])?;
-/// let mut rng = rand::rngs::SmallRng::seed_from_u64(0);
-/// let mut out = [false; 3];
-/// env.sample(1, &mut rng, &mut out);
-/// assert_eq!(out.iter().filter(|&&r| r).count(), 1);
-/// # Ok::<(), sociolearn_core::ParamsError>(())
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct BestOfMRewards {
-    winner_probs: Vec<f64>,
-}
-
-impl BestOfMRewards {
-    /// Creates the environment from winner probabilities (must sum to
-    /// 1 within 1e-9).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ParamsError`] if the vector is empty, any entry is
-    /// not a probability, or the total is not 1.
-    pub fn new(winner_probs: Vec<f64>) -> Result<Self, ParamsError> {
-        if winner_probs.is_empty() {
-            return Err(ParamsError::NoOptions);
-        }
-        for (index, &value) in winner_probs.iter().enumerate() {
-            if !(0.0..=1.0).contains(&value) || value.is_nan() {
-                return Err(ParamsError::BadQuality { index, value });
-            }
-        }
-        let total: f64 = winner_probs.iter().sum();
-        if (total - 1.0).abs() > 1e-9 {
-            return Err(ParamsError::BadQuality {
-                index: 0,
-                value: total,
-            });
-        }
-        Ok(BestOfMRewards { winner_probs })
-    }
-
-    /// The winner distribution.
-    pub fn winner_probs(&self) -> &[f64] {
-        &self.winner_probs
-    }
-}
-
-impl RewardModel for BestOfMRewards {
-    fn num_options(&self) -> usize {
-        self.winner_probs.len()
-    }
-
-    fn sample(&mut self, _t: u64, rng: &mut SmallRng, out: &mut [bool]) {
-        assert_eq!(
-            out.len(),
-            self.winner_probs.len(),
-            "reward buffer has wrong length"
-        );
-        out.fill(false);
-        let winner = sociolearn_core::sample_categorical(rng, &self.winner_probs);
-        out[winner] = true;
-    }
-
-    fn qualities(&self) -> Option<&[f64]> {
-        Some(&self.winner_probs)
-    }
-}
-
-#[cfg(test)]
-mod best_of_m_tests {
-    use super::*;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
-
-    #[test]
-    fn validation() {
-        assert!(BestOfMRewards::new(vec![]).is_err());
-        assert!(BestOfMRewards::new(vec![0.5, 0.4]).is_err()); // sums to 0.9
-        assert!(BestOfMRewards::new(vec![0.5, -0.5, 1.0]).is_err());
-        assert!(BestOfMRewards::new(vec![0.25; 4]).is_ok());
-    }
-
-    #[test]
-    fn exactly_one_winner_with_right_frequency() {
-        let mut env = BestOfMRewards::new(vec![0.6, 0.3, 0.1]).unwrap();
-        let mut rng = SmallRng::seed_from_u64(9);
-        let mut out = [false; 3];
-        let mut wins = [0u32; 3];
-        let trials = 30_000;
-        for t in 0..trials {
-            env.sample(t, &mut rng, &mut out);
-            assert_eq!(out.iter().filter(|&&r| r).count(), 1);
-            wins[out.iter().position(|&r| r).unwrap()] += 1;
-        }
-        for (j, &expect) in [0.6, 0.3, 0.1].iter().enumerate() {
-            let freq = wins[j] as f64 / trials as f64;
-            assert!(
-                (freq - expect).abs() < 0.01,
-                "option {j}: {freq} vs {expect}"
-            );
-        }
-        assert_eq!(env.best_index(), Some(0));
-    }
-
-    #[test]
-    fn two_option_case_matches_best_of_two_law() {
-        let mut a = BestOfMRewards::new(vec![0.7, 0.3]).unwrap();
-        let mut b = BestOfTwoRewards::new(0.7).unwrap();
-        let mut rng = SmallRng::seed_from_u64(4);
-        let mut out = [false; 2];
-        let (mut wa, mut wb) = (0u32, 0u32);
-        for t in 0..20_000 {
-            a.sample(t, &mut rng, &mut out);
-            wa += out[0] as u32;
-            b.sample(t, &mut rng, &mut out);
-            wb += out[0] as u32;
-        }
-        assert!((wa as f64 - wb as f64).abs() / 20_000.0 < 0.02);
-    }
-}

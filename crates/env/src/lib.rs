@@ -3,18 +3,15 @@
 //! Reward environments beyond the plain independent-Bernoulli base
 //! model, covering every environment class the paper discusses:
 //!
-//! * [`BestOfTwoRewards`] / [`BestOfMRewards`] — correlated environments
-//!   in which exactly one option is "good" each step (Ellison–Fudenberg
-//!   and its m-option generalization),
+//! * [`BestOfTwoRewards`] — the correlated environment in which exactly
+//!   one of two options is "good" each step (Ellison–Fudenberg),
 //! * [`ShockDuel`] / [`DuelPopulation`] — the full continuous-reward
 //!   word-of-mouth model with player-specific shocks, plus its exact
 //!   reduction to the paper's `(η, α, β)` parameterization,
-//! * [`PiecewiseStationary`], [`RandomWalkQualities`], [`swap_best`] —
-//!   drifting qualities (the paper's future-work direction),
-//! * [`ThresholdRewards`] — continuous rewards binarized by a
-//!   threshold, the standard conversion cited in Section 3,
-//! * [`TraceRewards`] / [`RecordingRewards`] — record/replay, used by
-//!   the coupling experiments to feed identical reward realizations to
+//! * [`PiecewiseStationary`], [`swap_best`] — qualities that change
+//!   at scheduled steps (the paper's future-work direction),
+//! * [`TraceRewards`] — replay of a fixed reward matrix, used by the
+//!   coupling experiments to feed identical reward realizations to
 //!   different processes,
 //! * [`PeriodicRewards`] — deterministic adversarial-ish sequences for
 //!   robustness tests.
@@ -28,11 +25,9 @@
 mod adversarial;
 mod correlated;
 mod drift;
-mod threshold;
 mod trace;
 
 pub use adversarial::PeriodicRewards;
-pub use correlated::{BestOfMRewards, BestOfTwoRewards, DuelPopulation, ShockDuel};
-pub use drift::{swap_best, PiecewiseStationary, RandomWalkQualities};
-pub use threshold::{ContinuousDist, ThresholdRewards};
-pub use trace::{RecordingRewards, TraceRewards};
+pub use correlated::{BestOfTwoRewards, DuelPopulation, ShockDuel};
+pub use drift::{swap_best, PiecewiseStationary};
+pub use trace::TraceRewards;

@@ -602,4 +602,68 @@ mod tests {
         let text = String::from_utf8(sink).unwrap();
         assert!(text.contains("\x1b[H\x1b[J"));
     }
+
+    /// The `watch` invocations a document shows: each line holding
+    /// `-- watch`, joined with the lines its trailing `\` continues,
+    /// as the arguments after `watch` with shell quotes removed.
+    fn documented_watch_args(doc: &str) -> Vec<Vec<String>> {
+        let mut out = Vec::new();
+        let mut lines = doc.lines();
+        while let Some(line) = lines.next() {
+            let Some(at) = line.find("-- watch") else {
+                continue;
+            };
+            let mut cmd = line[at + "-- watch".len()..].to_string();
+            if !(cmd.is_empty() || cmd.starts_with(' ')) {
+                continue;
+            }
+            while let Some(cut) = cmd.trim_end().strip_suffix('\\') {
+                cmd = format!("{cut} {}", lines.next().unwrap_or(""));
+            }
+            out.push(
+                cmd.split_whitespace()
+                    .map(|a| a.trim_matches('"').to_string())
+                    .collect(),
+            );
+        }
+        out
+    }
+
+    #[test]
+    fn every_documented_watch_line_parses() {
+        let docs = [
+            ("README.md", include_str!("../../../README.md"), 1),
+            (
+                "OBSERVABILITY.md",
+                include_str!("../../../OBSERVABILITY.md"),
+                1,
+            ),
+            (
+                ".github/workflows/ci.yml",
+                include_str!("../../../.github/workflows/ci.yml"),
+                3,
+            ),
+        ];
+        for (doc, text, at_least) in docs {
+            let invocations = documented_watch_args(text);
+            assert!(
+                invocations.len() >= at_least,
+                "{doc}: expected at least {at_least} watch lines, found {invocations:?}"
+            );
+            for args in invocations {
+                if let Err(e) = parse_watch_args(&args) {
+                    panic!("{doc}: `watch {}` does not parse: {e}", args.join(" "));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn continued_watch_lines_are_joined() {
+        let doc = "cargo run -- watch \\\n    --ticks 5 --churn flash \\\n    --ansi\n";
+        assert_eq!(
+            documented_watch_args(doc),
+            vec![vec!["--ticks", "5", "--churn", "flash", "--ansi"]]
+        );
+    }
 }

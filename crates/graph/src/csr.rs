@@ -42,7 +42,7 @@ impl Error for GraphError {}
 ///
 /// let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)])?;
 /// assert_eq!(g.neighbors(1), &[0, 2]);
-/// assert_eq!(g.num_edges(), 3);
+/// assert_eq!(g.degree(3), 1);
 /// # Ok::<(), sociolearn_graph::GraphError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -102,11 +102,6 @@ impl Graph {
         self.offsets.len() - 1
     }
 
-    /// Number of undirected edges.
-    pub fn num_edges(&self) -> usize {
-        self.neighbors.len() / 2
-    }
-
     /// Degree of node `v`.
     ///
     /// # Panics
@@ -124,16 +119,6 @@ impl Graph {
     pub fn neighbors(&self, v: usize) -> &[u32] {
         assert!(v < self.num_nodes(), "node {v} out of range");
         &self.neighbors[self.offsets[v]..self.offsets[v + 1]]
-    }
-
-    /// Whether an edge `{a, b}` exists.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either endpoint is out of range.
-    pub fn has_edge(&self, a: usize, b: usize) -> bool {
-        assert!(b < self.num_nodes(), "node {b} out of range");
-        self.neighbors(a).binary_search(&(b as u32)).is_ok()
     }
 
     /// Whether the graph is connected (single node counts as
@@ -201,18 +186,17 @@ mod tests {
     fn path_graph_basics() {
         let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]).unwrap();
         assert_eq!(g.num_nodes(), 4);
-        assert_eq!(g.num_edges(), 3);
+        assert_eq!(g.edges().count(), 3);
         assert_eq!(g.degree(0), 1);
         assert_eq!(g.degree(1), 2);
-        assert!(g.has_edge(0, 1));
-        assert!(!g.has_edge(0, 3));
+        assert_eq!(g.neighbors(0), &[1]);
         assert!(g.is_connected());
     }
 
     #[test]
     fn self_loops_and_duplicates_removed() {
         let g = Graph::from_edges(3, &[(0, 0), (0, 1), (1, 0), (0, 1)]).unwrap();
-        assert_eq!(g.num_edges(), 1);
+        assert_eq!(g.edges().count(), 1);
         assert_eq!(g.neighbors(0), &[1]);
     }
 
@@ -257,6 +241,6 @@ mod tests {
     fn single_node_connected() {
         let g = Graph::from_edges(1, &[]).unwrap();
         assert!(g.is_connected());
-        assert_eq!(g.num_edges(), 0);
+        assert_eq!(g.edges().count(), 0);
     }
 }

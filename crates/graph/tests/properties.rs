@@ -17,11 +17,11 @@ proptest! {
             raw_edges.into_iter().map(|(a, b)| (a % n, b % n)).collect();
         let g = Graph::from_edges(n, &edges).expect("endpoints are in range");
         let degree_sum: usize = (0..n).map(|v| g.degree(v)).sum();
-        prop_assert_eq!(degree_sum, 2 * g.num_edges());
+        prop_assert_eq!(degree_sum, 2 * g.edges().count());
         // Adjacency is symmetric.
         for (a, b) in g.edges() {
-            prop_assert!(g.has_edge(a, b));
-            prop_assert!(g.has_edge(b, a));
+            prop_assert!(g.neighbors(a).contains(&(b as u32)));
+            prop_assert!(g.neighbors(b).contains(&(a as u32)));
             prop_assert_ne!(a, b, "self-loop survived construction");
         }
     }
@@ -81,7 +81,7 @@ proptest! {
         let g = topology::watts_strogatz(n, 2, p, &mut rng);
         prop_assert_eq!(g.num_nodes(), n);
         // Rewiring can only remove parallel duplicates.
-        prop_assert!(g.num_edges() <= 2 * n);
+        prop_assert!(g.edges().count() <= 2 * n);
         let stats = metrics::degree_stats(&g);
         prop_assert!(stats.mean <= 4.0 + 1e-9);
     }
@@ -93,17 +93,6 @@ proptest! {
         prop_assert!(g.is_connected());
         let stats = metrics::degree_stats(&g);
         prop_assert!(stats.min >= k.min(n - 1));
-    }
-
-    #[test]
-    fn random_regular_is_regular(seed in any::<u64>(), half_d in 1usize..4) {
-        let n = 24;
-        let d = 2 * half_d;
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let g = topology::random_regular(n, d, &mut rng);
-        for v in 0..n {
-            prop_assert_eq!(g.degree(v), d);
-        }
     }
 
     #[test]

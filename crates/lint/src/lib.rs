@@ -16,6 +16,7 @@
 //! | D3 | library RNG seeds must flow through the SplitMix64 seed tree |
 //! | D4 | every `unsafe` carries a `// SAFETY:` comment |
 //! | D5 | no bare narrowing `as` casts in `crates/dist` index math |
+//! | D6 | no public library item that only its own file names |
 //! | W1 | waivers must be well-formed and carry a reason |
 //! | W2 | waivers must actually suppress something |
 //!
@@ -38,4 +39,7 @@ pub mod rules;
 pub mod scan;
 
 pub use rules::{Finding, Rule};
-pub use scan::{check_source, scan_workspace, FileCtx, ScanReport, RUNTIME_CRATES};
+pub use scan::{
+    check_source, check_sources, scan_workspace, FileCtx, ScanReport, RUNTIME_CRATES,
+    SURFACE_CRATES,
+};

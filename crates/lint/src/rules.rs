@@ -1,5 +1,6 @@
-//! The determinism rules D1–D5 plus the waiver-hygiene rules W1/W2,
-//! as token-pattern checks over [`crate::lexer::Lexed`] streams.
+//! The determinism rules D1–D5, the surface rule D6, and the
+//! waiver-hygiene rules W1/W2, as token-pattern checks over
+//! [`crate::lexer::Lexed`] streams.
 //!
 //! Each rule is named, documented, and scoped (see
 //! [`crate::scan::FileCtx`] for the path-level scoping and
@@ -39,6 +40,11 @@ pub enum Rule {
     /// shard-index arithmetic: use the checked helpers in
     /// `sociolearn_dist`'s `cast` module (or `try_into`).
     D5,
+    /// Every public item in a library crate's `src` must be reached
+    /// from somewhere else: its name must appear as an identifier in
+    /// another file's non-test code, a root integration test, an
+    /// example, the benchmark harness, or a README Rust block.
+    D6,
     /// Waiver hygiene: a `detlint: allow(...)` comment that is
     /// malformed or missing its reason.
     W1,
@@ -55,6 +61,7 @@ impl Rule {
             Rule::D3 => "D3",
             Rule::D4 => "D4",
             Rule::D5 => "D5",
+            Rule::D6 => "D6",
             Rule::W1 => "W1",
             Rule::W2 => "W2",
         }
@@ -68,6 +75,7 @@ impl Rule {
             "D3" => Rule::D3,
             "D4" => Rule::D4,
             "D5" => Rule::D5,
+            "D6" => Rule::D6,
             "W1" => Rule::W1,
             "W2" => Rule::W2,
             _ => return None,
@@ -96,18 +104,24 @@ impl Rule {
                  crates/dist node-id and shard-index arithmetic; use the crate's checked cast \
                  helpers or try_into"
             }
+            Rule::D6 => {
+                "public item reached from nowhere: a `pub` item in a library crate's src whose \
+                 name appears in no other file's non-test code, root test, example, benchmark \
+                 source or README block; delete it or narrow it to pub(crate)"
+            }
             Rule::W1 => "a `detlint: allow(...)` waiver must name known rules and carry a reason",
             Rule::W2 => "a waiver that suppresses no finding must be removed",
         }
     }
 
     /// All rules, in report order.
-    pub const ALL: [Rule; 7] = [
+    pub const ALL: [Rule; 8] = [
         Rule::D1,
         Rule::D2,
         Rule::D3,
         Rule::D4,
         Rule::D5,
+        Rule::D6,
         Rule::W1,
         Rule::W2,
     ];
@@ -333,7 +347,7 @@ pub fn parse_waivers(
     out
 }
 
-/// Which of D1–D5 are active for the file being scanned (path-level
+/// Which of D1–D6 are active for the file being scanned (path-level
 /// scoping decided by [`crate::scan::FileCtx`]).
 #[derive(Debug, Clone, Copy)]
 pub struct ActiveRules {
@@ -342,6 +356,197 @@ pub struct ActiveRules {
     pub d3: bool,
     pub d4: bool,
     pub d5: bool,
+    /// D6 checks the file's `pub` items; unlike D1–D5 it needs the
+    /// other files, so only a multi-file run applies it.
+    pub d6: bool,
+}
+
+/// Which of a file's tokens can reach another file's public items
+/// (rule D6).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Reach {
+    /// None: a crate's own `tests/` or `benches/`, which exist to test
+    /// the items, not to use them.
+    Nothing,
+    /// Code outside `#[cfg(test)]` / `#[test]` items.
+    NonTest,
+    /// Every token: root integration tests, the benchmark harness and
+    /// README blocks are callers in their own right.
+    All,
+}
+
+/// One lexed file as rule D6 sees it.
+pub struct Unit<'a> {
+    /// Workspace-relative path, stamped into findings.
+    pub path: &'a str,
+    pub lexed: &'a Lexed,
+    /// In-file test regions, from [`test_regions`].
+    pub tests: &'a [(u32, u32)],
+    /// Whether the file's `pub` items are checked.
+    pub defines: bool,
+    pub reach: Reach,
+}
+
+/// The item keywords D6 checks after `pub`.
+const D6_ITEMS: [&str; 6] = ["fn", "struct", "enum", "trait", "const", "type"];
+
+/// Modifiers that may sit between `pub` and an item keyword.
+const D6_MODIFIERS: [&str; 4] = ["const", "unsafe", "async", "extern"];
+
+/// A `pub` item found by rule D6.
+struct PubItem<'a> {
+    unit: usize,
+    line: u32,
+    kw: &'a str,
+    name: &'a str,
+    /// The identifiers of its signature: a fn's parameters, return
+    /// type and bounds; a type's body; a const's type and value.
+    sig: Vec<&'a str>,
+}
+
+/// The `pub` items outside test code in `toks`.
+fn pub_items<'a>(unit: usize, toks: &'a [Tok], in_tests: impl Fn(u32) -> bool) -> Vec<PubItem<'a>> {
+    let mut out = Vec::new();
+    for (i, t) in toks.iter().enumerate() {
+        if t.text != "pub" || t.kind != TokKind::Ident || in_tests(t.line) {
+            continue;
+        }
+        // `pub(crate)` and friends are not public; step over the
+        // modifiers of `pub const fn`, `pub extern "C" fn` and such.
+        let modifier = |k: &Tok| k.kind == TokKind::Str || D6_MODIFIERS.contains(&k.text.as_str());
+        let mut j = i + 1;
+        while toks.get(j).is_some_and(modifier)
+            && toks
+                .get(j + 1)
+                .is_some_and(|n| modifier(n) || D6_ITEMS.contains(&n.text.as_str()))
+        {
+            j += 1;
+        }
+        let Some(kw) = toks.get(j).filter(|k| D6_ITEMS.contains(&k.text.as_str())) else {
+            continue;
+        };
+        let Some(name) = toks.get(j + 1).filter(|n| n.kind == TokKind::Ident) else {
+            continue;
+        };
+        // A fn's signature ends at its body; a type's or const's
+        // definition at its closing `}` or `;`.
+        let is_fn = kw.text == "fn";
+        let mut sig = Vec::new();
+        let mut depth = 0usize;
+        for (k, tok) in toks.iter().enumerate().skip(j + 2) {
+            match tok.text.as_str() {
+                "(" | "[" => depth += 1,
+                ")" | "]" => depth = depth.saturating_sub(1),
+                "{" if is_fn && depth == 0 => break,
+                "{" => depth += 1,
+                "}" => {
+                    depth = depth.saturating_sub(1);
+                    if depth == 0 {
+                        break;
+                    }
+                }
+                ";" if depth == 0 => break,
+                // A field or parameter name is not a reference.
+                _ if tok.kind == TokKind::Ident && !matches(toks, k + 1, ":") => {
+                    sig.push(tok.text.as_str())
+                }
+                _ => {}
+            }
+        }
+        out.push(PubItem {
+            unit,
+            line: t.line,
+            kw: kw.text.as_str(),
+            name: name.text.as_str(),
+            sig,
+        });
+    }
+    out
+}
+
+/// Rule D6 over a set of files: returns `(unit index, finding)` for
+/// every public item of a defining unit that nothing reaches.
+///
+/// An item is reached when its name is an identifier among another
+/// unit's reaching tokens ([`Reach`]), or when it appears in the
+/// signature of a reached public item (a type a reached fn returns, a
+/// field type of a reached struct). Tokens inside `use` declarations
+/// never reach: a re-export is not a use. Names are matched as words,
+/// so the rule can only overstate what is reached.
+pub fn unreached_items(units: &[Unit]) -> Vec<(usize, Finding)> {
+    use std::collections::{BTreeMap, BTreeSet};
+    // For each identifier, the first two distinct units that reach it:
+    // an item is reached when some unit other than its own does.
+    let mut named: BTreeMap<&str, (usize, Option<usize>)> = BTreeMap::new();
+    let mut items = Vec::new();
+    for (u, unit) in units.iter().enumerate() {
+        let in_tests = |line: u32| unit.tests.iter().any(|&(a, b)| (a..=b).contains(&line));
+        let toks = &unit.lexed.toks;
+        if unit.reach != Reach::Nothing {
+            items.extend(pub_items(u, toks, in_tests));
+        }
+        if unit.reach == Reach::Nothing {
+            continue;
+        }
+        let mut i = 0;
+        while i < toks.len() {
+            let t = &toks[i];
+            if t.kind == TokKind::Ident && t.text == "use" {
+                while i < toks.len() && toks[i].text != ";" {
+                    i += 1;
+                }
+                continue;
+            }
+            if t.kind == TokKind::Ident && (unit.reach == Reach::All || !in_tests(t.line)) {
+                let entry = named.entry(t.text.as_str()).or_insert((u, None));
+                if entry.0 != u && entry.1.is_none() {
+                    entry.1 = Some(u);
+                }
+            }
+            i += 1;
+        }
+    }
+    let mut reached: BTreeSet<&str> = items
+        .iter()
+        .filter(|it| {
+            named
+                .get(it.name)
+                .is_some_and(|&(first, second)| first != it.unit || second.is_some())
+        })
+        .map(|it| it.name)
+        .collect();
+    // Close over signatures until nothing new is reached.
+    loop {
+        let before = reached.len();
+        for it in &items {
+            if reached.contains(it.name) {
+                reached.extend(it.sig.iter().copied());
+            }
+        }
+        if reached.len() == before {
+            break;
+        }
+    }
+    items
+        .iter()
+        .filter(|it| units[it.unit].defines && !reached.contains(it.name))
+        .map(|it| {
+            (
+                it.unit,
+                Finding {
+                    path: units[it.unit].path.to_string(),
+                    line: it.line,
+                    rule: Rule::D6,
+                    message: format!(
+                        "`pub {} {}` is reached from nowhere: no other file's non-test code, \
+                         root test, example, benchmark source or README block names it; \
+                         delete it or narrow it to pub(crate)",
+                        it.kw, it.name
+                    ),
+                },
+            )
+        })
+        .collect()
 }
 
 /// D5's narrowing targets. `NodeState` is `crates/dist`'s `u32` alias
@@ -490,6 +695,7 @@ mod tests {
         d3: true,
         d4: true,
         d5: true,
+        d6: true,
     };
 
     fn rules_of(src: &str) -> Vec<Rule> {

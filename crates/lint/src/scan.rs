@@ -4,16 +4,32 @@
 //! The scanned tree is `src/`, `crates/`, `tests/`, and `examples/`
 //! under the workspace root. `vendor/` (offline shims standing in for
 //! external crates), `target/`, and this crate's own deliberately
-//! firing `fixtures/` are excluded.
+//! firing `fixtures/` are excluded. `perfbench/src` and README's Rust
+//! blocks are read only as callers for rule D6.
 
-use crate::lexer::lex;
-use crate::rules::{self, ActiveRules, Finding, Rule};
+use crate::lexer::{lex, Lexed};
+use crate::rules::{self, ActiveRules, Finding, Reach, Rule, Unit};
 use std::path::{Path, PathBuf};
 
 /// The crates whose non-test sources are on the deterministic runtime
 /// path: anything here that iterates a hash map or reads a clock can
 /// reach RNG draws, metrics, or message schedules.
 pub const RUNTIME_CRATES: [&str; 6] = ["core", "dist", "network", "graph", "env", "sim"];
+
+/// The library crates whose public items must each be reached from
+/// somewhere else (rule D6). `dist` joins once perfbench stops timing
+/// its calendar directly; `lint`'s library exists for its own tests.
+pub const SURFACE_CRATES: [&str; 9] = [
+    "core",
+    "env",
+    "stats",
+    "sim",
+    "baselines",
+    "network",
+    "graph",
+    "plot",
+    "experiments",
+];
 
 /// Where a file sits in the workspace, derived purely from its
 /// relative path. Decides which rules are active before any in-file
@@ -31,6 +47,9 @@ pub struct FileCtx {
     pub entry_point: bool,
     /// Library source: under some `src/` and not an entry point.
     pub lib_src: bool,
+    /// Which of the file's tokens reach other files' public items
+    /// (rule D6).
+    pub reach: Reach,
 }
 
 impl FileCtx {
@@ -47,12 +66,26 @@ impl FileCtx {
         let in_src = parts.contains(&"src");
         let entry_point = in_src
             && (parts.last() == Some(&"main.rs") || parts.windows(2).any(|w| w == ["src", "bin"]));
+        let reach = if parts.first() == Some(&"perfbench") || rel == "README.md" {
+            Reach::All
+        } else if test_path {
+            // Root `tests/` call the crates as users do; a crate's own
+            // `tests/` exist to test its items.
+            if crate_name.is_some() {
+                Reach::Nothing
+            } else {
+                Reach::All
+            }
+        } else {
+            Reach::NonTest
+        };
         FileCtx {
             crate_name,
             test_path,
             example,
             entry_point,
             lib_src: in_src && !entry_point,
+            reach,
         }
     }
 
@@ -83,21 +116,89 @@ impl FileCtx {
             d5: non_test
                 && self.crate_name.as_deref() == Some("dist")
                 && (self.lib_src || self.entry_point),
+            // D6: the surface crates' library sources.
+            d6: non_test
+                && self.lib_src
+                && self
+                    .crate_name
+                    .as_deref()
+                    .is_some_and(|c| SURFACE_CRATES.contains(&c)),
         }
     }
 }
 
-/// Lints one file's source text as if it lived at `rel_path`. This is
-/// the whole pipeline — lex, scope, check, apply waivers, waiver
-/// hygiene — and is what both the workspace walk and the fixture
-/// tests call.
+/// Lints one file's source text as if it lived at `rel_path`: lex,
+/// scope, check D1–D5, apply waivers, waiver hygiene. D6 needs the
+/// other files, so it is left to [`check_sources`] and the workspace
+/// walk.
 pub fn check_source(rel_path: &str, src: &str) -> Vec<Finding> {
-    let ctx = FileCtx::classify(rel_path);
-    let active = ctx.active_rules();
-    let lexed = lex(src);
-    let regions = rules::test_regions(&lexed);
-    let raw = rules::check(rel_path, &lexed, active, &regions);
+    check_lexed(&[(rel_path.to_string(), lex(src), true)], false)
+}
 
+/// Lints a set of files as if they were the whole workspace, rule D6
+/// included: each `(path, source)` is checked like [`check_source`],
+/// and each file's public items must be reached from another file.
+pub fn check_sources(files: &[(&str, &str)]) -> Vec<Finding> {
+    let files: Vec<(String, Lexed, bool)> = files
+        .iter()
+        .map(|(rel, src)| (rel.to_string(), lex(src), true))
+        .collect();
+    check_lexed(&files, true)
+}
+
+/// The whole pipeline over lexed files `(path, lexed, lint)`. A file
+/// with `lint == false` is read only as a D6 reacher.
+fn check_lexed(files: &[(String, Lexed, bool)], d6: bool) -> Vec<Finding> {
+    let ctxs: Vec<FileCtx> = files
+        .iter()
+        .map(|(rel, _, _)| FileCtx::classify(rel))
+        .collect();
+    let regions: Vec<Vec<(u32, u32)>> = files
+        .iter()
+        .map(|(_, lexed, _)| rules::test_regions(lexed))
+        .collect();
+    let mut raw: Vec<Vec<Finding>> = files
+        .iter()
+        .zip(&ctxs)
+        .zip(&regions)
+        .map(|(((rel, lexed, lint), ctx), tests)| {
+            if *lint {
+                rules::check(rel, lexed, ctx.active_rules(), tests)
+            } else {
+                Vec::new()
+            }
+        })
+        .collect();
+    if d6 {
+        let units: Vec<Unit> = files
+            .iter()
+            .zip(&ctxs)
+            .zip(&regions)
+            .map(|(((rel, lexed, lint), ctx), tests)| Unit {
+                path: rel,
+                lexed,
+                tests,
+                defines: *lint && ctx.active_rules().d6,
+                reach: ctx.reach,
+            })
+            .collect();
+        for (u, finding) in rules::unreached_items(&units) {
+            raw[u].push(finding);
+        }
+    }
+    let mut out = Vec::new();
+    for ((rel, lexed, lint), raw) in files.iter().zip(raw) {
+        if *lint {
+            out.extend(apply_waivers(rel, lexed, raw));
+        }
+    }
+    out.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
+    out
+}
+
+/// Drops the findings a well-formed waiver covers and adds the waiver
+/// hygiene findings.
+fn apply_waivers(rel_path: &str, lexed: &Lexed, raw: Vec<Finding>) -> Vec<Finding> {
     let tok_lines: Vec<u32> = lexed.toks.iter().map(|t| t.line).collect();
     let waivers = rules::parse_waivers(&lexed.comments, |from| {
         tok_lines.iter().copied().find(|&l| l >= from)
@@ -182,18 +283,20 @@ pub struct ScanReport {
 /// Scans every `.rs` file under `root`'s `src/`, `crates/`, `tests/`,
 /// and `examples/` trees (excluding `vendor/`, `target/`, and
 /// `crates/lint/fixtures/`), in sorted order so output and exit codes
-/// are as deterministic as the code they gate.
+/// are as deterministic as the code they gate. The benchmark harness
+/// (`perfbench/src`) and README's Rust blocks are read too, but only
+/// as callers for rule D6: they are not linted.
 pub fn scan_workspace(root: &Path) -> Result<ScanReport, String> {
-    let mut files: Vec<PathBuf> = Vec::new();
-    for top in ["src", "crates", "tests", "examples"] {
+    let mut paths: Vec<PathBuf> = Vec::new();
+    for top in ["src", "crates", "tests", "examples", "perfbench/src"] {
         let dir = root.join(top);
         if dir.is_dir() {
-            collect_rs(&dir, &mut files)?;
+            collect_rs(&dir, &mut paths)?;
         }
     }
-    files.sort();
-    let mut report = ScanReport::default();
-    for file in files {
+    paths.sort();
+    let mut files: Vec<(String, Lexed, bool)> = Vec::new();
+    for file in paths {
         let rel = file
             .strip_prefix(root)
             .map_err(|e| e.to_string())?
@@ -205,13 +308,38 @@ pub fn scan_workspace(root: &Path) -> Result<ScanReport, String> {
             continue;
         }
         let src = std::fs::read_to_string(&file).map_err(|e| format!("{}: {e}", file.display()))?;
-        report.findings.extend(check_source(&rel, &src));
-        report.files_scanned += 1;
+        let lint = !rel.starts_with("perfbench/");
+        files.push((rel, lex(&src), lint));
     }
-    report
-        .findings
-        .sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
-    Ok(report)
+    let readme = root.join("README.md");
+    if readme.is_file() {
+        let text =
+            std::fs::read_to_string(&readme).map_err(|e| format!("{}: {e}", readme.display()))?;
+        files.push(("README.md".to_string(), lex(&rust_blocks(&text)), false));
+    }
+    let files_scanned = files.iter().filter(|f| f.2).count();
+    Ok(ScanReport {
+        findings: check_lexed(&files, true),
+        files_scanned,
+    })
+}
+
+/// The bodies of a Markdown file's ```` ```rust ```` blocks, joined.
+fn rust_blocks(markdown: &str) -> String {
+    let mut out = String::new();
+    let mut in_rust = false;
+    for line in markdown.lines() {
+        let fence = line.trim_start();
+        if let Some(info) = fence.strip_prefix("```") {
+            in_rust = !in_rust && info.trim().split(',').next() == Some("rust");
+            continue;
+        }
+        if in_rust {
+            out.push_str(line);
+            out.push('\n');
+        }
+    }
+    out
 }
 
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
@@ -252,6 +380,27 @@ mod tests {
         assert!(m.entry_point && !m.lib_src);
         let b = FileCtx::classify("crates/sim/benches/pool.rs");
         assert!(b.test_path && b.crate_name.as_deref() == Some("sim"));
+    }
+
+    #[test]
+    fn reach_classes() {
+        let reach = |rel: &str| FileCtx::classify(rel).reach;
+        assert_eq!(reach("crates/dist/src/calendar.rs"), Reach::NonTest);
+        assert_eq!(reach("examples/quickstart.rs"), Reach::NonTest);
+        assert_eq!(reach("crates/dist/tests/faults.rs"), Reach::Nothing);
+        assert_eq!(reach("tests/equivalence.rs"), Reach::All);
+        assert_eq!(reach("perfbench/src/main.rs"), Reach::All);
+        assert_eq!(reach("README.md"), Reach::All);
+        let d6 = |rel: &str| FileCtx::classify(rel).active_rules().d6;
+        assert!(d6("crates/stats/src/ks.rs") && d6("crates/experiments/src/lib.rs"));
+        assert!(!d6("crates/dist/src/lib.rs") && !d6("crates/stats/tests/properties.rs"));
+        assert!(!d6("crates/experiments/src/main.rs") && !d6("examples/quickstart.rs"));
+    }
+
+    #[test]
+    fn rust_blocks_keep_only_rust_fences() {
+        let md = "text\n```rust\nlet a = 1;\n```\n```bash\nlet b = 2;\n```\n```rust,no_run\nlet c = 3;\n```\n";
+        assert_eq!(rust_blocks(md), "let a = 1;\nlet c = 3;\n");
     }
 
     #[test]

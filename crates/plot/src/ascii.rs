@@ -148,33 +148,6 @@ impl AsciiChart {
     }
 }
 
-/// Renders a horizontal bar histogram from `(label, count)` pairs.
-///
-/// ```
-/// let out = sociolearn_plot::ascii_histogram(&[("a".into(), 10.0), ("b".into(), 5.0)], 20);
-/// assert!(out.contains("a"));
-/// assert!(out.lines().count() == 2);
-/// ```
-pub fn ascii_histogram(bars: &[(String, f64)], max_width: usize) -> String {
-    let max_width = max_width.max(1);
-    let peak = bars
-        .iter()
-        .map(|(_, v)| v.abs())
-        .fold(0.0f64, f64::max)
-        .max(f64::MIN_POSITIVE);
-    let label_w = bars.iter().map(|(l, _)| l.len()).max().unwrap_or(0);
-    let mut out = String::new();
-    for (label, v) in bars {
-        let n = ((v.abs() / peak) * max_width as f64).round() as usize;
-        out.push_str(&format!(
-            "{label:>label_w$} | {} {}\n",
-            "█".repeat(n),
-            fmt_sig(*v, 3)
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,15 +199,6 @@ mod tests {
     fn nan_values_skipped() {
         let out = AsciiChart::new(20, 5).render(&[1.0, f64::NAN, 3.0]);
         assert!(out.contains('*'));
-    }
-
-    #[test]
-    fn histogram_scales_to_peak() {
-        let out = ascii_histogram(&[("x".into(), 2.0), ("y".into(), 1.0)], 10);
-        let lines: Vec<&str> = out.lines().collect();
-        let bar = |s: &str| s.chars().filter(|&c| c == '█').count();
-        assert_eq!(bar(lines[0]), 10);
-        assert_eq!(bar(lines[1]), 5);
     }
 
     #[test]

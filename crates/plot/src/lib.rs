@@ -38,7 +38,7 @@ mod svg;
 mod table;
 pub mod telemetry;
 
-pub use ascii::{ascii_histogram, AsciiChart};
+pub use ascii::AsciiChart;
 pub use csv::CsvWriter;
 pub use format::{fmt_sci, fmt_sig};
 pub use svg::{Series, SvgPlot};

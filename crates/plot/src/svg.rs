@@ -35,14 +35,6 @@ impl Series {
             markers: true,
         }
     }
-
-    /// Convenience: a series from a y-vector with x = 0, 1, 2, ...
-    pub fn from_ys<S: Into<String>>(label: S, ys: &[f64]) -> Self {
-        Series::line(
-            label,
-            ys.iter().enumerate().map(|(i, &y)| (i as f64, y)).collect(),
-        )
-    }
 }
 
 /// Axis scale for an [`SvgPlot`] axis.
@@ -65,7 +57,7 @@ pub enum Scale {
 /// let svg = SvgPlot::new("demo")
 ///     .x_label("t")
 ///     .y_label("regret")
-///     .add(Series::from_ys("run", &[3.0, 2.0, 1.5, 1.2]))
+///     .add(Series::line("run", vec![(0.0, 3.0), (1.0, 2.0), (2.0, 1.5)]))
 ///     .render();
 /// assert!(svg.starts_with("<svg"));
 /// assert!(svg.contains("regret"));
@@ -366,7 +358,10 @@ mod tests {
         let svg = SvgPlot::new("T")
             .x_label("xx")
             .y_label("yy")
-            .add(Series::from_ys("alpha", &[1.0, 2.0, 3.0]))
+            .add(Series::line(
+                "alpha",
+                vec![(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)],
+            ))
             .render();
         assert!(svg.contains("<polyline"));
         assert!(svg.contains("alpha"));
@@ -386,7 +381,10 @@ mod tests {
     fn log_scale_drops_nonpositive() {
         let svg = SvgPlot::new("log")
             .log_y()
-            .add(Series::from_ys("s", &[0.0, -1.0, 10.0, 100.0]))
+            .add(Series::line(
+                "s",
+                vec![(0.0, 0.0), (1.0, -1.0), (2.0, 10.0), (3.0, 100.0)],
+            ))
             .render();
         // Only two positive points survive -> polyline with 2 points.
         assert!(svg.contains("<polyline"));
@@ -396,7 +394,7 @@ mod tests {
     fn hline_rendered_with_label() {
         let svg = SvgPlot::new("h")
             .hline(2.0, "bound 3δ")
-            .add(Series::from_ys("s", &[1.0, 3.0]))
+            .add(Series::line("s", vec![(0.0, 1.0), (1.0, 3.0)]))
             .render();
         assert!(svg.contains("stroke-dasharray"));
         assert!(svg.contains("bound 3δ"));

@@ -45,16 +45,6 @@ impl MarkdownTable {
         self.rows.push(cells.to_vec());
     }
 
-    /// Appends a row built from `Display` items.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cell count does not match the header width.
-    pub fn add_display_row<T: std::fmt::Display>(&mut self, cells: &[T]) {
-        let strs: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.add_row(&strs);
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -133,15 +123,6 @@ mod tests {
         // All rows should have equal rendered width.
         assert_eq!(lines[0].chars().count(), lines[2].chars().count());
         assert_eq!(lines[2].chars().count(), lines[3].chars().count());
-    }
-
-    #[test]
-    fn display_rows() {
-        let mut t = MarkdownTable::new(&["x", "y"]);
-        t.add_display_row(&[1.5, 2.5]);
-        assert!(t.render().contains("1.5"));
-        assert_eq!(t.len(), 1);
-        assert!(!t.is_empty());
     }
 
     #[test]

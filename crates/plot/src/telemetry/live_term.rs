@@ -56,14 +56,6 @@ impl LiveTerm {
         }
     }
 
-    /// Sets the chart panel size in characters (clamped to at least
-    /// 10×3, like [`AsciiChart`]).
-    pub fn with_size(mut self, width: usize, height: usize) -> Self {
-        self.width = width.max(10);
-        self.height = height.max(3);
-        self
-    }
-
     /// Renders one dashboard frame: a header line followed by a
     /// labelled chart panel per series, in registration order.
     pub fn render(&self, reg: &SeriesRegistry) -> String {
@@ -136,7 +128,7 @@ mod tests {
     #[test]
     fn byte_identical_across_renders() {
         let reg = sample_registry();
-        let term = LiveTerm::new().with_size(48, 4);
+        let term = LiveTerm::new();
         assert_eq!(term.render(&reg), term.render(&reg));
     }
 

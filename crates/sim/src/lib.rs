@@ -1,8 +1,8 @@
 //! # sociolearn-sim
 //!
 //! Experiment machinery: deterministic seed derivation, single-run
-//! execution, parallel replication, parameter sweeps, and aggregation
-//! of regret/share curves with confidence intervals.
+//! execution, parallel replication, and aggregation of regret/share
+//! curves with confidence intervals.
 //!
 //! Everything in the reproduction suite is driven from explicit `u64`
 //! seeds through [`SeedTree`], so every number the suite writes to
@@ -45,11 +45,9 @@ mod parallel;
 mod pool;
 mod runner;
 mod seeds;
-mod sweep;
 
-pub use measure::{aggregate_curves, final_values, AggregatedCurve, CurvePoints};
+pub use measure::{aggregate_curves, AggregatedCurve, CurvePoints};
 pub use parallel::{parallel_map, replicate};
 pub use pool::WorkerPool;
 pub use runner::{run_observed, run_one, Replication, RunConfig};
 pub use seeds::{SeedTree, SplitMix64};
-pub use sweep::{grid2, grid3};

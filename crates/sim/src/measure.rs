@@ -1,7 +1,7 @@
 //! Aggregation of per-replication measurements.
 
 use sociolearn_core::RegretCurve;
-use sociolearn_stats::{OnlineStats, Summary};
+use sociolearn_stats::OnlineStats;
 
 /// A polyline of `(x, y)` points, ready for plotting.
 pub type CurvePoints = Vec<(f64, f64)>;
@@ -25,33 +25,6 @@ impl AggregatedCurve {
             .zip(&self.means)
             .map(|(&t, &v)| (t as f64, v))
             .collect()
-    }
-
-    /// `(horizon, mean + half)` and `(horizon, mean − half)` band
-    /// curves.
-    pub fn band(&self) -> (CurvePoints, CurvePoints) {
-        let hi = self
-            .horizons
-            .iter()
-            .zip(self.means.iter().zip(&self.ci_half))
-            .map(|(&t, (&m, &h))| (t as f64, m + h))
-            .collect();
-        let lo = self
-            .horizons
-            .iter()
-            .zip(self.means.iter().zip(&self.ci_half))
-            .map(|(&t, (&m, &h))| (t as f64, m - h))
-            .collect();
-        (hi, lo)
-    }
-
-    /// The final mean value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the curve is empty.
-    pub fn final_mean(&self) -> f64 {
-        *self.means.last().expect("aggregated curve is empty")
     }
 }
 
@@ -87,21 +60,6 @@ pub fn aggregate_curves(curves: &[RegretCurve]) -> AggregatedCurve {
     }
 }
 
-/// Summary of the final value of each curve (one number per
-/// replication).
-///
-/// # Panics
-///
-/// Panics if the list is empty or any curve is empty.
-pub fn final_values(curves: &[RegretCurve]) -> Summary {
-    assert!(!curves.is_empty(), "no curves");
-    let finals: Vec<f64> = curves
-        .iter()
-        .map(|c| c.last_value().expect("curve has no points"))
-        .collect();
-    Summary::from_slice(&finals)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,10 +79,7 @@ mod tests {
         let agg = aggregate_curves(&[a, b]);
         assert_eq!(agg.horizons, vec![10, 20]);
         assert_eq!(agg.means, vec![2.0, 3.0]);
-        assert_eq!(agg.final_mean(), 3.0);
         assert!(agg.ci_half[0] > 0.0);
-        let (hi, lo) = agg.band();
-        assert!(hi[0].1 > lo[0].1);
     }
 
     #[test]
@@ -132,13 +87,6 @@ mod tests {
         let agg = aggregate_curves(&[curve(&[5.0])]);
         assert_eq!(agg.ci_half, vec![0.0]);
         assert_eq!(agg.mean_points(), vec![(10.0, 5.0)]);
-    }
-
-    #[test]
-    fn final_values_summary() {
-        let s = final_values(&[curve(&[1.0, 10.0]), curve(&[1.0, 20.0])]);
-        assert_eq!(s.mean(), 15.0);
-        assert_eq!(s.count(), 2);
     }
 
     #[test]

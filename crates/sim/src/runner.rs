@@ -28,17 +28,6 @@ impl RunConfig {
             record_stride: (horizon / 200).max(1),
         }
     }
-
-    /// Overrides the record stride.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stride == 0`.
-    pub fn with_stride(mut self, stride: u64) -> Self {
-        assert!(stride > 0, "stride must be positive");
-        self.record_stride = stride;
-        self
-    }
 }
 
 /// Everything measured in one replication.
@@ -159,7 +148,10 @@ mod tests {
 
     #[test]
     fn run_produces_consistent_measurements() {
-        let cfg = RunConfig::new(100).with_stride(10);
+        let cfg = RunConfig {
+            horizon: 100,
+            record_stride: 10,
+        };
         let rep = run_one(
             FinitePopulation::new(params(), 500),
             BernoulliRewards::one_good(3, 0.9).unwrap(),
@@ -234,7 +226,10 @@ mod tests {
 
     #[test]
     fn observer_sees_every_step_in_order() {
-        let cfg = RunConfig::new(30).with_stride(7);
+        let cfg = RunConfig {
+            horizon: 30,
+            record_stride: 7,
+        };
         let mut seen = Vec::new();
         let rep = run_observed(
             FinitePopulation::new(params(), 300),
@@ -260,7 +255,10 @@ mod tests {
 
     #[test]
     fn observing_changes_nothing() {
-        let cfg = RunConfig::new(60).with_stride(4);
+        let cfg = RunConfig {
+            horizon: 60,
+            record_stride: 4,
+        };
         let make = || {
             (
                 FinitePopulation::new(params(), 400),

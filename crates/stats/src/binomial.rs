@@ -38,6 +38,7 @@ pub fn binomial_ln_pmf(n: u64, k: u64, p: f64) -> f64 {
 /// // P[X >= 0] = 1 always.
 /// assert_eq!(sociolearn_stats::binomial_tail_ge(10, 0, 0.3), 1.0);
 /// ```
+// detlint: allow(D6) — the exact tail for seed-stable verdicts (ROADMAP item 5)
 pub fn binomial_tail_ge(n: u64, k: u64, p: f64) -> f64 {
     if k == 0 {
         return 1.0;
@@ -68,6 +69,7 @@ pub fn binomial_tail_ge(n: u64, k: u64, p: f64) -> f64 {
 /// ```
 /// assert_eq!(sociolearn_stats::binomial_tail_le(10, 10, 0.3), 1.0);
 /// ```
+// detlint: allow(D6) — the exact tail for seed-stable verdicts (ROADMAP item 5)
 pub fn binomial_tail_le(n: u64, k: u64, p: f64) -> f64 {
     if k >= n {
         return 1.0;
@@ -124,11 +126,6 @@ impl BinomialTest {
     /// significance `alpha` (i.e. we cannot reject `p <= p_bound`).
     pub fn consistent_at(&self, alpha: f64) -> bool {
         self.p_value > alpha
-    }
-
-    /// Observed success frequency.
-    pub fn observed_rate(&self) -> f64 {
-        self.successes as f64 / self.trials as f64
     }
 }
 
@@ -189,7 +186,6 @@ mod tests {
     fn test_consistency_logic() {
         let ok = BinomialTest::run(2, 1000, 0.01);
         assert!(ok.consistent_at(0.05));
-        assert!((ok.observed_rate() - 0.002).abs() < 1e-12);
         let bad = BinomialTest::run(50, 1000, 0.01);
         assert!(!bad.consistent_at(0.05));
     }

@@ -4,6 +4,7 @@ use rand::Rng;
 
 /// Result of a bootstrap resampling run.
 #[derive(Debug, Clone, Copy, PartialEq)]
+// detlint: allow(D6) — the A/B comparison tool's interval type (ROADMAP item 3)
 pub struct BootstrapCi {
     /// Statistic evaluated on the original sample.
     pub point: f64,
@@ -39,6 +40,7 @@ impl BootstrapCi {
 /// let ci = sociolearn_stats::bootstrap_ci(&data, 500, 0.95, &mut rng);
 /// assert!(ci.contains(ci.point));
 /// ```
+// detlint: allow(D6) — the A/B comparison tool's interval (ROADMAP item 3)
 pub fn bootstrap_ci<R: Rng>(
     data: &[f64],
     resamples: usize,
@@ -58,6 +60,7 @@ pub fn bootstrap_ci<R: Rng>(
 /// # Panics
 ///
 /// Panics if `data` is empty, `resamples == 0`, or `level` not in (0,1).
+// detlint: allow(D6) — the A/B comparison tool's interval (ROADMAP item 3)
 pub fn bootstrap_ci_of<R, F>(
     data: &[f64],
     resamples: usize,

@@ -2,8 +2,8 @@
 
 /// A fixed-width binned histogram over a closed range.
 ///
-/// Out-of-range observations are clamped into the first/last bin and
-/// counted separately so callers can detect range misconfiguration.
+/// Out-of-range observations are clamped into the first/last bin; NaN
+/// is dropped.
 ///
 /// # Example
 ///
@@ -22,8 +22,6 @@ pub struct Histogram {
     lo: f64,
     hi: f64,
     counts: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
 }
 
 impl Histogram {
@@ -43,8 +41,6 @@ impl Histogram {
             lo,
             hi,
             counts: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
         }
     }
 
@@ -74,18 +70,16 @@ impl Histogram {
         h
     }
 
-    /// Records one observation. NaN is counted as underflow.
+    /// Records one observation. NaN is dropped.
     pub fn add(&mut self, x: f64) {
-        if x.is_nan() || x < self.lo {
-            self.underflow += 1;
-            if x.is_nan() {
-                return;
-            }
+        if x.is_nan() {
+            return;
+        }
+        if x < self.lo {
             self.counts[0] += 1;
             return;
         }
         if x > self.hi {
-            self.overflow += 1;
             let last = self.counts.len() - 1;
             self.counts[last] += 1;
             return;
@@ -106,36 +100,15 @@ impl Histogram {
         self.counts.iter().sum()
     }
 
-    /// How many observations fell below the range (including NaN).
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// How many observations fell above the range.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
     /// Midpoint of bin `i`.
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range.
-    pub fn bin_center(&self, i: usize) -> f64 {
+    fn bin_center(&self, i: usize) -> f64 {
         assert!(i < self.counts.len(), "bin index out of range");
         let w = (self.hi - self.lo) / self.counts.len() as f64;
         self.lo + (i as f64 + 0.5) * w
-    }
-
-    /// Empirical density of bin `i` (count / total / bin width), or
-    /// `0.0` if no observations were recorded.
-    pub fn density(&self, i: usize) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        let w = (self.hi - self.lo) / self.counts.len() as f64;
-        self.counts[i] as f64 / total as f64 / w
     }
 
     /// `(bin_center, count)` pairs, handy for plotting.
@@ -156,8 +129,6 @@ mod tests {
         h.add(-5.0);
         h.add(5.0);
         assert_eq!(h.counts(), &[1, 1]);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 1);
     }
 
     #[test]
@@ -165,7 +136,6 @@ mod tests {
         let mut h = Histogram::new(0.0, 1.0, 2);
         h.add(f64::NAN);
         assert_eq!(h.total(), 0);
-        assert_eq!(h.underflow(), 1);
     }
 
     #[test]
@@ -173,7 +143,6 @@ mod tests {
         let mut h = Histogram::new(0.0, 1.0, 4);
         h.add(1.0);
         assert_eq!(h.counts(), &[0, 0, 0, 1]);
-        assert_eq!(h.overflow(), 0);
     }
 
     #[test]
@@ -181,23 +150,12 @@ mod tests {
         let data = [3.0, 7.0, 5.0, 3.5];
         let h = Histogram::auto(&data, 4);
         assert_eq!(h.total(), 4);
-        assert_eq!(h.underflow(), 0);
-        assert_eq!(h.overflow(), 0);
     }
 
     #[test]
     fn auto_constant_data() {
         let h = Histogram::auto(&[2.0, 2.0, 2.0], 3);
         assert_eq!(h.total(), 3);
-    }
-
-    #[test]
-    fn density_integrates_to_one() {
-        let data: Vec<f64> = (0..1000).map(|i| i as f64 / 999.0).collect();
-        let h = Histogram::auto(&data, 10);
-        let w = 1.0 / 10.0 * (h.bin_center(1) - h.bin_center(0)) * 10.0; // bin width
-        let integral: f64 = (0..10).map(|i| h.density(i) * w).sum();
-        assert!((integral - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -26,13 +26,7 @@ impl KsResult {
 
 /// Asymptotic Kolmogorov survival function
 /// `Q(λ) = 2 Σ_{k≥1} (−1)^{k−1} exp(−2 k² λ²)`.
-///
-/// ```
-/// // Q is a survival function: 1 at 0, 0 at infinity, decreasing.
-/// assert!(sociolearn_stats::ks_p_value(0.01) > 0.999);
-/// assert!(sociolearn_stats::ks_p_value(3.0) < 1e-6);
-/// ```
-pub fn ks_p_value(lambda: f64) -> f64 {
+fn ks_p_value(lambda: f64) -> f64 {
     if lambda <= 0.0 {
         return 1.0;
     }
@@ -207,8 +201,9 @@ mod tests {
     fn p_value_monotone_decreasing() {
         let mut prev = 1.0;
         let mut lam = 0.0;
-        while lam < 3.0 {
+        while lam < 10.0 {
             let p = ks_p_value(lam);
+            assert!((0.0..=1.0).contains(&p), "Q({lam}) = {p}");
             assert!(p <= prev + 1e-12);
             prev = p;
             lam += 0.05;

@@ -33,16 +33,14 @@ mod histogram;
 mod ks;
 mod online;
 mod regression;
-mod series;
 mod summary;
 
 pub use binomial::{binomial_ln_pmf, binomial_tail_ge, binomial_tail_le, BinomialTest};
 pub use bootstrap::{bootstrap_ci, bootstrap_ci_of, BootstrapCi};
 pub use histogram::Histogram;
-pub use ks::{ks_distance_to_cdf, ks_p_value, ks_two_sample, KsResult};
+pub use ks::{ks_distance_to_cdf, ks_two_sample, KsResult};
 pub use online::{OnlineCov, OnlineStats};
-pub use regression::{loglog_fit, ols_fit, LinearFit};
-pub use series::{autocorrelation, downsample, ewma, moving_average};
+pub use regression::{loglog_fit, LinearFit};
 pub use summary::{mean, ConfidenceInterval, Summary};
 
 /// Standard normal cumulative distribution function.
@@ -152,12 +150,7 @@ pub fn normal_quantile(p: f64) -> f64 {
 ///
 /// Accurate to ~15 significant digits for positive arguments; used by
 /// the exact binomial tail computations.
-///
-/// ```
-/// // ln Γ(5) = ln 4! = ln 24
-/// assert!((sociolearn_stats::ln_gamma(5.0) - 24f64.ln()).abs() < 1e-10);
-/// ```
-pub fn ln_gamma(x: f64) -> f64 {
+fn ln_gamma(x: f64) -> f64 {
     assert!(x > 0.0, "ln_gamma requires x > 0, got {x}");
     const G: [f64; 9] = [
         0.999_999_999_999_809_9,

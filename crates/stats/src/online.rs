@@ -14,7 +14,6 @@
 /// let mut s = OnlineStats::new();
 /// s.extend([2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
 /// assert_eq!(s.mean(), 5.0);
-/// assert!((s.population_variance() - 4.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct OnlineStats {
@@ -79,15 +78,6 @@ impl OnlineStats {
             0.0
         } else {
             self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Population variance (divides by `n`); `0.0` when `n == 0`.
-    pub fn population_variance(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
         }
     }
 
@@ -210,25 +200,6 @@ impl OnlineCov {
         self.n
     }
 
-    /// Mean of the first coordinate.
-    pub fn mean_x(&self) -> f64 {
-        self.mean_x
-    }
-
-    /// Mean of the second coordinate.
-    pub fn mean_y(&self) -> f64 {
-        self.mean_y
-    }
-
-    /// Unbiased sample covariance; `0.0` when `n < 2`.
-    pub fn sample_covariance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.cxy / (self.n - 1) as f64
-        }
-    }
-
     /// Pearson correlation coefficient; `0.0` if either marginal is
     /// degenerate (zero variance) or fewer than two pairs were pushed.
     pub fn correlation(&self) -> f64 {
@@ -336,7 +307,6 @@ mod tests {
         for i in 0..50 {
             c.push(i as f64, 3.0);
         }
-        assert_eq!(c.sample_covariance(), 0.0);
         assert_eq!(c.correlation(), 0.0);
     }
 

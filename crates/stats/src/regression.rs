@@ -15,13 +15,6 @@ pub struct LinearFit {
     pub n: usize,
 }
 
-impl LinearFit {
-    /// Predicted value at `x`.
-    pub fn predict(&self, x: f64) -> f64 {
-        self.slope * x + self.intercept
-    }
-}
-
 impl std::fmt::Display for LinearFit {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
@@ -37,16 +30,7 @@ impl std::fmt::Display for LinearFit {
 /// # Panics
 ///
 /// Panics if the slices have different lengths or fewer than two points.
-///
-/// ```
-/// let x = [0.0, 1.0, 2.0, 3.0];
-/// let y = [1.0, 3.0, 5.0, 7.0];
-/// let fit = sociolearn_stats::ols_fit(&x, &y);
-/// assert!((fit.slope - 2.0).abs() < 1e-12);
-/// assert!((fit.intercept - 1.0).abs() < 1e-12);
-/// assert!((fit.r_squared - 1.0).abs() < 1e-12);
-/// ```
-pub fn ols_fit(x: &[f64], y: &[f64]) -> LinearFit {
+fn ols_fit(x: &[f64], y: &[f64]) -> LinearFit {
     assert_eq!(x.len(), y.len(), "ols_fit: mismatched lengths");
     assert!(x.len() >= 2, "ols_fit: need at least two points");
     let mut acc = OnlineCov::new();
@@ -102,6 +86,29 @@ pub fn loglog_fit(x: &[f64], y: &[f64]) -> LinearFit {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn ols_residuals_orthogonal_to_x(
+            pts in proptest::collection::vec((-100f64..100.0, -100f64..100.0), 3..60),
+        ) {
+            let (xs, ys): (Vec<f64>, Vec<f64>) = pts.iter().copied().unzip();
+            // Degenerate x (all equal) has slope 0 by convention; skip.
+            let x0 = xs[0];
+            prop_assume!(xs.iter().any(|&x| (x - x0).abs() > 1e-6));
+            let fit = ols_fit(&xs, &ys);
+            // Normal equations: sum of residuals and x-weighted residuals ~ 0.
+            let r_sum: f64 = xs.iter().zip(&ys).map(|(&x, &y)| y - (fit.slope * x + fit.intercept)).sum();
+            let rx_sum: f64 = xs.iter().zip(&ys).map(|(&x, &y)| x * (y - (fit.slope * x + fit.intercept))).sum();
+            let scale: f64 = ys.iter().map(|y| y.abs()).sum::<f64>().max(1.0);
+            prop_assert!(r_sum.abs() / scale < 1e-6, "residual sum {}", r_sum);
+            prop_assert!(rx_sum.abs() / (scale * 100.0) < 1e-4, "x-weighted residual sum {}", rx_sum);
+            prop_assert!((0.0..=1.0 + 1e-9).contains(&fit.r_squared));
+        }
+    }
 
     #[test]
     fn perfect_line() {
@@ -111,7 +118,6 @@ mod tests {
         assert!((fit.slope + 3.0).abs() < 1e-12);
         assert!((fit.intercept - 7.0).abs() < 1e-12);
         assert!((fit.r_squared - 1.0).abs() < 1e-12);
-        assert!((fit.predict(20.0) + 53.0).abs() < 1e-9);
     }
 
     #[test]

@@ -244,11 +244,6 @@ impl Summary {
             level,
         }
     }
-
-    /// Read-only view of the sorted observations.
-    pub fn sorted_values(&self) -> &[f64] {
-        &self.sorted
-    }
 }
 
 #[cfg(test)]

@@ -2,9 +2,8 @@
 
 use proptest::prelude::*;
 use sociolearn_stats::{
-    autocorrelation, binomial_ln_pmf, binomial_tail_ge, binomial_tail_le, downsample, ewma,
-    ks_p_value, ln_choose, moving_average, normal_cdf, normal_quantile, ols_fit, Histogram,
-    OnlineCov, OnlineStats, Summary,
+    binomial_ln_pmf, binomial_tail_ge, binomial_tail_le, ln_choose, normal_cdf, normal_quantile,
+    Histogram, OnlineCov, OnlineStats, Summary,
 };
 
 proptest! {
@@ -48,7 +47,6 @@ proptest! {
             xy.push(x, y);
             yx.push(y, x);
         }
-        prop_assert!((xy.sample_covariance() - yx.sample_covariance()).abs() < 1e-6);
         prop_assert!((xy.correlation() - yx.correlation()).abs() < 1e-9);
         prop_assert!(xy.correlation().abs() <= 1.0 + 1e-12);
     }
@@ -96,68 +94,8 @@ proptest! {
     }
 
     #[test]
-    fn ewma_stays_in_hull(data in proptest::collection::vec(-100f64..100.0, 1..100), alpha in 0.01f64..1.0) {
-        let lo = data.iter().copied().fold(f64::INFINITY, f64::min);
-        let hi = data.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        for v in ewma(&data, alpha) {
-            prop_assert!(v >= lo - 1e-9 && v <= hi + 1e-9);
-        }
-    }
-
-    #[test]
-    fn moving_average_stays_in_hull(data in proptest::collection::vec(-100f64..100.0, 1..100), w in 1usize..20) {
-        let lo = data.iter().copied().fold(f64::INFINITY, f64::min);
-        let hi = data.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let out = moving_average(&data, w);
-        prop_assert_eq!(out.len(), data.len());
-        for v in out {
-            prop_assert!(v >= lo - 1e-9 && v <= hi + 1e-9);
-        }
-    }
-
-    #[test]
-    fn downsample_preserves_endpoints(data in proptest::collection::vec(-10f64..10.0, 1..100), stride in 1usize..20) {
-        let out = downsample(&data, stride);
-        prop_assert_eq!(out.first(), data.first());
-        prop_assert_eq!(out.last(), data.last());
-        prop_assert!(out.len() <= data.len());
-    }
-
-    #[test]
-    fn autocorrelation_bounded(data in proptest::collection::vec(-10f64..10.0, 3..100), lag in 0usize..10) {
-        let r = autocorrelation(&data, lag);
-        prop_assert!(r.abs() <= 1.0 + 1e-9, "autocorrelation {} out of range", r);
-    }
-
-    #[test]
     fn histogram_counts_everything(data in proptest::collection::vec(-1e3f64..1e3, 1..200), bins in 1usize..30) {
         let h = Histogram::auto(&data, bins);
         prop_assert_eq!(h.total(), data.len() as u64);
-        prop_assert_eq!(h.underflow(), 0);
-        prop_assert_eq!(h.overflow(), 0);
-    }
-
-    #[test]
-    fn ols_residuals_orthogonal_to_x(
-        pts in proptest::collection::vec((-100f64..100.0, -100f64..100.0), 3..60),
-    ) {
-        let (xs, ys): (Vec<f64>, Vec<f64>) = pts.iter().copied().unzip();
-        // Degenerate x (all equal) has slope 0 by convention; skip.
-        let x0 = xs[0];
-        prop_assume!(xs.iter().any(|&x| (x - x0).abs() > 1e-6));
-        let fit = ols_fit(&xs, &ys);
-        // Normal equations: sum of residuals and x-weighted residuals ~ 0.
-        let r_sum: f64 = xs.iter().zip(&ys).map(|(&x, &y)| y - fit.predict(x)).sum();
-        let rx_sum: f64 = xs.iter().zip(&ys).map(|(&x, &y)| x * (y - fit.predict(x))).sum();
-        let scale: f64 = ys.iter().map(|y| y.abs()).sum::<f64>().max(1.0);
-        prop_assert!(r_sum.abs() / scale < 1e-6, "residual sum {}", r_sum);
-        prop_assert!(rx_sum.abs() / (scale * 100.0) < 1e-4, "x-weighted residual sum {}", rx_sum);
-        prop_assert!((0.0..=1.0 + 1e-9).contains(&fit.r_squared));
-    }
-
-    #[test]
-    fn ks_p_value_in_unit_interval(lambda in 0.0f64..10.0) {
-        let p = ks_p_value(lambda);
-        prop_assert!((0.0..=1.0).contains(&p));
     }
 }

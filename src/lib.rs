@@ -14,9 +14,9 @@
 //! * [`core`] — the dynamics themselves (finite, per-agent, infinite,
 //!   stochastic MWU), parameters and theorem bounds, regret and
 //!   coupling machinery.
-//! * [`mod@env`] — reward environments: correlated
-//!   best-of-two/best-of-m, continuous duels with shocks, drift,
-//!   thresholded rewards, traces.
+//! * [`mod@env`] — reward environments: correlated best-of-two,
+//!   continuous duels with shocks, scheduled drift, periodic sequences,
+//!   traces.
 //! * [`graph`] / [`network`] — topologies and the network-restricted
 //!   dynamics (future-work direction 1).
 //! * [`baselines`] — Hedge, EXP3, UCB1, Thompson, ε-greedy, FTL,
@@ -25,7 +25,7 @@
 //!   fault injection (the paper's sensor-network suggestion).
 //! * [`sim`] — seed trees, replication, parallel sweeps, aggregation.
 //! * [`stats`] / [`plot`] — the numerics and figure substrate.
-//! * [`experiments`] — the E1–E17 reproduction suite.
+//! * [`experiments`] — the E1–E19 reproduction suite.
 //!
 //! ## Quickstart
 //!
@@ -70,3 +70,9 @@ pub use sociolearn_network as network;
 pub use sociolearn_plot as plot;
 pub use sociolearn_sim as sim;
 pub use sociolearn_stats as stats;
+
+/// README.md's Rust blocks, compiled and run as doctests so the
+/// README cannot drift from the API.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;

@@ -57,11 +57,6 @@ impl<P: BanditPolicy> IndependentBanditGroup<P> {
         }
     }
 
-    /// Number of agents.
-    pub fn population_size(&self) -> usize {
-        self.agents.len()
-    }
-
     /// Number of steps taken.
     pub fn steps(&self) -> u64 {
         self.steps
@@ -153,7 +148,6 @@ mod tests {
             assert_distribution(&g.distribution(), 1e-12);
         }
         assert_eq!(g.steps(), 50);
-        assert_eq!(g.population_size(), 30);
     }
 
     #[test]

@@ -105,11 +105,6 @@ impl AgentPopulation {
         &self.params
     }
 
-    /// Population size `N`.
-    pub fn population_size(&self) -> usize {
-        self.n
-    }
-
     /// Per-agent committed options after the latest step.
     pub fn choices(&self) -> &[Option<u32>] {
         &self.choices

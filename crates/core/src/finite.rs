@@ -120,11 +120,6 @@ impl FinitePopulation {
         &self.params
     }
 
-    /// Population size `N`.
-    pub fn population_size(&self) -> usize {
-        self.n
-    }
-
     /// Committed counts `D_j` after the latest step.
     pub fn counts(&self) -> &[u64] {
         &self.counts

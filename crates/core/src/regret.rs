@@ -123,28 +123,6 @@ impl RegretTracker {
         }
         self.sum_best_share / self.steps as f64
     }
-
-    /// Merges another tracker (e.g. from a different epoch of the same
-    /// run).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the benchmarks differ.
-    pub fn merge(&mut self, other: &RegretTracker) {
-        assert_eq!(
-            self.best_quality, other.best_quality,
-            "cannot merge trackers with different benchmarks"
-        );
-        assert_eq!(
-            self.best_index, other.best_index,
-            "benchmark index mismatch"
-        );
-        self.steps += other.steps;
-        self.sum_realized += other.sum_realized;
-        self.sum_conditional += other.sum_conditional;
-        self.conditional_steps += other.conditional_steps;
-        self.sum_best_share += other.sum_best_share;
-    }
 }
 
 /// A regret trajectory: average regret as a function of the horizon.
@@ -235,29 +213,6 @@ mod tests {
         // Mixed supply: conditional steps != steps -> realized is used.
         let expected = 0.9 - (1.0 + 0.0) / 2.0;
         assert!((t.average_regret() - expected).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_combines_linearly() {
-        let mut a = RegretTracker::new(0.8, 1);
-        let mut b = RegretTracker::new(0.8, 1);
-        a.record(&[0.2, 0.8], &[false, true], Some(&[0.3, 0.8]));
-        b.record(&[0.6, 0.4], &[true, false], Some(&[0.3, 0.8]));
-        let mut whole = RegretTracker::new(0.8, 1);
-        whole.record(&[0.2, 0.8], &[false, true], Some(&[0.3, 0.8]));
-        whole.record(&[0.6, 0.4], &[true, false], Some(&[0.3, 0.8]));
-        a.merge(&b);
-        assert_eq!(a.steps(), 2);
-        assert!((a.average_regret() - whole.average_regret()).abs() < 1e-12);
-        assert!((a.average_best_share() - whole.average_best_share()).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "different benchmarks")]
-    fn merge_rejects_mismatched_benchmark() {
-        let mut a = RegretTracker::new(0.8, 0);
-        let b = RegretTracker::new(0.7, 0);
-        a.merge(&b);
     }
 
     #[test]

@@ -23,6 +23,9 @@ pub const fn const_fn_only_here() -> u32 { //~ D6
     7
 }
 
+// Another file defining the same name does not reach it either.
+pub fn defined_twice() {} //~ D6
+
 pub(crate) fn narrowed() {
     called_in_own_file();
 }
@@ -38,6 +41,8 @@ pub use fixture::{only_here, LIMIT, Returned};
 fn shipped() {
     super::narrowed();
 }
+
+pub fn defined_twice() {} //~ D6
 
 #[cfg(test)]
 mod tests {

@@ -471,8 +471,9 @@ fn pub_items<'a>(unit: usize, toks: &'a [Tok], in_tests: impl Fn(u32) -> bool) -
 /// unit's reaching tokens ([`Reach`]), or when it appears in the
 /// signature of a reached public item (a type a reached fn returns, a
 /// field type of a reached struct). Tokens inside `use` declarations
-/// never reach: a re-export is not a use. Names are matched as words,
-/// so the rule can only overstate what is reached.
+/// never reach, since a re-export is not a use, and neither does the
+/// name a definition introduces. Names are matched as words, so the
+/// rule can only overstate what is reached.
 pub fn unreached_items(units: &[Unit]) -> Vec<(usize, Finding)> {
     use std::collections::{BTreeMap, BTreeSet};
     // For each identifier, the first two distinct units that reach it:
@@ -482,12 +483,10 @@ pub fn unreached_items(units: &[Unit]) -> Vec<(usize, Finding)> {
     for (u, unit) in units.iter().enumerate() {
         let in_tests = |line: u32| unit.tests.iter().any(|&(a, b)| (a..=b).contains(&line));
         let toks = &unit.lexed.toks;
-        if unit.reach != Reach::Nothing {
-            items.extend(pub_items(u, toks, in_tests));
-        }
         if unit.reach == Reach::Nothing {
             continue;
         }
+        items.extend(pub_items(u, toks, in_tests));
         let mut i = 0;
         while i < toks.len() {
             let t = &toks[i];
@@ -497,7 +496,12 @@ pub fn unreached_items(units: &[Unit]) -> Vec<(usize, Finding)> {
                 }
                 continue;
             }
-            if t.kind == TokKind::Ident && (unit.reach == Reach::All || !in_tests(t.line)) {
+            // A definition names its item without using it.
+            let defined = i > 0 && D6_ITEMS.contains(&toks[i - 1].text.as_str());
+            if t.kind == TokKind::Ident
+                && !defined
+                && (unit.reach == Reach::All || !in_tests(t.line))
+            {
                 let entry = named.entry(t.text.as_str()).or_insert((u, None));
                 if entry.0 != u && entry.1.is_none() {
                     entry.1 = Some(u);

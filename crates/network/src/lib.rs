@@ -110,11 +110,6 @@ impl NetworkPopulation {
         &self.graph
     }
 
-    /// Population size (number of nodes).
-    pub fn population_size(&self) -> usize {
-        self.graph.num_nodes()
-    }
-
     /// Per-agent committed options.
     pub fn choices(&self) -> &[Option<u32>] {
         &self.choices

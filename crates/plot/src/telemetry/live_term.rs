@@ -35,31 +35,24 @@ const ANSI_REDRAW: &str = "\x1b[H\x1b[J";
 /// // The in-place frame is the same text behind a redraw escape.
 /// assert_eq!(term.frame(&reg), format!("\u{1b}[H\u{1b}[J{out}"));
 /// ```
-#[derive(Debug, Clone)]
-pub struct LiveTerm {
-    width: usize,
-    height: usize,
-}
+#[derive(Debug, Clone, Default)]
+pub struct LiveTerm;
 
-impl Default for LiveTerm {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// Chart panel width in characters.
+const WIDTH: usize = 64;
+/// Chart panel height in characters.
+const HEIGHT: usize = 5;
 
 impl LiveTerm {
-    /// Creates a renderer with the default 64×5 panel size.
+    /// Creates a renderer with 64×5 chart panels.
     pub fn new() -> Self {
-        LiveTerm {
-            width: 64,
-            height: 5,
-        }
+        LiveTerm
     }
 
     /// Renders one dashboard frame: a header line followed by a
     /// labelled chart panel per series, in registration order.
     pub fn render(&self, reg: &SeriesRegistry) -> String {
-        let mut out = String::with_capacity(reg.len() * (self.height + 2) * (self.width + 12));
+        let mut out = String::with_capacity(reg.len() * (HEIGHT + 2) * (WIDTH + 12));
         out.push_str(&format!(
             "fleet telemetry · tick {} · {} series · window {}\n",
             reg.ticks(),
@@ -88,7 +81,7 @@ impl LiveTerm {
                 s.kind().label(),
                 stats
             ));
-            out.push_str(&AsciiChart::new(self.width, self.height).render(&s.ring().to_vec()));
+            out.push_str(&AsciiChart::new(WIDTH, HEIGHT).render(&s.ring().to_vec()));
         }
         out
     }

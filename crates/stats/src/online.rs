@@ -1,7 +1,7 @@
 //! Online (single-pass) accumulation of moments.
 
 /// Numerically stable streaming mean/variance accumulator
-/// (Welford's algorithm), with min/max tracking and O(1) merge.
+/// (Welford's algorithm), with min/max tracking.
 ///
 /// Used throughout the simulation runners to aggregate per-replication
 /// measurements without storing them.
@@ -103,27 +103,6 @@ impl OnlineStats {
     /// Largest observation; `-inf` if empty.
     pub fn max(&self) -> f64 {
         self.max
-    }
-
-    /// Merges another accumulator into this one (Chan's parallel update),
-    /// as if all its observations had been pushed here.
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let d = other.mean - self.mean;
-        let n = n1 + n2;
-        self.mean += d * n2 / n;
-        self.m2 += other.m2 + d * d * n1 * n2 / n;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 
     /// A symmetric normal-approximation confidence half-width for the
@@ -259,33 +238,6 @@ mod tests {
             data.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (data.len() - 1) as f64;
         assert!((s.mean() - mean).abs() < 1e-10);
         assert!((s.sample_variance() - var).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let data: Vec<f64> = (0..500).map(|i| (i as f64).sin() * 10.0).collect();
-        let (a, b) = data.split_at(123);
-        let mut sa: OnlineStats = a.iter().copied().collect();
-        let sb: OnlineStats = b.iter().copied().collect();
-        let all: OnlineStats = data.iter().copied().collect();
-        sa.merge(&sb);
-        assert_eq!(sa.count(), all.count());
-        assert!((sa.mean() - all.mean()).abs() < 1e-10);
-        assert!((sa.sample_variance() - all.sample_variance()).abs() < 1e-9);
-        assert_eq!(sa.min(), all.min());
-        assert_eq!(sa.max(), all.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut s: OnlineStats = [1.0, 2.0, 3.0].into_iter().collect();
-        let before = s;
-        s.merge(&OnlineStats::new());
-        assert_eq!(s, before);
-
-        let mut e = OnlineStats::new();
-        e.merge(&before);
-        assert_eq!(e, before);
     }
 
     #[test]

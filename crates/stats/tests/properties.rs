@@ -21,23 +21,6 @@ proptest! {
     }
 
     #[test]
-    fn online_merge_is_concatenation(
-        a in proptest::collection::vec(-1e6f64..1e6, 0..100),
-        b in proptest::collection::vec(-1e6f64..1e6, 0..100),
-    ) {
-        let mut left: OnlineStats = a.iter().copied().collect();
-        let right: OnlineStats = b.iter().copied().collect();
-        left.merge(&right);
-        let whole: OnlineStats = a.iter().chain(b.iter()).copied().collect();
-        prop_assert_eq!(left.count(), whole.count());
-        if whole.count() > 0 {
-            prop_assert!((left.mean() - whole.mean()).abs() < 1e-6);
-            prop_assert!((left.sample_variance() - whole.sample_variance()).abs()
-                / whole.sample_variance().max(1.0) < 1e-6);
-        }
-    }
-
-    #[test]
     fn covariance_is_symmetric_and_scale_consistent(
         pairs in proptest::collection::vec((-1e3f64..1e3, -1e3f64..1e3), 3..100),
     ) {

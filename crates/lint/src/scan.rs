@@ -66,16 +66,15 @@ impl FileCtx {
         let in_src = parts.contains(&"src");
         let entry_point = in_src
             && (parts.last() == Some(&"main.rs") || parts.windows(2).any(|w| w == ["src", "bin"]));
-        let reach = if parts.first() == Some(&"perfbench") || rel == "README.md" {
+        // Root `tests/` call the crates as users do; a crate's own
+        // `tests/` exist to test its items.
+        let reach = if parts.first() == Some(&"perfbench")
+            || rel == "README.md"
+            || (test_path && crate_name.is_none())
+        {
             Reach::All
         } else if test_path {
-            // Root `tests/` call the crates as users do; a crate's own
-            // `tests/` exist to test its items.
-            if crate_name.is_some() {
-                Reach::Nothing
-            } else {
-                Reach::All
-            }
+            Reach::Nothing
         } else {
             Reach::NonTest
         };

@@ -2,8 +2,8 @@
 
 use proptest::prelude::*;
 use sociolearn_stats::{
-    binomial_ln_pmf, binomial_tail_ge, binomial_tail_le, ln_choose, normal_cdf, normal_quantile,
-    Histogram, OnlineCov, OnlineStats, Summary,
+    binomial_ln_pmf, binomial_tail_ge, binomial_tail_le, ks_two_sample, ln_choose, loglog_fit,
+    normal_cdf, normal_quantile, Histogram, OnlineCov, OnlineStats, Summary,
 };
 
 proptest! {
@@ -74,6 +74,42 @@ proptest! {
         let lhs = ln_choose(n, k).exp();
         let rhs = ln_choose(n - 1, k - 1).exp() + if k < n { ln_choose(n - 1, k).exp() } else { 0.0 };
         prop_assert!((lhs - rhs).abs() / lhs.max(1.0) < 1e-9);
+    }
+
+    #[test]
+    fn ols_residuals_orthogonal_to_x(
+        pts in proptest::collection::vec((0.01f64..100.0, 0.01f64..100.0), 3..60),
+    ) {
+        // `loglog_fit` is the OLS fit of ln y on ln x, so the normal
+        // equations hold for the log points it fits.
+        let (xs, ys): (Vec<f64>, Vec<f64>) = pts.iter().map(|&(x, y)| (x.ln(), y.ln())).unzip();
+        // Degenerate x (all equal) has slope 0 by convention; skip.
+        let x0 = xs[0];
+        prop_assume!(xs.iter().any(|&x| (x - x0).abs() > 1e-6));
+        let (raw_x, raw_y): (Vec<f64>, Vec<f64>) = pts.iter().copied().unzip();
+        let fit = loglog_fit(&raw_x, &raw_y);
+        prop_assert_eq!(fit.n, pts.len());
+        // Normal equations: sum of residuals and x-weighted residuals ~ 0.
+        let r_sum: f64 = xs.iter().zip(&ys).map(|(&x, &y)| y - (fit.slope * x + fit.intercept)).sum();
+        let rx_sum: f64 = xs.iter().zip(&ys).map(|(&x, &y)| x * (y - (fit.slope * x + fit.intercept))).sum();
+        let scale: f64 = ys.iter().map(|y| y.abs()).sum::<f64>().max(1.0);
+        // |ln x| <= ln 100 < 5 bounds the weights, as 100 did for raw x.
+        prop_assert!(r_sum.abs() / scale < 1e-6, "residual sum {}", r_sum);
+        prop_assert!(rx_sum.abs() / (scale * 5.0) < 1e-4, "x-weighted residual sum {}", rx_sum);
+        prop_assert!((0.0..=1.0 + 1e-9).contains(&fit.r_squared));
+    }
+
+    #[test]
+    fn ks_p_value_in_unit_interval(
+        a in proptest::collection::vec(-10f64..10.0, 1..200),
+        b in proptest::collection::vec(-10f64..10.0, 1..200),
+        shift in 0f64..25.0,
+    ) {
+        // Shifting b moves the statistic from near 0 to 1, so the
+        // asymptotic p-value is evaluated over λ from 0 to about 10.
+        let b: Vec<f64> = b.iter().map(|x| x + shift).collect();
+        let r = ks_two_sample(&a, &b);
+        prop_assert!((0.0..=1.0).contains(&r.p_value), "p = {}", r.p_value);
     }
 
     #[test]
